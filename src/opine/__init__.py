@@ -17,6 +17,7 @@ from .annotations import (
 )
 from .composition import expand_extra_roles, resolve_chains, run_composition
 from .errors import (
+    ContradictoryInput,
     CyclicChain,
     DanglingReference,
     DuplicateId,

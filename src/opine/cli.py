@@ -40,7 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also place non-propositions into belief-variant spaces")
     parser.add_argument("--max-iterations", type=int, default=50)
     parser.add_argument("--rule-order", metavar="CSV",
-                        help="comma-separated rule order override")
+                        help="comma-separated rule order override; a diagnostic, since"
+                             " the default order is normative and other orders may"
+                             " derive other (competing) defaults")
     return parser
 
 

@@ -17,13 +17,12 @@ from .graph import (
     BAD_FOR,
     GOOD_FOR,
     INFLUENCER,
-    NEGATIVE,
-    POSITIVE,
     SENTIMENT,
     EvidenceFact,
     Graph,
     Node,
     TraceEvent,
+    opposite_polarity,
 )
 
 
@@ -70,10 +69,6 @@ def _find_chains(g: Graph) -> list[InfluencerChain]:
     return chains
 
 
-def _flip(polarity: str) -> str:
-    return NEGATIVE if polarity == POSITIVE else POSITIVE
-
-
 def resolve_chains(g: Graph) -> CompositionResult:
     """Collapse every influencer chain into a new effective gfbf.
 
@@ -105,7 +100,7 @@ def resolve_chains(g: Graph) -> CompositionResult:
                     from_input=True,
                 )
             else:
-                polarity = _flip(fact.polarity) if flip else fact.polarity
+                polarity = opposite_polarity(fact.polarity) if flip else fact.polarity
                 counterpart = g.add_evidence(
                     fact.att_type, polarity, new_gfbf, holder=fact.holder,
                     property=fact.property, from_input=True,
@@ -133,6 +128,8 @@ def resolve_chains(g: Graph) -> CompositionResult:
                     substantial=holder.property is not None,
                 )
                 counterpart.from_input = holder.from_input
+                if holder.node_id in g.input_lines:
+                    g.input_lines.setdefault(counterpart.node_id, g.input_lines[holder.node_id])
                 mapping[holder.node_id] = counterpart
                 if holder in g.roots:
                     g.add_root(counterpart)

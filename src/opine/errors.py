@@ -39,6 +39,12 @@ class DuplicateId(InputError):
     code = "DuplicateId"
 
 
+class ContradictoryInput(InputError):
+    """Two input lines put opposite attitudes of one source into one space."""
+
+    code = "ContradictoryInput"
+
+
 class MalformedRecord(InputError):
     code = "MalformedRecord"
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annotations import Lexicon, SentenceAnnotation, WRITER
+from .annotations import AnnotationLine, Lexicon, SentenceAnnotation, WRITER
 from .errors import IllFormedNode
 
 ANIM = "anim"
@@ -47,6 +47,10 @@ def sign(polarity: str) -> int:
 
 def polarity_of(value: int) -> str:
     return POSITIVE if value > 0 else NEGATIVE
+
+
+def opposite_polarity(polarity: str) -> str:
+    return NEGATIVE if polarity == POSITIVE else POSITIVE
 
 
 def effect_sign(effect: str) -> int:
@@ -260,8 +264,12 @@ class Graph:
         self.entity_meta: dict[str, dict] = {}
         self.gfbf_lex_keys: dict[int, str] = {}
         self.pending_role2: list[tuple[Node, str]] = []
+        self.input_lines: dict[int, AnnotationLine] = {}  # node id -> line it stands for
         self.version = 0
+        self.layout_version = 0  # bumped when an existing node gains a child
         self._interned: dict[tuple, Node] = {}
+        self._root_set: set[Node] = set()
+        self._top_set: set[Node] = set()
 
     # -- interning -------------------------------------------------------
     def _intern(self, node_type, *, att_type=None, polarity=None, property=None,
@@ -331,6 +339,7 @@ class Graph:
         del self._interned[old_key]
         self._interned[new_key] = event
         self.version += 1
+        self.layout_version += 1
         return event
 
     def idea_of(self, event: Node) -> Node:
@@ -406,19 +415,21 @@ class Graph:
             raise IllFormedNode(
                 f"roots must be writer-sourced sentiment/believesTrue nodes: {node!r}"
             )
-        if node not in self.roots:
+        if node not in self._root_set:
+            self._root_set.add(node)
             self.roots.append(node)
             self.version += 1
 
     def add_top_level(self, node: Node) -> None:
         if node.source_name != WRITER:
             raise IllFormedNode("top-level facts must be the writer's")
-        if node not in self.top_level:
+        if node not in self._top_set:
+            self._top_set.add(node)
             self.top_level.append(node)
             self.version += 1
 
     def is_writer_level(self, node: Node) -> bool:
-        return node in self.roots or node in self.top_level
+        return node in self._root_set or node in self._top_set
 
     def add_evidence(self, att_type, polarity, target, *, holder=None,
                      property=None, from_input=False) -> EvidenceFact:
@@ -652,6 +663,7 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
         for child in node.children.values():
             child.from_input = True
         by_id[ln.line_id] = node
+        g.input_lines.setdefault(node.node_id, ln)
 
     for ln in sent.lines:
         if ln.kind in ("subjectivity", "privateState") and ln.line_id not in targeted:

@@ -205,7 +205,7 @@ def sentence_to_json(result: InferenceResult, text: str | None = None) -> dict:
         spaces.append(
             {
                 "steps": [list(step) for step in steps],
-                "members": sorted(n.node_id for n in inst.members),
+                "members": sorted(inst.members),
             }
         )
     trace = []

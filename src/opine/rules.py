@@ -15,7 +15,12 @@ from typing import Callable
 
 from .annotations import AnnotationDoc, Lexicon, SentenceAnnotation, WRITER
 from .composition import run_composition
-from .errors import InvariantViolation, IterationLimitExceeded, NoCommonSpace
+from .errors import (
+    ContradictoryInput,
+    InvariantViolation,
+    IterationLimitExceeded,
+    NoCommonSpace,
+)
 from .graph import (
     AGREEMENT,
     ANIM,
@@ -48,9 +53,9 @@ from .graph import (
     spec_matches,
 )
 from .spaces import (
-    EPSILON,
     belief_variant,
     extend_spaces,
+    first_clash,
     format_space,
     place,
     space_index,
@@ -565,12 +570,13 @@ def _expected_space_closure(g: Graph) -> None:
     changed = True
     while changed:
         changed = False
-        index = space_index(g)
-        for steps, inst in list(index.spaces.items()):
+        # Snapshot the members: placing below adds to the (live) index.
+        snapshot = [(steps, list(inst.members.values())) for steps, inst in space_index(g).spaces.items()]
+        for steps, members in snapshot:
             variant = belief_variant(steps)
             if variant == steps:
                 continue
-            for member in list(inst.members):
+            for member in members:
                 if member.retired:
                     continue
                 if would_contradict(variant, member, g) is not None:
@@ -582,45 +588,48 @@ def _expected_space_closure(g: Graph) -> None:
 
 def check_consistency(g: Graph) -> None:
     """No space may hold the same source/attitude/target with both polarities."""
-    index = space_index(g)
-    groups: dict[tuple, list[Node]] = {}
-
-    def add(space_key, node: Node) -> None:
-        if node.node_type == PRIVATE_STATE:
-            key = (space_key, PRIVATE_STATE, node.source_name, node.att_type,
-                   node.target.node_id)
-        elif node.node_type == AGREEMENT:
-            key = (space_key, AGREEMENT, node.source_name, node.with_whom.name,
-                   node.target.node_id)
-        else:
-            return
-        groups.setdefault(key, []).append(node)
-
-    for steps, inst in index.spaces.items():
-        for member in inst.members:
-            add(steps, member)
-    for node in list(g.roots) + list(g.top_level):
-        add(EPSILON, node)
-    for key, nodes in groups.items():
-        polarities = {n.polarity for n in nodes}
-        if len(polarities) > 1:
-            ids = [n.node_id for n in nodes]
-            raise InvariantViolation(
-                f"space {format_space(key[0])} holds contradictory attitudes: nodes {ids}"
-            )
+    clash = first_clash(g)
+    if clash is not None:
+        steps, positive, negative = clash
+        raise InvariantViolation(
+            f"space {format_space(steps)} holds contradictory attitudes: "
+            f"nodes {positive.node_id} and {negative.node_id}"
+        )
 
 
 # -- pipeline -----------------------------------------------------------------
 
+def check_input(g: Graph, filename: str = "<input>") -> None:
+    """Reject input whose own lines put opposite attitudes into one space.
+
+    Hash-consing makes structurally equal events one node, and influencer
+    chains can compose into an event that already exists, so two lines can
+    give one source both polarities toward the same target.
+    """
+    clash = first_clash(g)
+    if clash is None:
+        return
+    steps, *nodes = clash
+    first, second = sorted((g.input_lines[n.node_id] for n in nodes),
+                           key=lambda ln: ln.lineno)
+    raise ContradictoryInput(
+        f"{first.line_id} contradicts {second.line_id} ({filename}:{second.lineno})"
+        f" in space {format_space(steps)}",
+        filename, first.lineno,
+    )
+
+
 def process_sentence(sent: SentenceAnnotation, lex: Lexicon,
                      ids: IdAllocator | None = None,
-                     cfg: Config | None = None) -> InferenceResult:
+                     cfg: Config | None = None,
+                     filename: str = "<input>") -> InferenceResult:
     g = build_input_graph(sent, lex, ids)
     run_composition(g)
+    check_input(g, filename)
     return run_to_fixpoint(g, cfg)
 
 
 def process_document(doc: AnnotationDoc, lex: Lexicon,
                      cfg: Config | None = None) -> list[InferenceResult]:
     ids = IdAllocator()
-    return [process_sentence(sent, lex, ids, cfg) for sent in doc.sentences]
+    return [process_sentence(sent, lex, ids, cfg, doc.source_name) for sent in doc.sentences]

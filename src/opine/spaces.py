@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .errors import NoCommonSpace
 from .graph import (
     AGREEMENT,
+    ANIM,
     BELIEVES_TRUE,
     NEGATIVE,
     POSITIVE,
@@ -23,8 +24,9 @@ from .graph import (
     Graph,
     Node,
     PSSpec,
+    opposite_polarity,
+    spec_exists,
     spec_intern,
-    spec_matches,
 )
 
 Step = tuple[str, str, str]  # (source name, attitude type, polarity)
@@ -35,49 +37,119 @@ def step_of(node: Node) -> Step:
     return (node.source_name, node.att_type, node.polarity)
 
 
+ClashKey = tuple  # (node type, source name, attitude type or withWhom name, target id)
+
+
+def clash_key(node: Node) -> ClashKey | None:
+    """What two members must share to clash; they clash when polarities differ.
+
+    Properties (substantial) are deliberately not part of the key.
+    """
+    if node.node_type == PRIVATE_STATE:
+        return (PRIVATE_STATE, node.source_name, node.att_type, node.target.node_id)
+    if node.node_type == AGREEMENT:
+        return (AGREEMENT, node.source_name, node.with_whom.name, node.target.node_id)
+    return None
+
+
+def _add_to_table(table: dict[ClashKey, dict[str, Node]], node: Node) -> None:
+    key = clash_key(node)
+    if key is not None:
+        table.setdefault(key, {}).setdefault(node.polarity, node)
+
+
 @dataclass
 class SpaceInstance:
     steps: tuple[Step, ...]
     paths: list[tuple[Node, ...]] = field(default_factory=list)  # chain node sequences
-    members: list[Node] = field(default_factory=list)
+    members: dict[int, Node] = field(default_factory=dict)  # by node id, in insertion order
+    clash: dict[ClashKey, dict[str, Node]] = field(default_factory=dict)  # {polarity: first}
+    first_root: int = 0  # smallest root id among the paths
+
+    def add_path(self, path: tuple[Node, ...]) -> None:
+        self.paths.append(path)
+        root_id = path[0].node_id
+        if len(self.paths) == 1 or root_id < self.first_root:
+            self.first_root = root_id
+
+    def add_member(self, member: Node) -> None:
+        if member.node_id not in self.members:
+            self.members[member.node_id] = member
+            _add_to_table(self.clash, member)
 
 
 class SpaceIndex:
-    """All chains of the graph, grouped by step list; rebuilt when it mutates."""
+    """All chains of the graph, grouped by step list, plus clash tables.
+
+    The index is append-only.  Nodes are hash-consed and never change, so a
+    chain below a root is fixed once the root exists: only ``Graph.add_root``
+    adds chains, and ``update`` walks just the roots (and top-level facts)
+    added since the last call.  ``Graph.attach_role2`` changes a node that
+    may already be a member, so it bumps ``g.layout_version`` and
+    ``space_index`` then builds a new index from scratch.
+
+    The writer level (EPSILON) has two clash tables: one for roots and one
+    for top-level facts, probed in that order.
+    """
 
     def __init__(self, g: Graph):
+        self.layout_version = g.layout_version
         self.spaces: dict[tuple[Step, ...], SpaceInstance] = {}
         self.memberships: dict[int, dict[tuple[Step, ...], tuple[Node, ...]]] = {}
-        for root in g.roots:
-            path: list[Node] = []
-            node = root
-            while node is not None and node.is_chain_node():
-                path.append(node)
-                steps = tuple(step_of(n) for n in path)
-                member = node.target
-                inst = self.spaces.setdefault(steps, SpaceInstance(steps))
-                inst.paths.append(tuple(path))
-                if member not in inst.members:
-                    inst.members.append(member)
-                self.memberships.setdefault(member.node_id, {}).setdefault(
-                    steps, tuple(path)
-                )
-                if member.node_type == "gfbf" and "role2" in member.children:
-                    derived = member.children["role2"]
-                    if derived not in inst.members:
-                        inst.members.append(derived)
-                    self.memberships.setdefault(derived.node_id, {}).setdefault(
-                        steps, tuple(path)
-                    )
-                node = member
+        self.root_clash: dict[ClashKey, dict[str, Node]] = {}
+        self.top_clash: dict[ClashKey, dict[str, Node]] = {}
+        self.roots_seen = 0
+        self.top_seen = 0
+        self.update(g)
+
+    def update(self, g: Graph) -> None:
+        """Add the chains of the roots and the top-level facts added since the last call."""
+        if len(g.roots) > self.roots_seen:
+            for root in g.roots[self.roots_seen:]:
+                _add_to_table(self.root_clash, root)
+                self._add_chains(root)
+            self.roots_seen = len(g.roots)
+        if len(g.top_level) > self.top_seen:
+            for node in g.top_level[self.top_seen:]:
+                _add_to_table(self.top_clash, node)
+            self.top_seen = len(g.top_level)
+
+    def _add_chains(self, root: Node) -> None:
+        path: tuple[Node, ...] = ()
+        steps: tuple[Step, ...] = EPSILON
+        node = root
+        while node is not None and node.is_chain_node():
+            path += (node,)
+            steps += (step_of(node),)
+            member = node.target
+            inst = self.spaces.get(steps)
+            if inst is None:
+                inst = self.spaces[steps] = SpaceInstance(steps)
+            inst.add_path(path)
+            self._add_member(inst, member, path)
+            if member.node_type == "gfbf" and "role2" in member.children:
+                self._add_member(inst, member.children["role2"], path)
+            node = member
+
+    def _add_member(self, inst: SpaceInstance, member: Node, path: tuple[Node, ...]) -> None:
+        inst.add_member(member)
+        self.memberships.setdefault(member.node_id, {}).setdefault(inst.steps, path)
+
+    def clash_tables(self, steps: tuple[Step, ...]) -> tuple[dict, ...]:
+        """The clash tables of a space's members, in the order to probe them."""
+        if steps == EPSILON:
+            return (self.root_clash, self.top_clash)
+        inst = self.spaces.get(steps)
+        return (inst.clash,) if inst else ()
 
 
 def space_index(g: Graph) -> SpaceIndex:
-    cached = getattr(g, "_space_index", None)
-    if cached is not None and cached[0] == g.version:
-        return cached[1]
-    index = SpaceIndex(g)
-    g._space_index = (g.version, index)
+    index = getattr(g, "_space_index", None)
+    if index is None or index.layout_version != g.layout_version:
+        index = SpaceIndex(g)
+        g._space_index = index
+    else:
+        index.update(g)
     return index
 
 
@@ -90,7 +162,7 @@ def members_of(steps: tuple[Step, ...], g: Graph) -> list[Node]:
     if steps == EPSILON:
         return list(g.roots) + list(g.top_level)
     inst = space_index(g).spaces.get(steps)
-    return list(inst.members) if inst else []
+    return list(inst.members.values()) if inst else []
 
 
 def rightmost_nodes(steps: tuple[Step, ...], g: Graph) -> list[Node]:
@@ -131,50 +203,19 @@ def format_space(steps: tuple[Step, ...]) -> str:
 
 # -- contradiction checks ----------------------------------------------------
 
-def _same_target(target: Node, spec_target) -> bool:
-    if isinstance(spec_target, Node):
-        return target is spec_target
-    return spec_matches(target, spec_target)
-
-
-def _conflicts(existing: Node, spec) -> bool:
-    """Opposite-polarity clash: same source, attitude type and target structure.
-
-    Properties (substantial) are deliberately not compared.
-    """
-    if isinstance(spec, Node):
-        if spec.node_type == PRIVATE_STATE:
-            spec = PSSpec(
-                spec.source_name, spec.att_type, spec.polarity, spec.target,
-                substantial=spec.property is not None,
-            )
-        elif spec.node_type == AGREEMENT:
-            return (
-                existing.node_type == AGREEMENT
-                and existing.source_name == spec.source_name
-                and existing.with_whom is spec.with_whom
-                and existing.polarity != spec.polarity
-                and existing.target is spec.target
-            )
-        else:
-            return False
-    if isinstance(spec, PSSpec):
-        return (
-            existing.node_type == PRIVATE_STATE
-            and existing.source_name == spec.source
-            and existing.att_type == spec.att_type
-            and existing.polarity != spec.polarity
-            and _same_target(existing.target, spec.target)
-        )
-    if isinstance(spec, AgrSpec):
-        return (
-            existing.node_type == AGREEMENT
-            and existing.source_name == spec.source
-            and existing.with_whom.name == spec.with_whom
-            and existing.polarity != spec.polarity
-            and _same_target(existing.target, spec.px)
-        )
-    return False
+def _prop_key(g: Graph, prop) -> ClashKey | None:
+    """The clash key of a node or spec, or None when nothing can clash with it."""
+    if isinstance(prop, Node):
+        return clash_key(prop)
+    if isinstance(prop, PSSpec):
+        target = spec_exists(g, prop.target)
+        if target is not None:
+            return (PRIVATE_STATE, prop.source, prop.att_type, target.node_id)
+    elif isinstance(prop, AgrSpec):
+        target = spec_exists(g, prop.px)
+        if target is not None:
+            return (AGREEMENT, prop.source, prop.with_whom, target.node_id)
+    return None
 
 
 def would_contradict(steps: tuple[Step, ...], prop, g: Graph):
@@ -183,22 +224,53 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph):
     Invalid if (a) a chain instance of the space ends in a negative
     believesTrue whose target is the prop, or (b) the space (at any wrapping
     level) already holds the same source/attitude/target with the opposite
-    polarity.
+    polarity.  Returns the first such node in path or member order.
     """
-    for last in rightmost_nodes(steps, g):
-        if last.att_type == BELIEVES_TRUE and last.polarity == NEGATIVE:
-            if _same_target(last.target, prop):
-                return last
-    # Check the prop itself and every wrapper the placement would create.
-    level_spec = prop
+    index = space_index(g)
+    inner = spec_exists(g, prop)
+    if inner is not None and steps and steps[-1][1:] == (BELIEVES_TRUE, NEGATIVE):
+        for node in rightmost_nodes(steps, g):
+            if node.target is inner:
+                return node
+    # Check the prop itself and every wrapper the placement would create.  A
+    # wrapper's target is the level below; once that does not exist, no
+    # member can share its target, at that level or any above it.
+    key = _prop_key(g, prop)
+    polarity = prop.polarity if key is not None else None
     for depth in range(len(steps), -1, -1):
-        prefix = steps[:depth]
-        for existing in members_of(prefix, g):
-            if _conflicts(existing, level_spec):
-                return existing
-        if depth > 0:
-            src, att, pol = steps[depth - 1]
-            level_spec = PSSpec(src, att, pol, level_spec)
+        if key is not None:
+            for table in index.clash_tables(steps[:depth]):
+                clash = table.get(key, {}).get(opposite_polarity(polarity))
+                if clash is not None:
+                    return clash
+        if depth == 0 or inner is None:
+            return None
+        src, att, polarity = steps[depth - 1]
+        key = (PRIVATE_STATE, src, att, inner.node_id)
+        source = g.lookup(ANIM, name=src)
+        if source is not None:
+            inner = g.lookup(PRIVATE_STATE, att_type=att, polarity=polarity,
+                             children={"source": source, "target": inner})
+        else:
+            inner = None
+    return None
+
+
+def first_clash(g: Graph) -> tuple[tuple[Step, ...], Node, Node] | None:
+    """The first space holding one source/attitude/target with both polarities.
+
+    Returns (space, positive member, negative member), writer level first.
+    """
+    index = space_index(g)
+    for steps in (EPSILON, *index.spaces):
+        merged: dict[ClashKey, dict[str, Node]] = {}
+        for table in index.clash_tables(steps):
+            for key, by_polarity in table.items():
+                for polarity, node in by_polarity.items():
+                    merged.setdefault(key, {}).setdefault(polarity, node)
+        for by_polarity in merged.values():
+            if len(by_polarity) > 1:
+                return steps, by_polarity[POSITIVE], by_polarity[NEGATIVE]
     return None
 
 
@@ -213,8 +285,7 @@ class ExtensionOutcome:
 
 def _order_key(steps: tuple[Step, ...], g: Graph) -> tuple:
     inst = space_index(g).spaces.get(steps)
-    first_root = min((p[0].node_id for p in inst.paths), default=0) if inst else 0
-    return (first_root, len(steps), steps)
+    return (inst.first_root if inst else 0, len(steps), steps)
 
 
 def place(g: Graph, node: Node, steps: tuple[Step, ...]) -> tuple[Node, list[Node]]:
@@ -241,10 +312,11 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     """Place assumptions and conclusions into every space holding all the ps.
 
     Spaces whose defining path carries a negative believesTrue are skipped and
-    reported; spaces where any addition would contradict are skipped and
-    reported.  Spaces with sentiment steps propagate additions into their
-    positive-belief variants, where only propositions are placed unless
-    extended_belief_spaces is set.
+    reported; spaces where any addition (or, in a belief variant, any
+    precondition placed there) would contradict are skipped and reported.
+    Spaces with sentiment steps propagate additions into their positive-belief
+    variants, where only propositions are placed unless extended_belief_spaces
+    is set.
     """
     if ps:
         base: set[tuple[Step, ...]] | None = None
@@ -272,10 +344,12 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
                 candidates.append((variant, True))
 
     additions = list(assumptions) + list(conclusions)
+    # A belief variant also receives the preconditions, so they must fit too.
+    variant_ps = [p for p in ps if p.is_proposition() or extended_belief_spaces]
     accepted: list[tuple[tuple[Step, ...], bool]] = []
     for steps, is_variant in candidates:
         clash = None
-        for spec in additions:
+        for spec in (additions + variant_ps) if is_variant else additions:
             clash = would_contradict(steps, spec, g)
             if clash is not None:
                 break
@@ -314,10 +388,9 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
                 record(w, True)
             record(top, False)
         if is_variant:
-            for p in ps:
-                if p.is_proposition() or extended_belief_spaces:
-                    top, wrappers = place(g, p, steps)
-                    for w in wrappers:
-                        record(w, True)
-                    record(top, False)
+            for p in variant_ps:
+                top, wrappers = place(g, p, steps)
+                for w in wrappers:
+                    record(w, True)
+                record(top, False)
     return outcome

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from opine.cli import main
 
@@ -135,3 +140,70 @@ def test_max_iterations_flag(capsys):
     )
     assert code == 2
     assert "internal error" in err
+
+
+def test_rule_order_cannot_place_precondition_next_to_its_opposite(tmp_path, capsys):
+    # Rule 2 fires on S19 in [writer +S], whose belief variant [writer +B]
+    # already holds the opposite sentiment placed there by rule 3.1.  The
+    # variant is blocked instead of receiving the precondition.
+    doc = tmp_path / "variant.ann"
+    doc.write_text(
+        '"A random sentence."\n'
+        "E1 gfbf <alice, goodFor (x1), dave>\n"
+        "E2 gfbf <carol, badFor (x2), dave>\n"
+        "S19 subjectivity <alice, negative sentiment (w), E1>\n"
+        "B19 privateState <writer, positive sentiment (w), S19>\n"
+        "B29 privateState <writer, negative sentiment (w), E2>\n"
+    )
+    order = ("rule5source,rule10,rule5agent,rule2,rule6,rule9,rule3.3,rule3.2,"
+             "rule7,rule8,rule4,rule3.1,rule1")
+    code, _, err = run_cli(capsys, "--input", doc, "--rule-order", order, "--trace")
+    assert code == 0 and err == ""
+
+
+CONTRADICTORY_INPUTS = {
+    # E1 and E2 are one event once hash-consed.
+    "same-event": (
+        "E1 gfbf <p0, goodFor (x1), p1>\n"
+        "E2 gfbf <p0, goodFor (x2), p1>\n"
+        "S1 subjectivity <p3, positive sentiment (s1), E1>\n"
+        "S2 subjectivity <p3, negative sentiment (s2), E2>\n"
+    ),
+    # Both influencer chains compose into the event (a goodFor c).
+    "composed-event": (
+        "E1 gfbf <b, goodFor (x1), c>\n"
+        "E2 gfbf <d, badFor (x2), c>\n"
+        "I1 influencer <a, retain (i1), E1>\n"
+        "I2 influencer <a, reverse (i2), E2>\n"
+        "S1 subjectivity <p3, positive sentiment (s1), I1>\n"
+        "S2 subjectivity <p3, negative sentiment (s2), I2>\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("events", CONTRADICTORY_INPUTS.values(), ids=CONTRADICTORY_INPUTS)
+def test_contradictory_input_names_both_lines(tmp_path, capsys, events):
+    # S1 and S2 give p3 both polarities toward one event inside [writer +B].
+    doc = tmp_path / "clash.ann"
+    doc.write_text(
+        '"Two lines, one event."\n' + events
+        + "B1 privateState <writer, positive believesTrue (b1), S1>\n"
+        "B2 privateState <writer, positive believesTrue (b2), S2>\n"
+    )
+    lines = doc.read_text().splitlines()
+    s1 = 1 + next(i for i, line in enumerate(lines) if line.startswith("S1 "))
+    code, out, err = run_cli(capsys, "--input", doc)
+    assert code == 1 and out == ""
+    assert "ContradictoryInput" in err and "[writer +B]" in err
+    assert f"{doc}:{s1}:" in err and f"{doc}:{s1 + 1})" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opine", "--input", str(CORPUS / "moveon.ann")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Senator McCain" in proc.stdout

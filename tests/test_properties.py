@@ -6,13 +6,14 @@ from itertools import product
 from opine import (
     Config,
     Graph,
+    InputError,
     check_consistency,
     match,
     parse_document,
     process_document,
 )
 from opine.graph import polarity_of, sign
-from opine.rules import RULES
+from opine.rules import DEFAULT_RULE_ORDER, RULES
 
 POLS = ("positive", "negative")
 EFFECTS = ("goodFor", "badFor")
@@ -235,3 +236,29 @@ def test_determinism_double_run(lexicon, corpus_files):
         first = dumps(process_document(parse_document(doc_text), lexicon))
         second = dumps(process_document(parse_document(doc_text), lexicon))
         assert first == second, path.name
+
+
+def rule_orders(shuffled: int = 3) -> list[tuple[str, ...]]:
+    """The default rule order followed by fixed-seed shuffles of it."""
+    rng = random.Random(1404)
+    orders = [DEFAULT_RULE_ORDER]
+    for _ in range(shuffled):
+        order = list(DEFAULT_RULE_ORDER)
+        rng.shuffle(order)
+        orders.append(tuple(order))
+    return orders
+
+
+def test_no_internal_error_on_random_inputs(lexicon):
+    # Shuffled rule orders are diagnostics, and they may derive different
+    # fact sets (competing defaults), but no order and no flag may let a
+    # well-formed input reach an internal error.
+    rng = random.Random(20240214)
+    texts = [random_document(rng) for _ in range(100)]
+    for order, fire_once, extended in product(rule_orders(), (True, False), (False, True)):
+        cfg = Config(rule_order=order, fire_once=fire_once, extended_belief_spaces=extended)
+        for text in texts:
+            try:
+                process_document(parse_document(text), lexicon, cfg)
+            except InputError:
+                pass

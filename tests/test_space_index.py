@@ -1,0 +1,211 @@
+"""Differential checks of the incremental space index and the clash tables.
+
+The index is kept up to date as roots arrive, and ``would_contradict``
+answers by probing clash tables.  Both are compared, during real fixpoint
+runs, with the straightforward versions they replaced: an index built from
+scratch by walking every root, and a contradiction check that scans the
+members of every prefix space.
+"""
+
+import random
+import re
+
+import pytest
+
+from opine import Config, Graph, parse_document, process_document
+from opine import rules, spaces
+from opine.errors import InvariantViolation
+from opine.graph import (
+    AGREEMENT,
+    BELIEVES_TRUE,
+    NEGATIVE,
+    PRIVATE_STATE,
+    AgrSpec,
+    Node,
+    PSSpec,
+    spec_matches,
+)
+from opine.spaces import EPSILON, space_index, step_of
+
+from test_properties import random_document, rule_orders
+
+DOCUMENTS = 100  # the first documents of the fixed-seed random suite
+
+
+# -- reference implementations --------------------------------------------------
+
+def reference_index(g):
+    """(spaces, memberships) from walking every root, as the index once did."""
+    version = (len(g.roots), g.layout_version)
+    cached = getattr(g, "_reference_index", None)
+    if cached is not None and cached[0] == version:
+        return cached[1]
+    found = {}  # steps -> (paths, members)
+    memberships = {}
+    for root in g.roots:
+        path = []
+        node = root
+        while node is not None and node.is_chain_node():
+            path.append(node)
+            steps = tuple(step_of(n) for n in path)
+            member = node.target
+            paths, members = found.setdefault(steps, ([], []))
+            paths.append(tuple(path))
+            held = [member]
+            if member.node_type == "gfbf" and "role2" in member.children:
+                held.append(member.children["role2"])
+            for m in held:
+                if m not in members:
+                    members.append(m)
+                memberships.setdefault(m.node_id, {}).setdefault(steps, tuple(path))
+            node = member
+    g._reference_index = (version, (found, memberships))
+    return found, memberships
+
+
+def _same_target(target, spec_target):
+    if isinstance(spec_target, Node):
+        return target is spec_target
+    return spec_matches(target, spec_target)
+
+
+def _conflicts(existing, spec):
+    if isinstance(spec, Node):
+        if spec.node_type == PRIVATE_STATE:
+            spec = PSSpec(
+                spec.source_name, spec.att_type, spec.polarity, spec.target,
+                substantial=spec.property is not None,
+            )
+        elif spec.node_type == AGREEMENT:
+            return (
+                existing.node_type == AGREEMENT
+                and existing.source_name == spec.source_name
+                and existing.with_whom is spec.with_whom
+                and existing.polarity != spec.polarity
+                and existing.target is spec.target
+            )
+        else:
+            return False
+    if isinstance(spec, PSSpec):
+        return (
+            existing.node_type == PRIVATE_STATE
+            and existing.source_name == spec.source
+            and existing.att_type == spec.att_type
+            and existing.polarity != spec.polarity
+            and _same_target(existing.target, spec.target)
+        )
+    if isinstance(spec, AgrSpec):
+        return (
+            existing.node_type == AGREEMENT
+            and existing.source_name == spec.source
+            and existing.with_whom.name == spec.with_whom
+            and existing.polarity != spec.polarity
+            and _same_target(existing.target, spec.px)
+        )
+    return False
+
+
+def reference_would_contradict(steps, prop, g):
+    """The member-scanning contradiction check."""
+    found, _ = reference_index(g)
+
+    def members_of(prefix):
+        if prefix == EPSILON:
+            return list(g.roots) + list(g.top_level)
+        return list(found[prefix][1]) if prefix in found else []
+
+    for path in found.get(steps, ([], []))[0]:
+        last = path[-1]
+        if last.att_type == BELIEVES_TRUE and last.polarity == NEGATIVE:
+            if _same_target(last.target, prop):
+                return last
+    level_spec = prop
+    for depth in range(len(steps), -1, -1):
+        for existing in members_of(steps[:depth]):
+            if _conflicts(existing, level_spec):
+                return existing
+        if depth > 0:
+            src, att, pol = steps[depth - 1]
+            level_spec = PSSpec(src, att, pol, level_spec)
+    return None
+
+
+# -- the checks -----------------------------------------------------------------
+
+def assert_index_matches_reference(g):
+    index = space_index(g)
+    found, memberships = reference_index(g)
+    assert list(index.spaces) == list(found)
+    for steps, (paths, members) in found.items():
+        inst = index.spaces[steps]
+        assert inst.paths == paths
+        assert list(inst.members.values()) == members
+        assert list(inst.members) == [m.node_id for m in members]
+    assert index.memberships == memberships
+
+
+@pytest.fixture
+def checked_engine(monkeypatch):
+    """Check the index after every fire and every would_contradict answer."""
+    stats = {"fires": 0, "contradiction_checks": 0}
+    fire, would_contradict = rules.fire, spaces.would_contradict
+
+    def checked_fire(rule, binding, g, *args, **kwargs):
+        outcome = fire(rule, binding, g, *args, **kwargs)
+        assert_index_matches_reference(g)
+        stats["fires"] += 1
+        return outcome
+
+    def checked_would_contradict(steps, prop, g):
+        got = would_contradict(steps, prop, g)
+        assert got is reference_would_contradict(steps, prop, g), (steps, prop)
+        stats["contradiction_checks"] += 1
+        return got
+
+    monkeypatch.setattr(rules, "fire", checked_fire)
+    monkeypatch.setattr(rules, "would_contradict", checked_would_contradict)
+    monkeypatch.setattr(spaces, "would_contradict", checked_would_contradict)
+    return stats
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["default", "extended"])
+def test_incremental_index_matches_scans(lexicon, checked_engine, extended):
+    rng = random.Random(20240214)
+    texts = [random_document(rng) for _ in range(DOCUMENTS)]
+    for order in rule_orders():
+        cfg = Config(rule_order=order, extended_belief_spaces=extended)
+        for text in texts:
+            process_document(parse_document(text), lexicon, cfg)
+    assert checked_engine["fires"] > 1000
+    assert checked_engine["contradiction_checks"] > 1000
+
+
+def test_attach_role2_forces_a_rebuild():
+    g = Graph()
+    event = g.gfbf(g.entity("a"), "badFor", g.entity("b"))
+    g.add_root(g.private_state("writer", "sentiment", "negative", event))
+    before = space_index(g)
+    derived = g.gfbf(g.entity("c"), "goodFor", g.entity("b"))
+    g.attach_role2(event, derived)
+    after = space_index(g)
+    assert after is not before
+    assert derived.node_id in after.spaces[(("writer", "sentiment", "negative"),)].members
+    assert_index_matches_reference(g)
+
+
+@pytest.mark.parametrize("top_level", [False, True], ids=["nested", "writer-level"])
+def test_check_consistency_reads_the_clash_tables(top_level):
+    g = Graph()
+    x = g.entity("x")
+    if top_level:
+        g.add_root(g.private_state("writer", "sentiment", "positive", x))
+        g.add_top_level(g.private_state("writer", "sentiment", "negative", x))
+        label = "[]"
+    else:
+        for polarity in ("positive", "negative"):
+            held = g.private_state("S1", "sentiment", polarity, x)
+            g.add_root(g.private_state("writer", BELIEVES_TRUE, "positive", held))
+        label = "[writer +B]"
+    message = re.escape(f"space {label} ") + r".*nodes \d+ and \d+"
+    with pytest.raises(InvariantViolation, match=message):
+        rules.check_consistency(g)
