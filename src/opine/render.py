@@ -9,7 +9,7 @@ with any particular listing.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring as _encode
 
 from .annotations import AnnotationDoc, Lexicon
 from .graph import (
@@ -34,7 +34,7 @@ from .graph import (
     Node,
 )
 from .rules import Config, InferenceResult, process_document
-from .spaces import space_index
+from .spaces import format_space, space_index
 
 _INDENT = "  "
 
@@ -155,18 +155,9 @@ def render_trace(result: InferenceResult) -> str:
         if event.existing:
             lines.append("  existing: " + ", ".join(map(str, event.existing)))
         for block in event.blocks:
-            space = f" in space {_steps_text(block.space)}" if block.space else ""
+            space = f" in space {format_space(block.space)}" if block.space else ""
             lines.append(f"  blocked{space}: {block.cause} ({block.detail})")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _steps_text(steps) -> str:
-    abbrev = {BELIEVES_TRUE: "B", SENTIMENT: "S"}
-    inner = " ".join(
-        f"{src} {'+' if pol == POSITIVE else '-'}{abbrev.get(att, att)}"
-        for src, att, pol in steps
-    )
-    return f"[{inner}]"
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -254,7 +245,163 @@ def document_to_json(results: list[InferenceResult]) -> dict:
 
 
 def dumps(results: list[InferenceResult]) -> str:
-    return json.dumps(document_to_json(results), indent=2, ensure_ascii=False) + "\n"
+    """The export: exactly ``json.dumps(document_to_json(results), indent=2,
+    ensure_ascii=False) + "\\n"``, written in one pass without the dicts.
+
+    With an indent, ``json`` falls back to its pure-Python encoder; this
+    writer lays out the same text itself, encoding strings with the C routine
+    that ``json`` uses.  Every piece goes into one list, joined once.
+    """
+    out = ['{\n  "format_version": 1,\n  "sentences": ']
+    if results:
+        sep = "[\n    "
+        for result in results:
+            out.append(sep)
+            _write_sentence(out, result)
+            sep = ",\n    "
+        out.append("\n  ]")
+    else:
+        out.append("[]")
+    out.append("\n}\n")
+    return "".join(out)
+
+
+# _PAD[k] is the indent of nesting level k: a sentence's braces sit at level 2,
+# its keys at 3, the objects of its lists at 4 and their keys at 5; the
+# deepest text, a step inside a trace event's block, sits at level 9.
+_PAD = tuple(" " * (2 * k) for k in range(10))
+
+
+def _str(value: str | None) -> str:
+    return "null" if value is None else _encode(value)
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _ints(values, level: int) -> str:
+    """A list of ints whose brackets sit at the given level."""
+    if not values:
+        return "[]"
+    inner = _PAD[level + 1]
+    return f"[\n{inner}" + f",\n{inner}".join(map(str, values)) + f"\n{_PAD[level]}]"
+
+
+def _steps(steps, level: int) -> str:
+    """A space's step list: a list of [source, attitude, polarity] lists."""
+    if not steps:
+        return "[]"
+    inner, innermost = _PAD[level + 1], _PAD[level + 2]
+    items = [f"[\n{innermost}" + f",\n{innermost}".join(map(_encode, step))
+             + f"\n{inner}]" for step in steps]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{_PAD[level]}]"
+
+
+def _blocks(blocks, level: int) -> str:
+    """The _block_to_json list whose brackets sit at the given level."""
+    if not blocks:
+        return "[]"
+    pad, key = _PAD[level + 1], _PAD[level + 2]
+    items = [
+        f'{{\n{key}"rule": {_encode(block.rule)},'
+        f'\n{key}"binding": {_ints(block.binding, level + 2)},'
+        f'\n{key}"cause": {_encode(block.cause)},'
+        f'\n{key}"detail": {_encode(block.detail)},'
+        f'\n{key}"space": {_steps(block.space, level + 2) if block.space else "null"}'
+        f'\n{pad}}}'
+        for block in blocks
+    ]
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{_PAD[level]}]"
+
+
+# Objects of a sentence's lists: braces at level 4, keys at level 5.
+
+def _node_text(node: Node) -> str:
+    children = node.children
+    if children:
+        kids = "{\n            " + ",\n            ".join(
+            f"{_encode(label)}: {children[label].node_id}" for label in sorted(children)
+        ) + "\n          }"
+    else:
+        kids = "{}"
+    return (
+        f'{{\n          "id": {node.node_id},'
+        f'\n          "type": {_encode(node.node_type)},'
+        f'\n          "attType": {_str(node.att_type)},'
+        f'\n          "polarity": {_str(node.polarity)},'
+        f'\n          "property": {_str(node.property)},'
+        f'\n          "name": {_str(node.name)},'
+        f'\n          "anchor": {_str(node.anchor)},'
+        f'\n          "fromInput": {_bool(node.from_input)},'
+        f'\n          "retired": {_bool(node.retired)},'
+        f'\n          "children": {kids}\n        }}'
+    )
+
+
+def _evidence_text(fact: EvidenceFact) -> str:
+    return (
+        f'{{\n          "id": {fact.fact_id},'
+        f'\n          "holder": {_str(fact.holder)},'
+        f'\n          "attType": {_str(fact.att_type)},'
+        f'\n          "polarity": {_str(fact.polarity)},'
+        f'\n          "property": {_str(fact.property)},'
+        f'\n          "target": {fact.target.node_id},'
+        f'\n          "fromInput": {_bool(fact.from_input)},'
+        f'\n          "retired": {_bool(fact.retired)}\n        }}'
+    )
+
+
+def _space_text(space) -> str:
+    steps, inst = space
+    return (
+        f'{{\n          "steps": {_steps(steps, 5)},'
+        f'\n          "members": {_ints(sorted(inst.members), 5)}\n        }}'
+    )
+
+
+def _event_text(event) -> str:
+    return (
+        f'{{\n          "kind": {_encode(event.kind)},'
+        f'\n          "rule": {_encode(event.rule)},'
+        f'\n          "iteration": {event.iteration},'
+        f'\n          "preconditions": {_ints(event.preconditions, 5)},'
+        f'\n          "assumptions": {_ints(event.assumptions, 5)},'
+        f'\n          "created": {_ints(event.created, 5)},'
+        f'\n          "existing": {_ints(event.existing, 5)},'
+        f'\n          "blocks": {_blocks(event.blocks, 5)}\n        }}'
+    )
+
+
+def _write_objects(out: list[str], items, text) -> None:
+    """A sentence's list of objects, brackets at level 3, one piece per object."""
+    if not items:
+        out.append("[]")
+        return
+    sep = "[\n        "
+    for item in items:
+        out.append(sep)
+        out.append(text(item))
+        sep = ",\n        "
+    out.append("\n      ]")
+
+
+def _write_sentence(out: list[str], result: InferenceResult) -> None:
+    """sentence_to_json(result) as text, its braces at level 2."""
+    g = result.graph
+    index = space_index(g)
+    out.append(f'{{\n      "text": {_str(g.text)},\n      "nodes": ')
+    _write_objects(out, g.nodes, _node_text)
+    out.append(f',\n      "roots": {_ints([n.node_id for n in g.roots], 3)}'
+               f',\n      "topLevel": {_ints([n.node_id for n in g.top_level], 3)}'
+               ',\n      "evidence": ')
+    _write_objects(out, g.evidence, _evidence_text)
+    out.append(',\n      "spaces": ')
+    ordered = sorted(index.spaces, key=lambda s: (len(s), s))
+    _write_objects(out, [(steps, index.spaces[steps]) for steps in ordered], _space_text)
+    out.append(',\n      "trace": ')
+    _write_objects(out, g.trace, _event_text)
+    out.append(f',\n      "blocks": {_blocks(result.block_reports(), 3)}\n    }}')
 
 
 def graph_from_json(sentence: dict) -> Graph:

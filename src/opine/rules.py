@@ -108,7 +108,6 @@ class Binding:
 class Rule:
     name: str
     matcher: Callable
-    input_only: bool = False
     fire_once: bool = False
 
 
@@ -364,9 +363,9 @@ RULES: dict[str, Rule] = {
     "rule6": Rule("rule6", _match_rule6),
     "rule7": Rule("rule7", _match_rule7),
     "rule9": Rule("rule9", _match_rule9),
-    "rule10": Rule("rule10", _match_rule10, input_only=True),
-    "rule5source": Rule("rule5source", _match_rule5source, input_only=True, fire_once=True),
-    "rule5agent": Rule("rule5agent", _match_rule5agent, input_only=True, fire_once=True),
+    "rule10": Rule("rule10", _match_rule10),
+    "rule5source": Rule("rule5source", _match_rule5source, fire_once=True),
+    "rule5agent": Rule("rule5agent", _match_rule5agent, fire_once=True),
 }
 
 

@@ -165,16 +165,16 @@ def members_of(steps: tuple[Step, ...], g: Graph) -> list[Node]:
     return list(inst.members.values()) if inst else []
 
 
-def rightmost_nodes(steps: tuple[Step, ...], g: Graph) -> list[Node]:
-    inst = space_index(g).spaces.get(steps)
+def rightmost_nodes(steps: tuple[Step, ...], index: SpaceIndex) -> list[Node]:
+    inst = index.spaces.get(steps)
     if inst is None:
         return []
     return [path[-1] for path in inst.paths]
 
 
-def placement_spaces(node: Node, g: Graph) -> set[tuple[Step, ...]]:
+def placement_spaces(node: Node, g: Graph, index: SpaceIndex) -> set[tuple[Step, ...]]:
     """Spaces a precondition counts as occupying, including the writer level."""
-    spaces = spaces_of(node, g)
+    spaces = set(index.memberships.get(node.node_id, ()))
     if g.is_writer_level(node):
         spaces = spaces | {EPSILON}
     return spaces
@@ -229,7 +229,7 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph):
     index = space_index(g)
     inner = spec_exists(g, prop)
     if inner is not None and steps and steps[-1][1:] == (BELIEVES_TRUE, NEGATIVE):
-        for node in rightmost_nodes(steps, g):
+        for node in rightmost_nodes(steps, index):
             if node.target is inner:
                 return node
     # Check the prop itself and every wrapper the placement would create.  A
@@ -283,8 +283,8 @@ class ExtensionOutcome:
     spaces: list[tuple[Step, ...]] = field(default_factory=list)
 
 
-def _order_key(steps: tuple[Step, ...], g: Graph) -> tuple:
-    inst = space_index(g).spaces.get(steps)
+def _order_key(steps: tuple[Step, ...], index: SpaceIndex) -> tuple:
+    inst = index.spaces.get(steps)
     return (inst.first_root if inst else 0, len(steps), steps)
 
 
@@ -317,11 +317,15 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     Spaces with sentiment steps propagate additions into their positive-belief
     variants, where only propositions are placed unless extended_belief_spaces
     is set.
+
+    Nothing is placed until every check has passed, so the index fetched at
+    the start holds for choosing and ordering the spaces.
     """
+    index = space_index(g)
     if ps:
         base: set[tuple[Step, ...]] | None = None
         for p in ps:
-            ours = placement_spaces(p, g)
+            ours = placement_spaces(p, g, index)
             base = ours if base is None else (base & ours)
         base = base or set()
     else:
@@ -330,7 +334,7 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
         raise NoCommonSpace("preconditions share no private-state space")
 
     outcome = ExtensionOutcome(fired=False)
-    ordered = sorted(base, key=lambda s: _order_key(s, g))
+    ordered = sorted(base, key=lambda s: _order_key(s, index))
     candidates: list[tuple[tuple[Step, ...], bool]] = []
     for steps in ordered:
         if has_negative_belief(steps):

@@ -1,15 +1,24 @@
 import json
+import random
+
+import pytest
 
 from opine import (
+    Config,
     Graph,
+    InputError,
     graph_from_json,
+    parse_document,
+    process_document,
     render_by_spaces,
     render_graph,
     render_node,
     render_trace,
     sentence_to_json,
 )
-from opine.render import render_evidence, structural_inventory
+from opine.render import document_to_json, dumps, render_evidence, structural_inventory
+
+from test_properties import random_document
 
 
 def test_render_private_state_chain():
@@ -131,3 +140,60 @@ def test_render_graph_lists_roots_in_id_order(run_sentence):
     text = render_graph(run_sentence("moveon").graph)
     ids = [int(line.split()[0]) for line in text.splitlines() if not line.startswith(" ")]
     assert ids == sorted(ids)
+
+
+# -- the export writer against json.dumps ---------------------------------------
+
+def reference_dumps(results):
+    """What dumps must write: json's own indent=2 layout of the dict API."""
+    return json.dumps(document_to_json(results), indent=2, ensure_ascii=False) + "\n"
+
+
+CONFIGS = [Config(), Config(extended_belief_spaces=True)]
+CONFIG_IDS = ["default", "extended"]
+
+# A quote, a backslash, a tab, a control character, non-ASCII and a character
+# outside the BMP, in the sentence text and in names; a second sentence too.
+ESCAPES_DOCUMENT = (
+    '"Republicans said "class warfare" \\ on\tTV\x01 — café \U0001F600"\n'
+    "E1 gfbf <Obaça, badFor (waging class warfare against,wagingClassWarfare:lexEntry),"
+    " the rich \U0001F4B0>\n"
+    "B1 subjectivity <republicans, positive believesTrue (accusing), E1>\n"
+    'B2 privateState <writer, positive believesTrue (""), B1>\n'
+    "Prop1 p(B1,substantial)\n"
+    "S1 subjectivity <writer, negative sentiment (roared), republicans>\n"
+    "\n"
+    '"A second sentence."\n'
+    "E1 gfbf <alice, goodFor (x1), bob>\n"
+    'B1 privateState <writer, positive sentiment (""), E1>\n'
+)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_dumps_matches_json_on_corpus(lexicon, corpus_files, cfg):
+    for path in corpus_files:
+        results = process_document(parse_document(path.read_text(), path.name), lexicon, cfg)
+        assert dumps(results) == reference_dumps(results), path.name
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_dumps_matches_json_on_random_documents(lexicon, cfg):
+    rng = random.Random(20240214)
+    for _ in range(200):  # the first documents of the fixed-seed random suite
+        try:
+            results = process_document(parse_document(random_document(rng)), lexicon, cfg)
+        except InputError:
+            continue
+        assert dumps(results) == reference_dumps(results)
+
+
+def test_dumps_matches_json_on_escapes_and_empty_containers(lexicon):
+    results = process_document(parse_document(ESCAPES_DOCUMENT), lexicon)
+    assert any(block.space for block in results[0].block_reports())
+    assert any(not node.children for node in results[0].graph.nodes)
+    exported = dumps(results)
+    assert exported == reference_dumps(results)
+    assert json.loads(exported)["sentences"][0]["text"] == (
+        'Republicans said "class warfare" \\ on\tTV\x01 — café \U0001F600'
+    )
+    assert dumps([]) == reference_dumps([])
