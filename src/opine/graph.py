@@ -14,8 +14,6 @@ from .errors import IllFormedNode
 
 ANIM = "anim"
 THING = "thing"
-STATE = "state"
-EVENT = "event"
 GFBF = "gfbf"
 IDEA_OF = "ideaOf"
 P_X = "p_x"
@@ -162,11 +160,7 @@ class Node:
             )
         if t == INFLUENCER:
             return f"(infl {self.agent.structural_key()} {self.property} {self.target.structural_key()})"
-        # state/event
-        inner = " ".join(
-            f"{label} {child.structural_key()}" for label, child in sorted(self.children.items())
-        )
-        return f"({t} {inner})"
+        raise ValueError(f"unknown node type {t!r}")
 
     def __repr__(self):
         return f"<Node {self.node_id} {self.structural_key()}>"
@@ -257,6 +251,7 @@ class Graph:
         self.ids = ids or IdAllocator()
         self.lexicon = lexicon or Lexicon()
         self.nodes: list[Node] = []
+        self.nodes_by_type: dict[str, list[Node]] = {}  # the same nodes, split by type
         self.roots: list[Node] = []       # chain roots: writer sentiment/believesTrue
         self.top_level: list[Node] = []   # writer-level non-chain facts (agreements)
         self.evidence: list[EvidenceFact] = []
@@ -291,6 +286,7 @@ class Graph:
         )
         self._interned[key] = node
         self.nodes.append(node)
+        self.nodes_by_type.setdefault(node_type, []).append(node)
         self.version += 1
         return node
 
@@ -402,12 +398,6 @@ class Graph:
         return self._intern(
             INFLUENCER, property=kind, anchor=anchor, children={"agent": agent, "target": target}
         )
-
-    def state_node(self, experiencer: Node, obj: Node) -> Node:
-        return self._intern(STATE, children={"experiencer": experiencer, "object": obj})
-
-    def event_node(self, agent: Node, obj: Node, *, anchor=None) -> Node:
-        return self._intern(EVENT, anchor=anchor, children={"agent": agent, "object": obj})
 
     # -- roots and evidence ----------------------------------------------
     def add_root(self, node: Node) -> None:

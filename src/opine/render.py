@@ -16,7 +16,6 @@ from .graph import (
     AGREEMENT,
     ANIM,
     BELIEVES_TRUE,
-    EVENT,
     GFBF,
     IDEA_OF,
     INFLUENCER,
@@ -24,8 +23,6 @@ from .graph import (
     P_X,
     POSITIVE,
     PRIVATE_STATE,
-    SENTIMENT,
-    STATE,
     SUBSTANTIAL,
     THING,
     EvidenceFact,
@@ -34,7 +31,7 @@ from .graph import (
     Node,
 )
 from .rules import Config, InferenceResult, process_document
-from .spaces import format_space, space_index
+from .spaces import format_space, space_index, step_of
 
 _INDENT = "  "
 
@@ -69,12 +66,6 @@ def render_node(node: Node, indent: int = 0) -> str:
     if t == INFLUENCER:
         head = f"{pad}{node.node_id} {node.agent.name} <{node.property}>"
         return head + "\n" + render_node(node.target, indent + 1)
-    if t in (STATE, EVENT):
-        lines = [f"{pad}{node.node_id} {t}"]
-        for label in sorted(node.children):
-            lines.append(f"{pad}{_INDENT}{label}:")
-            lines.append(render_node(node.children[label], indent + 2))
-        return "\n".join(lines)
     raise ValueError(f"unrenderable node type {t!r}")
 
 
@@ -91,12 +82,8 @@ def render_evidence(fact: EvidenceFact) -> str:
 
 
 def _space_label(path: tuple[Node, ...]) -> str:
-    abbrev = {BELIEVES_TRUE: "B", SENTIMENT: "S"}
-    steps = " ".join(
-        f"{n.source.name} {'+' if n.polarity == POSITIVE else '-'}{abbrev[n.att_type]}"
-        for n in path
-    )
-    return f"[{path[0].node_id} {steps}]"
+    """A chain's space, as format_space writes it, led by the chain's root id."""
+    return f"[{path[0].node_id} {format_space(tuple(map(step_of, path)))[1:]}"
 
 
 _BY_SPACES_TYPES = (ANIM, THING, GFBF, IDEA_OF, AGREEMENT)
@@ -441,10 +428,6 @@ def graph_from_json(sentence: dict) -> Graph:
         elif t == INFLUENCER:
             node = g.influencer(children["agent"], obj["property"], children["target"],
                                 anchor=obj["anchor"])
-        elif t == STATE:
-            node = g.state_node(children["experiencer"], children["object"])
-        elif t == EVENT:
-            node = g.event_node(children["agent"], children["object"], anchor=obj["anchor"])
         else:
             raise ValueError(f"unknown node type in JSON: {t!r}")
         node.from_input = obj["fromInput"]

@@ -115,13 +115,13 @@ def _mul(p1: str, p2: str) -> str:
     return polarity_of(sign(p1) * sign(p2))
 
 
-def _live(g: Graph):
-    return [n for n in g.nodes if not n.retired]
+def _live(g: Graph, node_type: str) -> list[Node]:
+    return [n for n in g.nodes_by_type.get(node_type, ()) if not n.retired]
 
 
 def _live_private_states(g: Graph, att_type=None):
-    for node in g.nodes:
-        if node.retired or node.node_type != PRIVATE_STATE:
+    for node in g.nodes_by_type.get(PRIVATE_STATE, ()):
+        if node.retired:
             continue
         if att_type is not None and node.att_type != att_type:
             continue
@@ -248,9 +248,7 @@ def _match_rule33(g: Graph, cfg: Config):
 
 def _match_rule4(g: Graph, cfg: Config):
     bindings = []
-    for agr in _live(g):
-        if agr.node_type != AGREEMENT:
-            continue
+    for agr in _live(g, AGREEMENT):
         q = PSSpec(agr.source_name, SENTIMENT, agr.polarity, agr.with_whom)
         bindings.append(Binding("rule4", [agr], [], [q]))
     return bindings
@@ -258,8 +256,8 @@ def _match_rule4(g: Graph, cfg: Config):
 
 def _match_rule6(g: Graph, cfg: Config):
     bindings = []
-    for event in _live(g):
-        if event.node_type != GFBF or event.agent.node_type != ANIM:
+    for event in _live(g, GFBF):
+        if event.agent.node_type != ANIM:
             continue
         q = PSSpec(event.agent.name, INTENDS, POSITIVE, event)
         bindings.append(Binding("rule6", [event], [], [q]))
@@ -294,8 +292,8 @@ def _match_rule9(g: Graph, cfg: Config):
 
 def _match_rule10(g: Graph, cfg: Config):
     bindings = []
-    for event in _live(g):
-        if event.node_type != GFBF or not event.from_input:
+    for event in _live(g, GFBF):
+        if not event.from_input:
             continue
         key = g.entity_lex_key(event.object)
         connotation = g.lexicon.connotation.get(key) if key else None
@@ -339,10 +337,8 @@ def _match_rule5agent(g: Graph, cfg: Config):
         agent = outer.target
         if agent.node_type != ANIM:
             continue
-        for event in _live(g):
-            if event.node_type != GFBF or not event.from_input:
-                continue
-            if event.agent is not agent:
+        for event in _live(g, GFBF):
+            if not event.from_input or event.agent is not agent:
                 continue
             spec = PSSpec(outer.source_name, SENTIMENT, outer.polarity, event)
             bindings.append(
@@ -536,10 +532,42 @@ class InferenceResult:
         return [b for event in self.graph.trace for b in event.blocks]
 
 
+# Blocks whose outcome can change while a binding's inputs stay the same: the
+# clashing node reported can change, and an assumption basis can appear.
+_UNSETTLED_CAUSES = ("space-contradiction", "no-assumption-basis")
+
+
+def _input_stamp(g: Graph, ps: list[Node]) -> tuple:
+    """What a settled binding's next fire depends on that can still change.
+
+    Each precondition's spaces (memberships only grow, so a count tells) and
+    whether it is writer-level, the order of the spaces (first_root moves),
+    and the layout.  Evidence is fixed after composition.
+    """
+    index = space_index(g)
+    return (
+        g.layout_version,
+        index.first_root_moves,
+        tuple((len(index.memberships.get(p.node_id, ())), g.is_writer_level(p)) for p in ps),
+    )
+
+
 def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
+    """Apply the rules in order, pass after pass, until a pass adds no node.
+
+    Semi-naive: a binding whose last fire created nothing and reported no
+    unsettled block is settled, and is not fired again while its input stamp
+    is what it was before that fire.  Such a fire would place nothing and log
+    an event signature already logged; accepted spaces stay accepted, because
+    no space may hold both polarities of a member.  The stamp is taken before
+    the fire because a fire can make an existing chain node a root, and so
+    change its own preconditions' spaces.  Every binding is still matched in
+    order, so the trace is the naive loop's, event for event.
+    """
     cfg = cfg or Config()
     state = EngineState()
     rules = [RULES[name] for name in cfg.rule_order]
+    settled: dict[tuple, tuple] = {}  # binding -> input stamp before its last fire
     iterations = 0
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
@@ -548,9 +576,18 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
             for binding in match(rule, g, cfg):
                 if rule.fire_once and cfg.fire_once and binding.fire_key in state.consumed:
                     continue
+                key = (rule.name, binding.fire_key, tuple(binding.ps),
+                       tuple(binding.assumptions), tuple(binding.conclusions))
+                stamp = _input_stamp(g, binding.ps)
+                if settled.get(key) == stamp:
+                    continue
                 outcome = fire(rule, binding, g, cfg, state, iteration)
                 if outcome.fired and rule.fire_once and cfg.fire_once:
                     state.consumed.add(binding.fire_key)
+                if outcome.created or any(b.cause in _UNSETTLED_CAUSES for b in outcome.blocks):
+                    settled.pop(key, None)
+                else:
+                    settled[key] = stamp
         if cfg.extended_belief_spaces:
             _expected_space_closure(g)
         if len(g.nodes) == before:
@@ -570,7 +607,8 @@ def _expected_space_closure(g: Graph) -> None:
     while changed:
         changed = False
         # Snapshot the members: placing below adds to the (live) index.
-        snapshot = [(steps, list(inst.members.values())) for steps, inst in space_index(g).spaces.items()]
+        index = space_index(g)
+        snapshot = [(steps, list(inst.members.values())) for steps, inst in index.spaces.items()]
         for steps, members in snapshot:
             variant = belief_variant(steps)
             if variant == steps:
@@ -578,9 +616,10 @@ def _expected_space_closure(g: Graph) -> None:
             for member in members:
                 if member.retired:
                     continue
-                if would_contradict(variant, member, g) is not None:
+                if would_contradict(variant, member, g, index) is not None:
                     continue
                 _, created = place(g, member, variant)
+                index = space_index(g)  # take in the chain just placed
                 if created:
                     changed = True
 

@@ -66,11 +66,16 @@ class SpaceInstance:
     clash: dict[ClashKey, dict[str, Node]] = field(default_factory=dict)  # {polarity: first}
     first_root: int = 0  # smallest root id among the paths
 
-    def add_path(self, path: tuple[Node, ...]) -> None:
+    def add_path(self, path: tuple[Node, ...]) -> bool:
+        """Add a chain; True when it moves the first_root of a known space."""
         self.paths.append(path)
         root_id = path[0].node_id
-        if len(self.paths) == 1 or root_id < self.first_root:
+        if len(self.paths) == 1:
             self.first_root = root_id
+        elif root_id < self.first_root:
+            self.first_root = root_id
+            return True
+        return False
 
     def add_member(self, member: Node) -> None:
         if member.node_id not in self.members:
@@ -89,7 +94,9 @@ class SpaceIndex:
     ``space_index`` then builds a new index from scratch.
 
     The writer level (EPSILON) has two clash tables: one for roots and one
-    for top-level facts, probed in that order.
+    for top-level facts, probed in that order.  ``first_root_moves`` counts
+    the times a known space's first_root went down, which changes the order
+    ``extend_spaces`` visits spaces in.
     """
 
     def __init__(self, g: Graph):
@@ -100,6 +107,7 @@ class SpaceIndex:
         self.top_clash: dict[ClashKey, dict[str, Node]] = {}
         self.roots_seen = 0
         self.top_seen = 0
+        self.first_root_moves = 0
         self.update(g)
 
     def update(self, g: Graph) -> None:
@@ -125,7 +133,8 @@ class SpaceIndex:
             inst = self.spaces.get(steps)
             if inst is None:
                 inst = self.spaces[steps] = SpaceInstance(steps)
-            inst.add_path(path)
+            if inst.add_path(path):
+                self.first_root_moves += 1
             self._add_member(inst, member, path)
             if member.node_type == "gfbf" and "role2" in member.children:
                 self._add_member(inst, member.children["role2"], path)
@@ -218,15 +227,18 @@ def _prop_key(g: Graph, prop) -> ClashKey | None:
     return None
 
 
-def would_contradict(steps: tuple[Step, ...], prop, g: Graph):
+def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
+                     index: SpaceIndex | None = None):
     """Why adding prop to the space would be invalid, or None.
 
     Invalid if (a) a chain instance of the space ends in a negative
     believesTrue whose target is the prop, or (b) the space (at any wrapping
     level) already holds the same source/attitude/target with the opposite
-    polarity.  Returns the first such node in path or member order.
+    polarity.  Returns the first such node in path or member order.  A caller
+    holding an index that is up to date with ``g`` may pass it.
     """
-    index = space_index(g)
+    if index is None:
+        index = space_index(g)
     inner = spec_exists(g, prop)
     if inner is not None and steps and steps[-1][1:] == (BELIEVES_TRUE, NEGATIVE):
         for node in rightmost_nodes(steps, index):
@@ -307,6 +319,31 @@ def place(g: Graph, node: Node, steps: tuple[Step, ...]) -> tuple[Node, list[Nod
     return current, created
 
 
+def placed_tops(g: Graph, props: list, steps: tuple[Step, ...]) -> list[Node] | None:
+    """The tops ``place`` would return for the props, if all are placed already.
+
+    A prop is placed when the exact chain ``place`` would build for it exists
+    and its top is writer-level: the prop is then a member of the space and
+    each wrapper a member of the space above.  No space may hold both
+    polarities of a member (``check_consistency``), so ``would_contradict``
+    finds nothing against placed props, and ``place`` would create nothing.
+    Returns None when any prop is not placed.
+    """
+    tops = []
+    for prop in props:
+        node = spec_exists(g, prop)
+        for src, att, pol in reversed(steps):
+            source = g.lookup(ANIM, name=src)
+            if node is None or source is None:
+                return None
+            node = g.lookup(PRIVATE_STATE, att_type=att, polarity=pol,
+                            children={"source": source, "target": node})
+        if node is None or not g.is_writer_level(node):
+            return None
+        tops.append(node)
+    return tops
+
+
 def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list,
                   *, extended_belief_spaces: bool = False) -> ExtensionOutcome:
     """Place assumptions and conclusions into every space holding all the ps.
@@ -319,7 +356,9 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     is set.
 
     Nothing is placed until every check has passed, so the index fetched at
-    the start holds for choosing and ordering the spaces.
+    the start holds for choosing and ordering the spaces and for the checks.
+    A space where every addition is already placed (``placed_tops``) skips
+    the checks and the placing; its tops are recorded as existing.
     """
     index = space_index(g)
     if ps:
@@ -350,11 +389,13 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     additions = list(assumptions) + list(conclusions)
     # A belief variant also receives the preconditions, so they must fit too.
     variant_ps = [p for p in ps if p.is_proposition() or extended_belief_spaces]
-    accepted: list[tuple[tuple[Step, ...], bool]] = []
+    accepted: list[tuple[tuple[Step, ...], bool, list[Node] | None]] = []
     for steps, is_variant in candidates:
+        props = (additions + variant_ps) if is_variant else additions
+        tops = placed_tops(g, props, steps)
         clash = None
-        for spec in (additions + variant_ps) if is_variant else additions:
-            clash = would_contradict(steps, spec, g)
+        for spec in props if tops is None else ():
+            clash = would_contradict(steps, spec, g, index)
             if clash is not None:
                 break
         if clash is not None:
@@ -362,12 +403,12 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
                 (steps, "space-contradiction", f"node {clash.node_id}")
             )
             continue
-        accepted.append((steps, is_variant))
+        accepted.append((steps, is_variant, tops))
     if not accepted:
         return outcome
 
     outcome.fired = True
-    outcome.spaces = [steps for steps, _ in accepted]
+    outcome.spaces = [steps for steps, _, _ in accepted]
 
     def record(node: Node, is_new: bool) -> None:
         if node in outcome.created or node in outcome.existing:
@@ -385,16 +426,14 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
         record(node, False)
         bare.append(node)
 
-    for steps, is_variant in accepted:
-        for node in bare:
+    for steps, is_variant, tops in accepted:
+        if tops is not None:
+            for top in tops:
+                record(top, False)
+            continue
+        for node in (bare + variant_ps) if is_variant else bare:
             top, wrappers = place(g, node, steps)
             for w in wrappers:
                 record(w, True)
             record(top, False)
-        if is_variant:
-            for p in variant_ps:
-                top, wrappers = place(g, p, steps)
-                for w in wrappers:
-                    record(w, True)
-                record(top, False)
     return outcome

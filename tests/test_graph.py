@@ -146,14 +146,11 @@ def test_negative_belief_single_form(lexicon):
     assert sum(1 for n in g.nodes if n.node_type == PRIVATE_STATE) == 1
 
 
-def test_state_and_event_nodes_internable():
-    g = Graph()
-    experiencer = g.entity("John")
-    thing = g.entity("the rain", thing=True)
-    state = g.state_node(experiencer, thing)
-    assert state is g.state_node(experiencer, thing)
-    event = g.event_node(experiencer, thing, anchor="watch")
-    assert event.node_type == "event"
+def test_nodes_by_type_splits_the_nodes_in_order(run_sentence):
+    g = run_sentence("blooming").graph
+    assert sum(map(len, g.nodes_by_type.values())) == len(g.nodes)
+    for node_type, nodes in g.nodes_by_type.items():
+        assert nodes == [n for n in g.nodes if n.node_type == node_type]
 
 
 def test_sentence_graphs_are_independent(lexicon):

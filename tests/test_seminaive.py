@@ -1,0 +1,200 @@
+"""Differential checks of semi-naive firing and of already-placed spaces.
+
+``run_to_fixpoint`` skips a binding whose inputs have not changed since a
+fire that created nothing, and ``extend_spaces`` answers a space whose
+additions are all placed already without checking or placing them.  Both
+are compared with what they replace: a copy of the loop that fires every
+binding on every pass, and the contradiction check and placing that an
+answered space skips.
+"""
+
+import random
+
+import pytest
+
+from opine import Config, Graph, parse_document, process_document
+from opine import rules, spaces
+from opine.errors import InputError, IterationLimitExceeded
+from opine.graph import BELIEVES_TRUE, spec_exists
+from opine.render import dumps, render_trace
+
+from test_properties import random_document, rule_orders
+
+DOCUMENTS = 100  # the first documents of the fixed-seed random suite
+
+# Documents with deeper nesting and props than random_document writes.  Each
+# one tells the semi-naive loop from the naive one when the input stamp
+# misses one of its parts: a fire that makes an existing chain node a root,
+# and so changes its own preconditions' spaces (the stamp is taken before
+# the fire); a precondition turning writer-level; an assumption basis that
+# appears in a later pass; and a space whose first root moves.
+STAMP_DOCUMENTS = [
+    """"Nested beliefs."
+E1 gfbf <carol, goodFor (x1), alice>
+S0 subjectivity <carol, negative sentiment (w), E1>
+S1 subjectivity <writer, positive believesTrue (w), S0>
+S2 subjectivity <bob, positive believesTrue (w), S1>
+S3 subjectivity <dave, positive believesTrue (w), E1>
+S4 subjectivity <alice, positive sentiment (w), S2>
+S5 subjectivity <dave, positive sentiment (w), S0>
+B1 privateState <writer, positive believesTrue (w), S2>
+B2 privateState <writer, positive sentiment (w), S3>
+B3 privateState <writer, negative believesTrue (w), S4>
+B4 privateState <writer, negative sentiment (w), S5>
+V1 evidence <none, negative intends (e), E1>
+""",
+    """"A writer-level precondition."
+E1 gfbf <carol, goodFor (x1), dave>
+E2 gfbf <the rock:thing, goodFor (x2), dave>
+S0 subjectivity <writer, negative sentiment (w), E1>
+S1 subjectivity <carol, positive sentiment (w), E2>
+S2 subjectivity <dave, positive sentiment (w), S0>
+S3 subjectivity <writer, positive sentiment (w), S2>
+S5 subjectivity <bob, positive believesTrue (w), E1>
+B1 privateState <writer, positive believesTrue (w), E2>
+B2 privateState <writer, positive believesTrue (w), S1>
+B3 privateState <writer, positive sentiment (w), S5>
+P0 p(S5,substantial)
+""",
+    """"A late assumption basis."
+E1 gfbf <carol, badFor (x1), dave>
+E2 gfbf <bob, goodFor (x2), the war (war:lexEntry)>
+E3 gfbf <dave, badFor (x3), bob>
+S0 subjectivity <bob, negative sentiment (w), E2>
+S1 subjectivity <bob, negative believesTrue (w), E3>
+S2 subjectivity <bob, negative believesTrue (w), S0>
+S3 subjectivity <bob, negative intends (w), E2>
+S4 subjectivity <bob, negative sentiment (w), S0>
+B1 privateState <writer, positive sentiment (w), E1>
+B2 privateState <writer, negative believesTrue (w), E2>
+B3 privateState <writer, positive sentiment (w), E3>
+B4 privateState <writer, negative believesTrue (w), S0>
+B5 privateState <writer, negative sentiment (w), S1>
+B6 privateState <writer, positive sentiment (w), S2>
+B7 privateState <writer, negative believesTrue (w), S3>
+B8 privateState <writer, negative sentiment (w), S4>
+P0 p(S1,substantial)
+V1 evidence <none, negative believesTrue (e), E1>
+""",
+    """"A first root that moves."
+E1 gfbf <the rock:thing, badFor (x1), justice (justice:lexEntry)>
+E2 gfbf <bob, goodFor (x2), dave>
+S0 subjectivity <alice, negative intends (w), E1>
+S1 subjectivity <writer, positive sentiment (w), E2>
+S2 subjectivity <dave, negative sentiment (w), S1>
+S3 subjectivity <bob, positive believesTrue (w), E2>
+S4 subjectivity <bob, negative sentiment (w), S2>
+B1 privateState <writer, positive believesTrue (w), E1>
+B2 privateState <writer, negative believesTrue (w), S0>
+B3 privateState <writer, positive believesTrue (w), S2>
+B4 privateState <writer, positive sentiment (w), S3>
+B5 privateState <writer, positive believesTrue (w), S4>
+P0 p(S3,substantial)
+V1 evidence <none, negative sentiment (e), E1>
+""",
+]
+
+
+def naive_run_to_fixpoint(g, cfg=None):
+    """The fixpoint loop without settled bindings: every binding fires every pass."""
+    cfg = cfg or Config()
+    state = rules.EngineState()
+    order = [rules.RULES[name] for name in cfg.rule_order]
+    iterations = 0
+    for iteration in range(1, cfg.max_iterations + 1):
+        iterations = iteration
+        before = len(g.nodes)
+        for rule in order:
+            for binding in rules.match(rule, g, cfg):
+                if rule.fire_once and cfg.fire_once and binding.fire_key in state.consumed:
+                    continue
+                outcome = rules.fire(rule, binding, g, cfg, state, iteration)
+                if outcome.fired and rule.fire_once and cfg.fire_once:
+                    state.consumed.add(binding.fire_key)
+        if cfg.extended_belief_spaces:
+            rules._expected_space_closure(g)
+        if len(g.nodes) == before:
+            break
+    else:
+        raise IterationLimitExceeded(f"no fixpoint after {cfg.max_iterations} iterations")
+    rules.check_consistency(g)
+    return rules.InferenceResult(graph=g, iterations=iterations)
+
+
+def outputs(text, lexicon, cfg):
+    """The export and each sentence's trace text, or the input error raised."""
+    try:
+        results = process_document(parse_document(text), lexicon, cfg)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return dumps(results), [render_trace(r) for r in results], [r.iterations for r in results]
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["default", "extended"])
+def test_semi_naive_loop_matches_naive_loop(lexicon, monkeypatch, extended):
+    fires = {"semi-naive": 0, "naive": 0}
+    fire = rules.fire
+    loop = "semi-naive"
+
+    def counted_fire(*args, **kwargs):
+        fires[loop] += 1
+        return fire(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "fire", counted_fire)
+    rng = random.Random(20240214)
+    texts = [random_document(rng) for _ in range(DOCUMENTS)] + STAMP_DOCUMENTS
+    for order in rule_orders():
+        for fire_once in (True, False):
+            cfg = Config(rule_order=order, fire_once=fire_once,
+                         extended_belief_spaces=extended)
+            for text in texts:
+                loop = "semi-naive"
+                got = outputs(text, lexicon, cfg)
+                loop = "naive"
+                with monkeypatch.context() as m:
+                    m.setattr(rules, "run_to_fixpoint", naive_run_to_fixpoint)
+                    expected = outputs(text, lexicon, cfg)
+                assert got == expected, (order, fire_once, text)
+    assert fires["semi-naive"] < 0.8 * fires["naive"], fires
+
+
+def test_answered_spaces_need_no_check_and_no_placing(lexicon, corpus_files, monkeypatch):
+    """Whenever extend_spaces answers a space from placed_tops, the check it
+    skips finds no clash and placing creates nothing."""
+    answered = 0
+    placed_tops = spaces.placed_tops
+
+    def checked_placed_tops(g, props, steps):
+        nonlocal answered
+        tops = placed_tops(g, props, steps)
+        if tops is not None:
+            answered += 1
+            size = (len(g.nodes), len(g.roots), len(g.top_level))
+            for prop, top in zip(props, tops):
+                assert spaces.would_contradict(steps, prop, g) is None, (steps, prop)
+                assert spaces.place(g, spec_exists(g, prop), steps) == (top, []), (steps, prop)
+            assert (len(g.nodes), len(g.roots), len(g.top_level)) == size
+        return tops
+
+    monkeypatch.setattr(spaces, "placed_tops", checked_placed_tops)
+    rng = random.Random(20240214)
+    texts = [path.read_text(encoding="utf-8") for path in corpus_files]
+    texts += [random_document(rng) for _ in range(DOCUMENTS)] + STAMP_DOCUMENTS
+    for order in rule_orders():
+        for extended in (False, True):
+            cfg = Config(rule_order=order, extended_belief_spaces=extended)
+            for text in texts:
+                outputs(text, lexicon, cfg)
+    assert answered > 1000
+
+
+def test_placed_tops_needs_a_writer_level_top():
+    g = Graph()
+    held = g.private_state("a", "sentiment", "positive", g.entity("x"))
+    wrapper = g.private_state("writer", BELIEVES_TRUE, "positive", held)
+    g.add_root(g.private_state("writer", "sentiment", "positive",
+                               g.private_state("b", BELIEVES_TRUE, "positive", wrapper)))
+    steps = (("writer", BELIEVES_TRUE, "positive"),)
+    assert spaces.placed_tops(g, [held], steps) is None  # the chain exists, nested
+    g.add_root(wrapper)
+    assert spaces.placed_tops(g, [held], steps) == [wrapper]

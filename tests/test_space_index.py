@@ -156,8 +156,8 @@ def checked_engine(monkeypatch):
         stats["fires"] += 1
         return outcome
 
-    def checked_would_contradict(steps, prop, g):
-        got = would_contradict(steps, prop, g)
+    def checked_would_contradict(steps, prop, g, index=None):
+        got = would_contradict(steps, prop, g, index)
         assert got is reference_would_contradict(steps, prop, g), (steps, prop)
         stats["contradiction_checks"] += 1
         return got
@@ -191,6 +191,21 @@ def test_attach_role2_forces_a_rebuild():
     assert after is not before
     assert derived.node_id in after.spaces[(("writer", "sentiment", "negative"),)].members
     assert_index_matches_reference(g)
+
+
+def test_first_root_moves_counts_spaces_whose_first_root_goes_down():
+    g = Graph()
+    older, newer = (
+        g.private_state("writer", "sentiment", "positive",
+                        g.private_state("a", "sentiment", "positive", g.entity(name)))
+        for name in ("x", "y")
+    )
+    g.add_root(newer)
+    assert space_index(g).first_root_moves == 0
+    g.add_root(older)  # the older node is the first root of both spaces now
+    index = space_index(g)
+    assert [inst.first_root for inst in index.spaces.values()] == [older.node_id] * 2
+    assert index.first_root_moves == 2
 
 
 @pytest.mark.parametrize("top_level", [False, True], ids=["nested", "writer-level"])
