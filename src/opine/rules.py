@@ -11,6 +11,7 @@ entire pass adds no new node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 from .annotations import AnnotationDoc, Lexicon, SentenceAnnotation, WRITER
@@ -602,13 +603,26 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
 
 def _expected_space_closure(g: Graph) -> None:
     """Optional closure: every member of a sentiment-bearing space is also
-    believed, i.e. placed into the space's positive-belief variant."""
+    believed, i.e. placed into the space's positive-belief variant.
+
+    Semi-naive: each space's ``closure_seen`` counts the members already
+    visited, and a pass visits only the members after it.  Inside the
+    fixpoint no member is retired and the layout does not move, while chains
+    and clash tables only grow, so a visited member's outcome stays what it
+    was: skipped, blocked, or placed (placing again creates nothing).  A
+    rebuilt index starts from zero again.
+    """
     changed = True
     while changed:
         changed = False
-        # Snapshot the members: placing below adds to the (live) index.
+        # Snapshot the new members: placing below adds to the (live) index.
         index = space_index(g)
-        snapshot = [(steps, list(inst.members.values())) for steps, inst in index.spaces.items()]
+        snapshot = []
+        for steps, inst in index.spaces.items():
+            if len(inst.members) > inst.closure_seen:
+                new = list(islice(inst.members.values(), inst.closure_seen, None))
+                snapshot.append((steps, new))
+                inst.closure_seen = len(inst.members)
         for steps, members in snapshot:
             variant = belief_variant(steps)
             if variant == steps:

@@ -15,6 +15,7 @@ from .graph import (
     AGREEMENT,
     ANIM,
     BELIEVES_TRUE,
+    CHAIN_ATTS,
     NEGATIVE,
     POSITIVE,
     PRIVATE_STATE,
@@ -65,6 +66,7 @@ class SpaceInstance:
     members: dict[int, Node] = field(default_factory=dict)  # by node id, in insertion order
     clash: dict[ClashKey, dict[str, Node]] = field(default_factory=dict)  # {polarity: first}
     first_root: int = 0  # smallest root id among the paths
+    closure_seen: int = 0  # members the expected-space closure has visited
 
     def add_path(self, path: tuple[Node, ...]) -> bool:
         """Add a chain; True when it moves the first_root of a known space."""
@@ -234,8 +236,10 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
     Invalid if (a) a chain instance of the space ends in a negative
     believesTrue whose target is the prop, or (b) the space (at any wrapping
     level) already holds the same source/attitude/target with the opposite
-    polarity.  Returns the first such node in path or member order.  A caller
-    holding an index that is up to date with ``g`` may pass it.
+    polarity.  Returns the first such node in path or member order; failing
+    that, the first clash in the spaces the prop's own chain defines below
+    (``_chain_clash``).  A caller holding an index that is up to date with
+    ``g`` may pass it.
     """
     if index is None:
         index = space_index(g)
@@ -256,7 +260,7 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
                 if clash is not None:
                     return clash
         if depth == 0 or inner is None:
-            return None
+            break
         src, att, polarity = steps[depth - 1]
         key = (PRIVATE_STATE, src, att, inner.node_id)
         source = g.lookup(ANIM, name=src)
@@ -265,6 +269,36 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
                              children={"source": source, "target": inner})
         else:
             inner = None
+    return _chain_clash(steps, prop, g, index)
+
+
+def _chain_step(prop) -> Step | None:
+    """The step a chain node or chain spec adds to the space it is placed in."""
+    if isinstance(prop, PSSpec) and prop.att_type in CHAIN_ATTS:
+        return (prop.source, prop.att_type, prop.polarity)
+    if isinstance(prop, Node) and prop.is_chain_node():
+        return step_of(prop)
+    return None
+
+
+def _chain_clash(steps: tuple[Step, ...], prop, g: Graph, index: SpaceIndex):
+    """The first clash in the spaces a chain prop placed in the space defines.
+
+    A chain prop placed at steps defines steps + its step, where its target
+    becomes a member; a chain target defines the space one step deeper, and
+    so on down the chain.
+    """
+    step = _chain_step(prop)
+    while step is not None:
+        steps += (step,)
+        prop = prop.target
+        key = _prop_key(g, prop)
+        if key is not None:
+            for table in index.clash_tables(steps):
+                clash = table.get(key, {}).get(opposite_polarity(prop.polarity))
+                if clash is not None:
+                    return clash
+        step = _chain_step(prop)
     return None
 
 
@@ -292,7 +326,6 @@ class ExtensionOutcome:
     created: list[Node] = field(default_factory=list)
     existing: list[Node] = field(default_factory=list)
     blocked: list[tuple[tuple[Step, ...], str, str]] = field(default_factory=list)
-    spaces: list[tuple[Step, ...]] = field(default_factory=list)
 
 
 def _order_key(steps: tuple[Step, ...], index: SpaceIndex) -> tuple:
@@ -408,7 +441,6 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
         return outcome
 
     outcome.fired = True
-    outcome.spaces = [steps for steps, _, _ in accepted]
 
     def record(node: Node, is_new: bool) -> None:
         if node in outcome.created or node in outcome.existing:

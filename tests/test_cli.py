@@ -8,6 +8,8 @@ import pytest
 
 from opine.cli import main
 
+from test_seminaive import CHAIN_TARGET_DOCUMENT
+
 CORPUS = Path(__file__).parent / "corpus"
 
 
@@ -159,6 +161,18 @@ def test_rule_order_cannot_place_precondition_next_to_its_opposite(tmp_path, cap
              "rule7,rule8,rule4,rule3.1,rule1")
     code, _, err = run_cli(capsys, "--input", doc, "--rule-order", order, "--trace")
     assert code == 0 and err == ""
+
+
+def test_chain_placed_at_the_writer_level_is_blocked_by_a_clash_below_it(tmp_path, capsys):
+    # Rule 3.1 would place writer -S (dave +intends E1) as a root, putting its
+    # target into [writer -S] next to dave -intends E1.  The placement is
+    # blocked instead of reaching the consistency check.
+    doc = tmp_path / "chain.ann"
+    doc.write_text(CHAIN_TARGET_DOCUMENT)
+    code, out, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex",
+                             "--trace")
+    assert code == 0 and err == ""
+    assert "space-contradiction" in out
 
 
 CONTRADICTORY_INPUTS = {

@@ -151,9 +151,8 @@ NAMES = ["alice", "bob", "carol", "dave"]
 THINGS = ["the rock:thing", "the storm:thing"]
 
 
-def random_document(rng: random.Random) -> str:
-    lines = []
-    used = set()  # (source, attitude-type, target) triples already asserted
+def random_events(rng: random.Random, lines: list[str]) -> list[tuple[str, str, str]]:
+    """One to three distinct (agent, effect, object) events, written as E lines."""
     triples = []  # distinct (agent, effect, object) events, in input order
     n_events = rng.randint(1, 3)
     while len(triples) < n_events:
@@ -164,6 +163,14 @@ def random_document(rng: random.Random) -> str:
             continue
         triples.append((agent, effect, obj))
         lines.append(f"E{len(triples)} gfbf <{agent}, {effect} (x{len(triples)}), {obj}>")
+    return triples
+
+
+def random_document(rng: random.Random) -> str:
+    lines = []
+    used = set()  # (source, attitude-type, target) triples already asserted
+    triples = random_events(rng, lines)
+    n_events = len(triples)
     content_ids = [f"E{i}" for i in range(1, n_events + 1)]
     if rng.random() < 0.4:
         kind = rng.choice(["retain", "reverse"])
@@ -208,6 +215,47 @@ def random_document(rng: random.Random) -> str:
         lines.append(f"V1 evidence <none, {rng.choice(POLS)} {att} (e), E{n_events}>")
     body = "\n".join(lines)
     return f'"A random sentence."\n{body}\n'
+
+
+def deep_document(rng: random.Random) -> str:
+    """A document that nests deeper than random_document, with intends and props.
+
+    Up to six subjectivity lines, each over an event or an earlier line, and a
+    writer line over every line that nothing else targets; sometimes a
+    ``p(...,substantial)`` line over a belief in an event, and an evidence line.
+    """
+    lines = []
+    events = [f"E{i}" for i in range(1, len(random_events(rng, lines)) + 1)]
+    ids = list(events)
+    targeted = set()
+    roots = set()  # writer lines that are roots by themselves
+    used = set()  # (source, attitude-type, target) triples already asserted
+    believed_events = []  # believesTrue lines over an event, which p(...) may mark
+    for i in range(rng.randint(3, 6)):
+        target = rng.choice(ids)
+        holder = rng.choice(["alice", "bob", "carol", "writer"])
+        att = rng.choice(["sentiment", "believesTrue"] + (["intends"] if target in events else []))
+        if (holder, att, target) in used:
+            continue
+        used.add((holder, att, target))
+        lines.append(f"S{i} subjectivity <{holder}, {rng.choice(POLS)} {att} (w), {target}>")
+        ids.append(f"S{i}")
+        targeted.add(target)
+        if holder == "writer" and att != "intends":
+            roots.add(f"S{i}")
+        if att == "believesTrue" and target in events:
+            believed_events.append(f"S{i}")
+    uncovered = [i for i in ids if i not in targeted and i not in roots]
+    for n, line_id in enumerate(uncovered, 1):
+        att = rng.choice(["sentiment", "believesTrue"])
+        lines.append(f"B{n} privateState <writer, {rng.choice(POLS)} {att} (w), {line_id}>")
+    if believed_events and rng.random() < 0.8:
+        lines.append(f"P0 p({rng.choice(believed_events)},substantial)")
+    if rng.random() < 0.5:
+        att = rng.choice(["intends", "believesTrue", "sentiment"])
+        lines.append(f"V1 evidence <none, {rng.choice(POLS)} {att} (e), {rng.choice(events)}>")
+    body = "\n".join(lines)
+    return f'"A deeper sentence."\n{body}\n'
 
 
 def test_fixpoint_on_random_inputs(lexicon):
@@ -257,6 +305,21 @@ def test_no_internal_error_on_random_inputs(lexicon):
     texts = [random_document(rng) for _ in range(100)]
     for order, fire_once, extended in product(rule_orders(), (True, False), (False, True)):
         cfg = Config(rule_order=order, fire_once=fire_once, extended_belief_spaces=extended)
+        for text in texts:
+            try:
+                process_document(parse_document(text), lexicon, cfg)
+            except InputError:
+                pass
+
+
+def test_no_internal_error_on_deep_inputs(lexicon):
+    # Deeper chains reach spaces the fixed random set never does: a chain
+    # placed at the writer level can carry its target into a space that
+    # already holds the opposite attitude.
+    rng = random.Random(20240214)
+    texts = [deep_document(rng) for _ in range(100)]
+    for order, extended in product(rule_orders(), (False, True)):
+        cfg = Config(rule_order=order, extended_belief_spaces=extended)
         for text in texts:
             try:
                 process_document(parse_document(text), lexicon, cfg)

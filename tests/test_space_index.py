@@ -20,6 +20,7 @@ from opine.graph import (
     BELIEVES_TRUE,
     NEGATIVE,
     PRIVATE_STATE,
+    SENTIMENT,
     AgrSpec,
     Node,
     PSSpec,
@@ -27,9 +28,26 @@ from opine.graph import (
 )
 from opine.spaces import EPSILON, space_index, step_of
 
-from test_properties import random_document, rule_orders
+from test_properties import deep_document, random_document, rule_orders
 
 DOCUMENTS = 100  # the first documents of the fixed-seed random suite
+DEEP_DOCUMENTS = 50  # of the fixed-seed deeper suite; two reach a clash below a placed chain
+
+# A placement that clashes both in its space and below its own chain; the
+# clash in its space is the one reported.
+BOTH_CLASHES_DOCUMENT = """"Two clashes."
+E1 gfbf <carol, goodFor (x1), dave>
+S0 subjectivity <carol, negative sentiment (w), E1>
+S1 subjectivity <writer, negative intends (w), E1>
+S2 subjectivity <bob, positive sentiment (w), E1>
+S3 subjectivity <bob, negative sentiment (w), S2>
+S4 subjectivity <carol, negative believesTrue (w), S2>
+B1 privateState <writer, negative sentiment (w), S0>
+B2 privateState <writer, negative believesTrue (w), S1>
+B3 privateState <writer, positive sentiment (w), S3>
+B4 privateState <writer, negative sentiment (w), S4>
+V1 evidence <none, positive sentiment (e), E1>
+"""
 
 
 # -- reference implementations --------------------------------------------------
@@ -127,6 +145,24 @@ def reference_would_contradict(steps, prop, g):
         if depth > 0:
             src, att, pol = steps[depth - 1]
             level_spec = PSSpec(src, att, pol, level_spec)
+    # A chain prop defines the space one step below, where its target is a
+    # member, and so on down its chain.
+    step = _chain_step(prop)
+    while step is not None:
+        steps += (step,)
+        prop = prop.target
+        for existing in members_of(steps):
+            if _conflicts(existing, prop):
+                return existing
+        step = _chain_step(prop)
+    return None
+
+
+def _chain_step(prop):
+    if isinstance(prop, Node) and prop.is_chain_node():
+        return step_of(prop)
+    if isinstance(prop, PSSpec) and prop.att_type in (BELIEVES_TRUE, SENTIMENT):
+        return (prop.source, prop.att_type, prop.polarity)
     return None
 
 
@@ -177,6 +213,18 @@ def test_incremental_index_matches_scans(lexicon, checked_engine, extended):
         for text in texts:
             process_document(parse_document(text), lexicon, cfg)
     assert checked_engine["fires"] > 1000
+    assert checked_engine["contradiction_checks"] > 1000
+
+
+def test_incremental_index_matches_scans_on_deep_documents(lexicon, checked_engine):
+    """Deeper chains, where a placed chain can clash below its own space."""
+    rng = random.Random(20240214)
+    texts = [deep_document(rng) for _ in range(DEEP_DOCUMENTS)] + [BOTH_CLASHES_DOCUMENT]
+    for order in rule_orders():
+        for extended in (False, True):
+            cfg = Config(rule_order=order, extended_belief_spaces=extended)
+            for text in texts:
+                process_document(parse_document(text), lexicon, cfg)
     assert checked_engine["contradiction_checks"] > 1000
 
 
