@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     InvariantViolation,
     IterationLimitExceeded,
+    LexiconMismatch,
     MalformedLine,
     MalformedRecord,
     NoCommonSpace,
@@ -34,6 +35,7 @@ from .errors import (
 )
 from .graph import (
     EvidenceFact,
+    Fact,
     Graph,
     IdAllocator,
     Node,

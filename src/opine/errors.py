@@ -45,6 +45,12 @@ class ContradictoryInput(InputError):
     code = "ContradictoryInput"
 
 
+class LexiconMismatch(InputError):
+    """An influencer line's lexicon entry is an infl record of the other kind."""
+
+    code = "LexiconMismatch"
+
+
 class MalformedRecord(InputError):
     code = "MalformedRecord"
 

@@ -1,13 +1,21 @@
 """Hash-consed directed node graph for one sentence.
 
-Every node is interned by its structural signature, so re-deriving a fact
-yields the node that already represents it.  Node ids are a display aid and
-never identity; structurally equal nodes are the same object.
+Every fact has one representation, its key: a ``Fact`` tuple of node type,
+attitude type, polarity, property, name and the (label, part) pairs of its
+children, in the node type's fixed label order.  The graph interns each node
+under its key, so re-deriving a fact yields the node that already represents
+it, and a node's parts are nodes that hash by identity.  A fact not interned
+yet may hold further such facts as parts: ``Graph.lookup`` finds its node
+without creating anything, and ``Graph.intern`` creates the missing nodes
+through the validated constructors.  Node ids are a display aid and never
+identity; structurally equal nodes are the same object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 from .annotations import AnnotationLine, Lexicon, SentenceAnnotation, WRITER
 from .errors import IllFormedNode
@@ -69,16 +77,11 @@ class Node:
         "retired",
     )
 
-    def __init__(self, node_id, node_type, *, att_type=None, polarity=None,
-                 property=None, name=None, anchor=None, children=None):
+    def __init__(self, node_id, key: Fact, anchor=None):
         self.node_id = node_id
-        self.node_type = node_type
-        self.att_type = att_type
-        self.polarity = polarity
-        self.property = property
-        self.name = name
+        self.node_type, self.att_type, self.polarity, self.property, self.name, children = key
         self.anchor = anchor
-        self.children = children or {}
+        self.children = dict(children)
         self.from_input = False
         self.retired = False
 
@@ -166,31 +169,65 @@ class Node:
         return f"<Node {self.node_id} {self.structural_key()}>"
 
 
-def structural_signature(node: Node) -> tuple:
-    """Interning key: equal iff the nodes are structurally identical.
+class Fact(NamedTuple):
+    """A fact's structure: the hashable key its node is interned under.
 
-    node_id, from_input and the anchor text are excluded.  Children are
-    already canonical, so their ids stand in for their structure.
+    ``children`` holds (label, part) pairs in the node type's fixed label
+    order.  A part is an interned Node, which hashes by identity, or a Fact
+    not interned yet.  A fact whose parts are all Nodes is exactly the intern
+    table's key of the node it describes; node ids, anchors and provenance
+    are not part of it, so two derivations of one fact meet in one node.
     """
-    return (
-        node.node_type,
-        node.att_type,
-        node.polarity,
-        node.property,
-        node.name,
-        tuple(sorted((label, child.node_id) for label, child in node.children.items())),
-    )
+
+    node_type: str
+    att_type: str | None
+    polarity: str | None
+    property: str | None
+    name: str | None
+    children: tuple
+
+    @property
+    def source(self):
+        """The first part: the source of a private state or an agreement."""
+        return self.children[0][1]
+
+    @property
+    def target(self):
+        """The last part: the target of a private state or an agreement."""
+        return self.children[-1][1]
 
 
-def _spec_signature(node_type, att_type, polarity, property, name, children) -> tuple:
-    return (
-        node_type,
-        att_type,
-        polarity,
-        property,
-        name,
-        tuple(sorted((label, child.node_id) for label, child in children.items())),
-    )
+_fact = partial(tuple.__new__, Fact)  # Fact(...) without the keyword handling
+
+
+def entity_fact(name: str) -> Fact:
+    """An animate entity, by name."""
+    return _fact((ANIM, None, None, None, name, ()))
+
+
+def idea_of_fact(event) -> Fact:
+    return _fact((IDEA_OF, None, None, None, None, (("ideaObject", event),)))
+
+
+def p_x_fact(property: str, x) -> Fact:
+    return _fact((P_X, None, None, property, None, (("x", x),)))
+
+
+def ps_fact(source, att_type: str, polarity: str, target, *,
+            substantial: bool = False) -> Fact:
+    return _fact((PRIVATE_STATE, att_type, polarity, SUBSTANTIAL if substantial else None,
+                  None, (("source", source), ("target", target))))
+
+
+def agreement_fact(source, polarity: str, with_whom, target) -> Fact:
+    return _fact((AGREEMENT, None, polarity, None, None,
+                  (("source", source), ("withWhom", with_whom), ("target", target))))
+
+
+def structural_signature(node: Node) -> Fact:
+    """The intern key of a node: equal iff the nodes are structurally identical."""
+    return _fact((node.node_type, node.att_type, node.polarity, node.property, node.name,
+                  tuple(node.children.items())))
 
 
 @dataclass
@@ -260,40 +297,72 @@ class Graph:
         self.gfbf_lex_keys: dict[int, str] = {}
         self.pending_role2: list[tuple[Node, str]] = []
         self.input_lines: dict[int, AnnotationLine] = {}  # node id -> line it stands for
-        self.version = 0
         self.layout_version = 0  # bumped when an existing node gains a child
-        self._interned: dict[tuple, Node] = {}
+        self._interned: dict[Fact, Node] = {}
         self._root_set: set[Node] = set()
         self._top_set: set[Node] = set()
 
     # -- interning -------------------------------------------------------
-    def _intern(self, node_type, *, att_type=None, polarity=None, property=None,
-                name=None, anchor=None, children=None) -> Node:
-        children = children or {}
-        key = _spec_signature(node_type, att_type, polarity, property, name, children)
+    def _intern(self, key: Fact, anchor=None) -> Node:
         hit = self._interned.get(key)
         if hit is not None:
             return hit
-        node = Node(
-            self.ids.take(),
-            node_type,
-            att_type=att_type,
-            polarity=polarity,
-            property=property,
-            name=name,
-            anchor=anchor,
-            children=children,
-        )
+        node = Node(self.ids.take(), key, anchor)
         self._interned[key] = node
         self.nodes.append(node)
-        self.nodes_by_type.setdefault(node_type, []).append(node)
-        self.version += 1
+        self.nodes_by_type.setdefault(key.node_type, []).append(node)
         return node
 
-    def lookup(self, node_type, *, att_type=None, polarity=None, property=None,
-               name=None, children=None) -> Node | None:
-        key = _spec_signature(node_type, att_type, polarity, property, name, children or {})
-        return self._interned.get(key)
+    def lookup(self, fact) -> Node | None:
+        """The interned node a fact (or a node) describes, creating nothing.
+
+        One dict get when every part is a Node; nested facts are resolved
+        first otherwise.
+        """
+        if type(fact) is Node:
+            return fact
+        hit = self._interned.get(fact)
+        if hit is None:
+            for _, part in fact.children:
+                if type(part) is not Node:
+                    resolved = self.resolve(fact)
+                    return None if resolved is None else self._interned.get(resolved)
+        return hit
+
+    def resolve(self, fact: Fact) -> Fact | None:
+        """The fact with every part a Node, or None when a part is not interned."""
+        parts = []
+        for label, part in fact.children:
+            part = self.lookup(part)
+            if part is None:
+                return None
+            parts.append((label, part))
+        return _fact((*fact[:5], tuple(parts)))
+
+    def intern(self, fact) -> Node:
+        """Get or create the node a fact describes, parts first, in label order.
+
+        Creation goes through the validated constructors, so an ill-formed
+        fact raises IllFormedNode.
+        """
+        node = self.lookup(fact)
+        if node is not None:
+            return node
+        parts = [self.intern(part) for _, part in fact.children]
+        t = fact.node_type
+        if t == ANIM:
+            return self.entity(fact.name)
+        if t == IDEA_OF:
+            return self.idea_of(*parts)
+        if t == P_X:
+            return self.p_x(fact.property, *parts)
+        if t == PRIVATE_STATE:
+            source, target = parts
+            return self.private_state(source, fact.att_type, fact.polarity, target,
+                                      substantial=fact.property == SUBSTANTIAL)
+        if t == AGREEMENT:
+            return self.agreement(parts[0], fact.polarity, parts[1], parts[2])
+        raise IllFormedNode(f"{t} facts are built from input lines only")
 
     # -- node constructors (validated) -----------------------------------
     def declare_entity(self, name: str, *, thing: bool = False, lex_key: str | None = None):
@@ -306,7 +375,7 @@ class Graph:
         if thing is not None:
             self.declare_entity(name, thing=thing)
         meta = self.entity_meta.setdefault(name, {"thing": False, "lex_key": None})
-        return self._intern(THING if meta["thing"] else ANIM, name=name)
+        return self._intern(_fact((THING if meta["thing"] else ANIM, None, None, None, name, ())))
 
     def entity_lex_key(self, node: Node) -> str | None:
         meta = self.entity_meta.get(node.name)
@@ -317,9 +386,8 @@ class Graph:
             raise IllFormedNode(f"bad gfbf effect {effect!r}")
         if not agent.is_entity() or not obj.is_entity():
             raise IllFormedNode("gfbf agent and object must be entities")
-        return self._intern(
-            GFBF, anchor=anchor, children={"agent": agent, "object": obj, effect: obj}
-        )
+        parts = (("agent", agent), ("object", obj), (effect, obj))
+        return self._intern(_fact((GFBF, None, None, None, None, parts)), anchor)
 
     def attach_role2(self, event: Node, derived: Node) -> Node:
         """Attach a second-role derived relation to a gfbf, re-keying the intern table."""
@@ -334,21 +402,20 @@ class Graph:
             raise IllFormedNode("second-role expansion collides with an existing node")
         del self._interned[old_key]
         self._interned[new_key] = event
-        self.version += 1
         self.layout_version += 1
         return event
 
     def idea_of(self, event: Node) -> Node:
         if event.node_type != GFBF:
             raise IllFormedNode("ideaOf takes a gfbf")
-        return self._intern(IDEA_OF, children={"ideaObject": event})
+        return self._intern(idea_of_fact(event))
 
     def p_x(self, property: str, x: Node) -> Node:
         if property not in PX_PROPERTIES:
             raise IllFormedNode(f"bad p(x) property {property!r}")
         if x.node_type == INFLUENCER:
             raise IllFormedNode("p(x) cannot wrap an influencer")
-        return self._intern(P_X, property=property, children={"x": x})
+        return self._intern(p_x_fact(property, x))
 
     def private_state(self, source, att_type: str, polarity: str, target: Node,
                       *, substantial: bool = False, anchor=None) -> Node:
@@ -367,12 +434,7 @@ class Graph:
         if substantial and target.node_type != GFBF:
             raise IllFormedNode("substantial beliefs target gfbf events")
         return self._intern(
-            PRIVATE_STATE,
-            att_type=att_type,
-            polarity=polarity,
-            property=SUBSTANTIAL if substantial else None,
-            anchor=anchor,
-            children={"source": source, "target": target},
+            ps_fact(source, att_type, polarity, target, substantial=substantial), anchor
         )
 
     def agreement(self, source, polarity: str, with_whom, target: Node) -> Node:
@@ -384,11 +446,7 @@ class Graph:
             raise IllFormedNode("agreement target must be a p(x)")
         if source.node_type != ANIM or with_whom.node_type != ANIM:
             raise IllFormedNode("agreement source and withWhom must be animate")
-        return self._intern(
-            AGREEMENT,
-            polarity=polarity,
-            children={"source": source, "withWhom": with_whom, "target": target},
-        )
+        return self._intern(agreement_fact(source, polarity, with_whom, target))
 
     def influencer(self, agent: Node, kind: str, target: Node, *, anchor=None) -> Node:
         if kind not in ("retain", "reverse"):
@@ -396,7 +454,8 @@ class Graph:
         if target.node_type not in (GFBF, INFLUENCER):
             raise IllFormedNode("influencer target must be a gfbf or influencer")
         return self._intern(
-            INFLUENCER, property=kind, anchor=anchor, children={"agent": agent, "target": target}
+            _fact((INFLUENCER, None, None, kind, None, (("agent", agent), ("target", target)))),
+            anchor,
         )
 
     # -- roots and evidence ----------------------------------------------
@@ -408,7 +467,6 @@ class Graph:
         if node not in self._root_set:
             self._root_set.add(node)
             self.roots.append(node)
-            self.version += 1
 
     def add_top_level(self, node: Node) -> None:
         if node.source_name != WRITER:
@@ -416,7 +474,6 @@ class Graph:
         if node not in self._top_set:
             self._top_set.add(node)
             self.top_level.append(node)
-            self.version += 1
 
     def is_writer_level(self, node: Node) -> bool:
         return node in self._root_set or node in self._top_set
@@ -433,7 +490,6 @@ class Graph:
             from_input=from_input,
         )
         self.evidence.append(fact)
-        self.version += 1
         return fact
 
     # -- invariants -------------------------------------------------------
@@ -454,124 +510,6 @@ class Graph:
 
         for node in self.nodes:
             visit(node)
-
-
-# -- proposition specs (nodes not yet interned) ---------------------------
-
-@dataclass(frozen=True)
-class IdeaOfSpec:
-    event: Node
-
-
-@dataclass(frozen=True)
-class PxSpec:
-    property: str
-    x: Node
-
-
-@dataclass(frozen=True)
-class PSSpec:
-    source: str
-    att_type: str
-    polarity: str
-    target: object  # Node | IdeaOfSpec | PxSpec
-    substantial: bool = False
-
-
-@dataclass(frozen=True)
-class AgrSpec:
-    source: str
-    polarity: str
-    with_whom: str
-    px: PxSpec
-
-
-def spec_matches(node: Node, spec) -> bool:
-    """Structural comparison of an interned node against a spec (or node)."""
-    if isinstance(spec, Node):
-        return node is spec
-    if isinstance(spec, IdeaOfSpec):
-        return node.node_type == IDEA_OF and node.idea_object is spec.event
-    if isinstance(spec, PxSpec):
-        return (
-            node.node_type == P_X
-            and node.property == spec.property
-            and node.children["x"] is spec.x
-        )
-    if isinstance(spec, PSSpec):
-        return (
-            node.node_type == PRIVATE_STATE
-            and node.source_name == spec.source
-            and node.att_type == spec.att_type
-            and node.polarity == spec.polarity
-            and node.property == (SUBSTANTIAL if spec.substantial else None)
-            and spec_matches(node.target, spec.target)
-        )
-    if isinstance(spec, AgrSpec):
-        return (
-            node.node_type == AGREEMENT
-            and node.source_name == spec.source
-            and node.with_whom.name == spec.with_whom
-            and node.polarity == spec.polarity
-            and spec_matches(node.target, spec.px)
-        )
-    raise TypeError(spec)
-
-
-def spec_intern(g: Graph, spec) -> Node:
-    if isinstance(spec, Node):
-        return spec
-    if isinstance(spec, IdeaOfSpec):
-        return g.idea_of(spec.event)
-    if isinstance(spec, PxSpec):
-        return g.p_x(spec.property, spec.x)
-    if isinstance(spec, PSSpec):
-        return g.private_state(
-            spec.source,
-            spec.att_type,
-            spec.polarity,
-            spec_intern(g, spec.target),
-            substantial=spec.substantial,
-        )
-    if isinstance(spec, AgrSpec):
-        return g.agreement(spec.source, spec.polarity, spec.with_whom, spec_intern(g, spec.px))
-    raise TypeError(spec)
-
-
-def spec_exists(g: Graph, spec) -> Node | None:
-    """Return the interned node a spec describes, without creating anything."""
-    if isinstance(spec, Node):
-        return spec
-    if isinstance(spec, IdeaOfSpec):
-        return g.lookup(IDEA_OF, children={"ideaObject": spec.event})
-    if isinstance(spec, PxSpec):
-        return g.lookup(P_X, property=spec.property, children={"x": spec.x})
-    if isinstance(spec, PSSpec):
-        target = spec_exists(g, spec.target)
-        if target is None:
-            return None
-        source = g.lookup(ANIM, name=spec.source)
-        if source is None:
-            return None
-        return g.lookup(
-            PRIVATE_STATE,
-            att_type=spec.att_type,
-            polarity=spec.polarity,
-            property=SUBSTANTIAL if spec.substantial else None,
-            children={"source": source, "target": target},
-        )
-    if isinstance(spec, AgrSpec):
-        px = spec_exists(g, spec.px)
-        source = g.lookup(ANIM, name=spec.source)
-        with_whom = g.lookup(ANIM, name=spec.with_whom)
-        if px is None or source is None or with_whom is None:
-            return None
-        return g.lookup(
-            AGREEMENT,
-            polarity=spec.polarity,
-            children={"source": source, "withWhom": with_whom, "target": px},
-        )
-    raise TypeError(spec)
 
 
 # -- building the input graph ----------------------------------------------

@@ -5,7 +5,9 @@ when its preconditions hold, every assumption has a basis, and no evidence
 contradicts an assumption or conclusion; space extension then places the
 assumptions and conclusions into every private-state space shared by the
 preconditions.  Rules are applied in a fixed order, repeatedly, until an
-entire pass adds no new node.
+entire pass adds no new node.  A matcher builds each assumption and
+conclusion as a ``graph.Fact`` over the nodes it matched; firing looks the
+facts up and interns them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     ContradictoryInput,
     InvariantViolation,
     IterationLimitExceeded,
+    LexiconMismatch,
     NoCommonSpace,
 )
 from .graph import (
@@ -36,22 +39,22 @@ from .graph import (
     SENTIMENT,
     SUBSTANTIAL,
     THING,
-    AgrSpec,
     BlockReport,
     EvidenceFact,
+    Fact,
     Graph,
     IdAllocator,
-    IdeaOfSpec,
     Node,
-    PSSpec,
-    PxSpec,
     TraceEvent,
+    agreement_fact,
     build_input_graph,
     effect_sign,
+    entity_fact,
+    idea_of_fact,
+    p_x_fact,
     polarity_of,
+    ps_fact,
     sign,
-    spec_exists,
-    spec_matches,
 )
 from .spaces import (
     belief_variant,
@@ -96,8 +99,8 @@ class Config:
 class Binding:
     rule: str
     ps: list[Node]
-    assumptions: list[PSSpec]
-    conclusions: list
+    assumptions: list[Fact]
+    conclusions: list[Fact]
     fire_key: tuple = ()
 
     def __post_init__(self):
@@ -145,8 +148,8 @@ def _match_rule8(g: Graph, cfg: Config):
         for sent in sentiments:
             if sent.source is not belief.source or sent.target is not event.object:
                 continue
-            q = PSSpec(
-                belief.source_name,
+            q = ps_fact(
+                belief.source,
                 SENTIMENT,
                 polarity_of(sign(sent.polarity) * effect_sign(event.effect)),
                 event,
@@ -161,7 +164,7 @@ def _match_rule1(g: Graph, cfg: Config):
         event = sent.target
         if event.node_type != GFBF:
             continue
-        q = PSSpec(sent.source_name, SENTIMENT, sent.polarity, IdeaOfSpec(event))
+        q = ps_fact(sent.source, SENTIMENT, sent.polarity, idea_of_fact(event))
         bindings.append(Binding("rule1", [sent], [], [q]))
     return bindings
 
@@ -173,8 +176,8 @@ def _match_rule2(g: Graph, cfg: Config):
         if idea.node_type != IDEA_OF or idea.idea_object.retired:
             continue
         event = idea.idea_object
-        q = PSSpec(
-            sent.source_name,
+        q = ps_fact(
+            sent.source,
             SENTIMENT,
             polarity_of(sign(sent.polarity) * effect_sign(event.effect)),
             event.object,
@@ -196,11 +199,11 @@ def _match_rule31(g: Graph, cfg: Config):
         if z.node_type in _JUDGEABLE:
             judgement = "isGood" if inner.polarity == POSITIVE else "isBad"
             conclusions.append(
-                AgrSpec(outer.source_name, outer.polarity, inner.source_name,
-                        PxSpec(judgement, z))
+                agreement_fact(outer.source, outer.polarity, inner.source,
+                               p_x_fact(judgement, z))
             )
         conclusions.append(
-            PSSpec(outer.source_name, SENTIMENT, _mul(outer.polarity, inner.polarity), z)
+            ps_fact(outer.source, SENTIMENT, _mul(outer.polarity, inner.polarity), z)
         )
         bindings.append(Binding("rule3.1", [outer], [], conclusions))
     return bindings
@@ -221,9 +224,9 @@ def _match_rule32(g: Graph, cfg: Config):
             continue
         verdict = "isTrue" if inner.polarity == POSITIVE else "isFalse"
         conclusions = [
-            AgrSpec(outer.source_name, outer.polarity, inner.source_name, PxSpec(verdict, z)),
-            PSSpec(outer.source_name, BELIEVES_TRUE, _mul(outer.polarity, inner.polarity),
-                   z, substantial=True),
+            agreement_fact(outer.source, outer.polarity, inner.source, p_x_fact(verdict, z)),
+            ps_fact(outer.source, BELIEVES_TRUE, _mul(outer.polarity, inner.polarity),
+                    z, substantial=True),
         ]
         bindings.append(Binding("rule3.2", [outer], [], conclusions))
     return bindings
@@ -240,8 +243,8 @@ def _match_rule33(g: Graph, cfg: Config):
             continue
         deontic = "should" if inner.polarity == POSITIVE else "shouldNot"
         conclusions = [
-            AgrSpec(outer.source_name, outer.polarity, inner.source_name, PxSpec(deontic, z)),
-            PSSpec(outer.source_name, BELIEVES_SHOULD, _mul(outer.polarity, inner.polarity), z),
+            agreement_fact(outer.source, outer.polarity, inner.source, p_x_fact(deontic, z)),
+            ps_fact(outer.source, BELIEVES_SHOULD, _mul(outer.polarity, inner.polarity), z),
         ]
         bindings.append(Binding("rule3.3", [outer], [], conclusions))
     return bindings
@@ -250,7 +253,7 @@ def _match_rule33(g: Graph, cfg: Config):
 def _match_rule4(g: Graph, cfg: Config):
     bindings = []
     for agr in _live(g, AGREEMENT):
-        q = PSSpec(agr.source_name, SENTIMENT, agr.polarity, agr.with_whom)
+        q = ps_fact(agr.source, SENTIMENT, agr.polarity, agr.with_whom)
         bindings.append(Binding("rule4", [agr], [], [q]))
     return bindings
 
@@ -260,7 +263,7 @@ def _match_rule6(g: Graph, cfg: Config):
     for event in _live(g, GFBF):
         if event.agent.node_type != ANIM:
             continue
-        q = PSSpec(event.agent.name, INTENDS, POSITIVE, event)
+        q = ps_fact(event.agent, INTENDS, POSITIVE, event)
         bindings.append(Binding("rule6", [event], [], [q]))
     return bindings
 
@@ -273,7 +276,7 @@ def _match_rule7(g: Graph, cfg: Config):
         event = intend.target
         if event.node_type != GFBF or intend.source is not event.agent:
             continue
-        q = PSSpec(intend.source_name, SENTIMENT, POSITIVE, IdeaOfSpec(event))
+        q = ps_fact(intend.source, SENTIMENT, POSITIVE, idea_of_fact(event))
         bindings.append(Binding("rule7", [intend], [], [q]))
     return bindings
 
@@ -284,15 +287,15 @@ def _match_rule9(g: Graph, cfg: Config):
         event = sent.target
         if event.node_type != GFBF or event.agent.node_type != THING:
             continue
-        assumption = PSSpec(sent.source_name, BELIEVES_TRUE, POSITIVE, event,
-                            substantial=True)
-        q = PSSpec(sent.source_name, SENTIMENT, sent.polarity, event.agent)
+        assumption = ps_fact(sent.source, BELIEVES_TRUE, POSITIVE, event, substantial=True)
+        q = ps_fact(sent.source, SENTIMENT, sent.polarity, event.agent)
         bindings.append(Binding("rule9", [sent], [assumption], [q]))
     return bindings
 
 
 def _match_rule10(g: Graph, cfg: Config):
     bindings = []
+    writer = entity_fact(WRITER)  # rule10 has no precondition holding the writer
     for event in _live(g, GFBF):
         if not event.from_input:
             continue
@@ -300,8 +303,8 @@ def _match_rule10(g: Graph, cfg: Config):
         connotation = g.lexicon.connotation.get(key) if key else None
         if connotation is None:
             continue
-        assumption = PSSpec(WRITER, BELIEVES_TRUE, POSITIVE, event)
-        q = PSSpec(WRITER, SENTIMENT, connotation, event.object)
+        assumption = ps_fact(writer, BELIEVES_TRUE, POSITIVE, event)
+        q = ps_fact(writer, SENTIMENT, connotation, event.object)
         bindings.append(
             Binding("rule10", [], [assumption], [q], fire_key=("rule10", event.node_id))
         )
@@ -321,8 +324,8 @@ def _match_rule5source(g: Graph, cfg: Config):
                 continue
             if inner.source_name != holder.name:
                 continue
-            assumption = PSSpec(outer.source_name, BELIEVES_TRUE, POSITIVE, inner)
-            q = PSSpec(outer.source_name, SENTIMENT, outer.polarity, inner)
+            assumption = ps_fact(outer.source, BELIEVES_TRUE, POSITIVE, inner)
+            q = ps_fact(outer.source, SENTIMENT, outer.polarity, inner)
             bindings.append(
                 Binding("rule5source", [outer], [assumption], [q],
                         fire_key=("rule5source", outer.node_id))
@@ -341,9 +344,9 @@ def _match_rule5agent(g: Graph, cfg: Config):
         for event in _live(g, GFBF):
             if not event.from_input or event.agent is not agent:
                 continue
-            spec = PSSpec(outer.source_name, SENTIMENT, outer.polarity, event)
+            q = ps_fact(outer.source, SENTIMENT, outer.polarity, event)
             bindings.append(
-                Binding("rule5agent", [outer], [spec], [spec],
+                Binding("rule5agent", [outer], [q], [q],
                         fire_key=("rule5agent", outer.node_id))
             )
     return bindings
@@ -372,8 +375,8 @@ def match(rule: Rule, g: Graph, cfg: Config | None = None) -> list[Binding]:
 
 # -- assumption bases and evidence blocking ----------------------------------
 
-def assumption_basis(g: Graph, spec: PSSpec) -> Node | None:
-    """The node licensing an assumption, or None.
+def assumption_basis(g: Graph, fact: Fact) -> Node | None:
+    """The node licensing an assumed private state, or None.
 
     In order: the assumed attitude already exists; the writer positively
     believes the bare proposition (with any required property); or the source
@@ -381,25 +384,27 @@ def assumption_basis(g: Graph, spec: PSSpec) -> Node | None:
     attitude not being a negative believesTrue.  A substantial requirement is
     only met by the first two.
     """
-    existing = spec_exists(g, spec)
+    existing = g.lookup(fact)
     if existing is not None and not existing.retired:
         return existing
-    target = spec_exists(g, spec.target)
+    target = g.lookup(fact.target)
     if target is None:
         return None
+    substantial = fact.property == SUBSTANTIAL
     for root in g.roots:
         if (
             root.source_name == WRITER
             and root.att_type == BELIEVES_TRUE
             and root.polarity == POSITIVE
             and root.target is target
-            and (not spec.substantial or root.property == SUBSTANTIAL)
+            and (not substantial or root.property == SUBSTANTIAL)
         ):
             return root
-    if spec.substantial:
+    if substantial:
         return None
+    source = fact.source.name
     for node in _live_private_states(g):
-        if node.source_name != spec.source or node.att_type == spec.att_type:
+        if node.source_name != source or node.att_type == fact.att_type:
             continue
         if node.att_type == BELIEVES_TRUE and node.polarity == NEGATIVE:
             continue
@@ -408,20 +413,20 @@ def assumption_basis(g: Graph, spec: PSSpec) -> Node | None:
     return None
 
 
-def blocked_by_evidence(g: Graph, spec) -> EvidenceFact | None:
-    """The evidence fact ruling out an assumption or conclusion, if any."""
-    if not isinstance(spec, PSSpec):
+def blocked_by_evidence(g: Graph, fact: Fact) -> EvidenceFact | None:
+    """The evidence fact ruling out an assumed or concluded private state, if any."""
+    if fact.node_type != PRIVATE_STATE or not g.evidence:
         return None
-    required = SUBSTANTIAL if spec.substantial else None
-    for fact in g.evidence:
-        if fact.retired or fact.att_type != spec.att_type:
+    target = g.lookup(fact.target)
+    for evidence in g.evidence:
+        if evidence.retired or evidence.att_type != fact.att_type:
             continue
-        if fact.polarity == spec.polarity or fact.property != required:
+        if evidence.polarity == fact.polarity or evidence.property != fact.property:
             continue
-        if fact.holder is not None and fact.holder != spec.source:
+        if evidence.holder is not None and evidence.holder != fact.source.name:
             continue
-        if spec_matches(fact.target, spec.target):
-            return fact
+        if evidence.target is target:
+            return evidence
     return None
 
 
@@ -453,13 +458,13 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
         _log(g, state, rule, binding, iteration, outcome)
         return outcome
 
-    for spec in list(binding.assumptions) + list(binding.conclusions):
-        fact = blocked_by_evidence(g, spec)
-        if fact is not None:
-            return report("evidence", f"evidence {fact.fact_id}")
-    for spec in binding.assumptions:
-        if assumption_basis(g, spec) is None:
-            return report("no-assumption-basis", _describe_spec(spec))
+    for fact in list(binding.assumptions) + list(binding.conclusions):
+        evidence = blocked_by_evidence(g, fact)
+        if evidence is not None:
+            return report("evidence", f"evidence {evidence.fact_id}")
+    for fact in binding.assumptions:
+        if assumption_basis(g, fact) is None:
+            return report("no-assumption-basis", _describe_assumption(fact))
 
     try:
         extension = extend_spaces(
@@ -473,7 +478,7 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
         BlockReport(rule.name, binding_ids, cause, detail, space)
         for space, cause, detail in extension.blocked
     ]
-    assumed = [spec_exists(g, spec) for spec in binding.assumptions]
+    assumed = [g.lookup(fact) for fact in binding.assumptions]
     outcome = FireOutcome(
         fired=extension.fired,
         created=extension.created,
@@ -485,11 +490,9 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
     return outcome
 
 
-def _describe_spec(spec) -> str:
-    if isinstance(spec, PSSpec):
-        prop = " substantial" if spec.substantial else ""
-        return f"assume {spec.source} {spec.polarity} {spec.att_type}{prop}"
-    return str(spec)
+def _describe_assumption(fact: Fact) -> str:
+    prop = f" {fact.property}" if fact.property else ""
+    return f"assume {fact.source.name} {fact.polarity} {fact.att_type}{prop}"
 
 
 def _log(g: Graph, state: EngineState, rule: Rule, binding: Binding,
@@ -671,10 +674,23 @@ def check_input(g: Graph, filename: str = "<input>") -> None:
     )
 
 
+def check_lexicon(sent: SentenceAnnotation, lex: Lexicon, filename: str = "<input>") -> None:
+    """Reject an influencer line whose (key:lexEntry) is an infl record of the other kind."""
+    for ln in sent.lines:
+        kind = lex.influencers.get(ln.lex_key) if ln.kind == "influencer" else None
+        if kind is not None and kind != ln.attitude:
+            raise LexiconMismatch(
+                f"{ln.line_id} is a {ln.attitude} influencer but lexicon entry"
+                f" {ln.lex_key!r} is {kind}",
+                filename, ln.lineno,
+            )
+
+
 def process_sentence(sent: SentenceAnnotation, lex: Lexicon,
                      ids: IdAllocator | None = None,
                      cfg: Config | None = None,
                      filename: str = "<input>") -> InferenceResult:
+    check_lexicon(sent, lex, filename)
     g = build_input_graph(sent, lex, ids)
     run_composition(g)
     check_input(g, filename)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .errors import NoCommonSpace
 from .graph import (
     AGREEMENT,
-    ANIM,
     BELIEVES_TRUE,
     CHAIN_ATTS,
     NEGATIVE,
@@ -21,13 +20,11 @@ from .graph import (
     PRIVATE_STATE,
     SENTIMENT,
     WRITER,
-    AgrSpec,
     Graph,
     Node,
-    PSSpec,
+    entity_fact,
     opposite_polarity,
-    spec_exists,
-    spec_intern,
+    ps_fact,
 )
 
 Step = tuple[str, str, str]  # (source name, attitude type, polarity)
@@ -38,18 +35,17 @@ def step_of(node: Node) -> Step:
     return (node.source_name, node.att_type, node.polarity)
 
 
-ClashKey = tuple  # (node type, source name, attitude type or withWhom name, target id)
+ClashKey = tuple  # (node type, attitude type, (label, node) pairs)
 
 
 def clash_key(node: Node) -> ClashKey | None:
     """What two members must share to clash; they clash when polarities differ.
 
-    Properties (substantial) are deliberately not part of the key.
+    It is the node's fact key without the polarity and the property
+    (substantial is deliberately not part of it).
     """
-    if node.node_type == PRIVATE_STATE:
-        return (PRIVATE_STATE, node.source_name, node.att_type, node.target.node_id)
-    if node.node_type == AGREEMENT:
-        return (AGREEMENT, node.source_name, node.with_whom.name, node.target.node_id)
+    if node.node_type in (PRIVATE_STATE, AGREEMENT):
+        return (node.node_type, node.att_type, tuple(node.children.items()))
     return None
 
 
@@ -213,25 +209,47 @@ def format_space(steps: tuple[Step, ...]) -> str:
 
 
 # -- contradiction checks ----------------------------------------------------
+# A prop to place is a node or a fact.  The checks work on keys: a clash key
+# is a fact key without polarity and property, and each wrapper a placement
+# would build is looked up level by level, without creating anything.
 
 def _prop_key(g: Graph, prop) -> ClashKey | None:
-    """The clash key of a node or spec, or None when nothing can clash with it."""
-    if isinstance(prop, Node):
+    """The clash key of a node or fact, or None when nothing can clash with it."""
+    if type(prop) is Node:
         return clash_key(prop)
-    if isinstance(prop, PSSpec):
-        target = spec_exists(g, prop.target)
-        if target is not None:
-            return (PRIVATE_STATE, prop.source, prop.att_type, target.node_id)
-    elif isinstance(prop, AgrSpec):
-        target = spec_exists(g, prop.px)
-        if target is not None:
-            return (AGREEMENT, prop.source, prop.with_whom, target.node_id)
+    if prop.node_type in (PRIVATE_STATE, AGREEMENT):
+        resolved = g.resolve(prop)
+        if resolved is not None:
+            return (prop.node_type, prop.att_type, resolved.children)
+    return None
+
+
+def _wrap(g: Graph, step: Step, inner: Node) -> tuple[ClashKey | None, Node | None]:
+    """The clash key and the node of the private state a step wraps around inner.
+
+    Two dict gets: the step's source entity, then the wrapper's fact.
+    """
+    src, att, pol = step
+    source = g.lookup(entity_fact(src))
+    if source is None:  # then no member has that source either
+        return None, None
+    wrapper = ps_fact(source, att, pol, inner)
+    return (PRIVATE_STATE, att, wrapper.children), g.lookup(wrapper)
+
+
+def _probe(tables, key: ClashKey, polarity: str) -> Node | None:
+    """The first member of the tables clashing with a key of that polarity."""
+    other = opposite_polarity(polarity)
+    for table in tables:
+        by_polarity = table.get(key)
+        if by_polarity is not None and other in by_polarity:
+            return by_polarity[other]
     return None
 
 
 def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
                      index: SpaceIndex | None = None):
-    """Why adding prop to the space would be invalid, or None.
+    """Why adding prop (a node or a fact) to the space would be invalid, or None.
 
     Invalid if (a) a chain instance of the space ends in a negative
     believesTrue whose target is the prop, or (b) the space (at any wrapping
@@ -243,7 +261,7 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
     """
     if index is None:
         index = space_index(g)
-    inner = spec_exists(g, prop)
+    inner = g.lookup(prop)
     if inner is not None and steps and steps[-1][1:] == (BELIEVES_TRUE, NEGATIVE):
         for node in rightmost_nodes(steps, index):
             if node.target is inner:
@@ -252,32 +270,23 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
     # wrapper's target is the level below; once that does not exist, no
     # member can share its target, at that level or any above it.
     key = _prop_key(g, prop)
-    polarity = prop.polarity if key is not None else None
+    polarity = prop.polarity
     for depth in range(len(steps), -1, -1):
         if key is not None:
-            for table in index.clash_tables(steps[:depth]):
-                clash = table.get(key, {}).get(opposite_polarity(polarity))
-                if clash is not None:
-                    return clash
+            clash = _probe(index.clash_tables(steps[:depth]), key, polarity)
+            if clash is not None:
+                return clash
         if depth == 0 or inner is None:
             break
-        src, att, polarity = steps[depth - 1]
-        key = (PRIVATE_STATE, src, att, inner.node_id)
-        source = g.lookup(ANIM, name=src)
-        if source is not None:
-            inner = g.lookup(PRIVATE_STATE, att_type=att, polarity=polarity,
-                             children={"source": source, "target": inner})
-        else:
-            inner = None
+        polarity = steps[depth - 1][2]
+        key, inner = _wrap(g, steps[depth - 1], inner)
     return _chain_clash(steps, prop, g, index)
 
 
 def _chain_step(prop) -> Step | None:
-    """The step a chain node or chain spec adds to the space it is placed in."""
-    if isinstance(prop, PSSpec) and prop.att_type in CHAIN_ATTS:
-        return (prop.source, prop.att_type, prop.polarity)
-    if isinstance(prop, Node) and prop.is_chain_node():
-        return step_of(prop)
+    """The step a chain node or chain fact adds to the space it is placed in."""
+    if prop.node_type == PRIVATE_STATE and prop.att_type in CHAIN_ATTS:
+        return (prop.source.name, prop.att_type, prop.polarity)
     return None
 
 
@@ -294,10 +303,9 @@ def _chain_clash(steps: tuple[Step, ...], prop, g: Graph, index: SpaceIndex):
         prop = prop.target
         key = _prop_key(g, prop)
         if key is not None:
-            for table in index.clash_tables(steps):
-                clash = table.get(key, {}).get(opposite_polarity(prop.polarity))
-                if clash is not None:
-                    return clash
+            clash = _probe(index.clash_tables(steps), key, prop.polarity)
+            if clash is not None:
+                return clash
         step = _chain_step(prop)
     return None
 
@@ -341,9 +349,9 @@ def place(g: Graph, node: Node, steps: tuple[Step, ...]) -> tuple[Node, list[Nod
     created: list[Node] = []
     current = node
     for src, att, pol in reversed(steps):
-        before = g.version
+        before = len(g.nodes)
         current = g.private_state(src, att, pol, current)
-        if g.version != before:
+        if len(g.nodes) != before:
             created.append(current)
     if current.is_chain_node() and current.source_name == WRITER:
         g.add_root(current)
@@ -364,13 +372,11 @@ def placed_tops(g: Graph, props: list, steps: tuple[Step, ...]) -> list[Node] | 
     """
     tops = []
     for prop in props:
-        node = spec_exists(g, prop)
-        for src, att, pol in reversed(steps):
-            source = g.lookup(ANIM, name=src)
-            if node is None or source is None:
+        node = g.lookup(prop)
+        for step in reversed(steps):
+            if node is None:
                 return None
-            node = g.lookup(PRIVATE_STATE, att_type=att, polarity=pol,
-                            children={"source": source, "target": node})
+            _, node = _wrap(g, step, node)
         if node is None or not g.is_writer_level(node):
             return None
         tops.append(node)
@@ -427,8 +433,8 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
         props = (additions + variant_ps) if is_variant else additions
         tops = placed_tops(g, props, steps)
         clash = None
-        for spec in props if tops is None else ():
-            clash = would_contradict(steps, spec, g, index)
+        for prop in props if tops is None else ():
+            clash = would_contradict(steps, prop, g, index)
             if clash is not None:
                 break
         if clash is not None:
@@ -450,9 +456,9 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     # Intern the bare propositions first so conclusions can nest assumptions.
     # Sub-structures (ideaOf, p(x)) interned on the way count as created too.
     bare: list[Node] = []
-    for spec in additions:
+    for fact in additions:
         start = len(g.nodes)
-        node = spec_intern(g, spec)
+        node = g.intern(fact)
         for fresh in g.nodes[start:]:
             record(fresh, True)
         record(node, False)

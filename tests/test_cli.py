@@ -212,6 +212,21 @@ def test_contradictory_input_names_both_lines(tmp_path, capsys, events):
     assert f"{doc}:{s1}:" in err and f"{doc}:{s1 + 1})" in err
 
 
+def test_influencer_of_the_other_lexicon_kind_is_an_input_error(tmp_path, capsys):
+    # base.lex records "infl fail reverse"; a retainer keyed on it is rejected
+    # at its own line, and the reverser the corpus writes is accepted.
+    virus = (CORPUS / "virus.ann").read_text()
+    doc = tmp_path / "virus.ann"
+    doc.write_text(virus.replace("reverse (failed,fail:lexEntry)", "retain (failed,fail:lexEntry)"))
+    code, out, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex")
+    assert code == 1 and out == ""
+    assert err.startswith(f"{doc}:3: LexiconMismatch: I1 is a retain influencer")
+    assert "'fail' is reverse" in err
+    code, _, err = run_cli(capsys, "--input", CORPUS / "virus.ann",
+                           "--lexicon", CORPUS / "base.lex")
+    assert code == 0 and err == ""
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -1,7 +1,22 @@
 import pytest
 
-from opine import Graph, IllFormedNode, build_input_graph, structural_signature
-from opine.graph import PRIVATE_STATE
+from opine import (
+    Config,
+    Graph,
+    IllFormedNode,
+    build_input_graph,
+    parse_document,
+    process_document,
+    structural_signature,
+)
+from opine.graph import (
+    PRIVATE_STATE,
+    agreement_fact,
+    entity_fact,
+    idea_of_fact,
+    p_x_fact,
+    ps_fact,
+)
 
 from conftest import load_doc
 
@@ -171,3 +186,66 @@ def test_sentence_graphs_are_independent(lexicon):
     g2 = build_input_graph(doc.sentences[1], lexicon, ids)
     assert {n.node_id for n in g1.nodes}.isdisjoint({n.node_id for n in g2.nodes})
     assert g1.nodes[0].structural_key() == g2.nodes[0].structural_key()
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["default", "extended"])
+def test_every_node_looks_up_under_its_signature(lexicon, corpus_files, extended):
+    rekeyed = 0
+    for path in corpus_files:
+        doc = parse_document(path.read_text(), path.name)
+        for result in process_document(doc, lexicon, Config(extended_belief_spaces=extended)):
+            g = result.graph
+            for node in g.nodes:
+                assert g.lookup(structural_signature(node)) is node, (path.name, node)
+            rekeyed += sum(1 for n in g.nodes if "role2" in n.children)
+    assert rekeyed  # a gfbf re-keyed by attach_role2 is among them
+
+
+def test_nested_facts_look_up_after_intern():
+    g, moveon, mccain, event = simple_graph()
+    writer = g.entity("writer")
+    nested = [
+        idea_of_fact(event),
+        p_x_fact("isBad", event),
+        ps_fact(writer, "sentiment", "negative", idea_of_fact(event)),
+        agreement_fact(writer, "positive", moveon, p_x_fact("isGood", mccain)),
+    ]
+    for fact in nested:
+        assert g.lookup(fact) is None
+        node = g.intern(fact)
+        assert g.lookup(fact) is node
+        assert g.lookup(structural_signature(node)) is node
+        assert g.intern(fact) is node
+
+
+def test_intern_creates_only_the_missing_nodes_in_order():
+    g, moveon, mccain, event = simple_graph()
+    idea = g.idea_of(event)
+    fact = agreement_fact(
+        entity_fact("writer"), "negative", moveon,
+        p_x_fact("isGood", ps_fact(entity_fact("Mother"), "sentiment", "positive",
+                                   idea_of_fact(event))),
+    )
+    before = list(g.nodes)
+    top = g.intern(fact)
+    created = g.nodes[len(before):]
+    assert g.nodes[:len(before)] == before
+    assert [n.structural_key() for n in created] == [
+        "writer",
+        "Mother",
+        "(ps Mother sentiment positive (ideaOf (gfbf MoveOn badFor Senator McCain)))",
+        "(px isGood (ps Mother sentiment positive (ideaOf (gfbf MoveOn badFor Senator McCain))))",
+        top.structural_key(),
+    ]
+    assert created[2].target is idea
+    size = len(g.nodes)
+    assert g.intern(fact) is top and len(g.nodes) == size
+
+
+def test_intern_validates_through_the_constructors():
+    g, moveon, mccain, event = simple_graph()
+    with pytest.raises(IllFormedNode):
+        g.intern(ps_fact(moveon, "intends", "positive", mccain))  # intends needs a gfbf
+    with pytest.raises(IllFormedNode):
+        g.intern(idea_of_fact(mccain))
+    assert g.lookup(ps_fact(moveon, "intends", "positive", mccain)) is None

@@ -65,7 +65,7 @@ def test_rule31_sign_laws():
         (binding,) = match(RULES["rule3.1"], g)
         agreement, sentiment = binding.conclusions
         assert agreement.polarity == outer
-        assert agreement.px.property == ("isGood" if inner == "positive" else "isBad")
+        assert agreement.target.property == ("isGood" if inner == "positive" else "isBad")
         assert sentiment.polarity == polarity_of(sign(outer) * sign(inner))
 
 
@@ -77,8 +77,8 @@ def test_rule32_sign_laws():
         (binding,) = match(RULES["rule3.2"], g)
         agreement, belief = binding.conclusions
         assert agreement.polarity == outer
-        assert agreement.px.property == ("isTrue" if inner == "positive" else "isFalse")
-        assert belief.att_type == "believesTrue" and belief.substantial
+        assert agreement.target.property == ("isTrue" if inner == "positive" else "isFalse")
+        assert belief.att_type == "believesTrue" and belief.property == "substantial"
         assert belief.polarity == polarity_of(sign(outer) * sign(inner))
 
 
@@ -89,7 +89,7 @@ def test_rule33_sign_laws():
         g.add_root(g.private_state("writer", "sentiment", outer, nested))
         (binding,) = match(RULES["rule3.3"], g)
         agreement, deontic = binding.conclusions
-        assert agreement.px.property == ("should" if inner == "positive" else "shouldNot")
+        assert agreement.target.property == ("should" if inner == "positive" else "shouldNot")
         assert deontic.att_type == "believesShould"
         assert deontic.polarity == polarity_of(sign(outer) * sign(inner))
 
@@ -114,7 +114,7 @@ def test_rule9_preserves_sign():
         g.add_root(g.private_state("writer", "believesTrue", "positive", inner))
         (binding,) = match(RULES["rule9"], g)
         assert binding.conclusions[0].polarity == pol
-        assert binding.assumptions[0].substantial
+        assert binding.assumptions[0].property == "substantial"
 
 
 def test_rule6_and_rule7_always_positive():

@@ -10,10 +10,15 @@ from opine import (
     match,
     run_to_fixpoint,
 )
-from opine.graph import PSSpec
+from opine.graph import entity_fact, ps_fact
 from opine.rules import RULES
 
 from conftest import load_doc
+
+
+def named_ps(source, att_type, polarity, target, **kwargs):
+    """A private-state fact whose source is given by name."""
+    return ps_fact(entity_fact(source), att_type, polarity, target, **kwargs)
 
 
 def keys_of(g):
@@ -55,7 +60,7 @@ def test_assumption_basis_from_writer_belief(lexicon):
     g = build_input_graph(doc.sentences[0], lexicon)
     event = next(n for n in g.nodes if n.node_type == "gfbf")
     basis = assumption_basis(
-        g, PSSpec("mother", "believesTrue", "positive", event, substantial=True)
+        g, named_ps("mother", "believesTrue", "positive", event, substantial=True)
     )
     assert basis is not None and basis.property == "substantial"
 
@@ -65,7 +70,7 @@ def test_assumption_basis_negative_writer_belief_fails(lexicon):
     g = build_input_graph(doc.sentences[0], lexicon)
     event = next(n for n in g.nodes if n.node_type == "gfbf")
     basis = assumption_basis(
-        g, PSSpec("mother", "believesTrue", "positive", event, substantial=True)
+        g, named_ps("mother", "believesTrue", "positive", event, substantial=True)
     )
     assert basis is None
 
@@ -75,7 +80,7 @@ def test_assumption_basis_from_other_attitude_type():
     event = g.gfbf(g.entity("a"), "goodFor", g.entity("b"))
     inner = g.private_state("S", "sentiment", "positive", event)
     g.add_root(g.private_state("writer", "believesTrue", "positive", inner))
-    basis = assumption_basis(g, PSSpec("S", "believesTrue", "positive", event))
+    basis = assumption_basis(g, named_ps("S", "believesTrue", "positive", event))
     assert basis is inner  # the sentiment grounds a belief of a different type
 
 
@@ -85,23 +90,24 @@ def test_blocked_by_evidence_cases(lexicon):
     event = g.gfbf(g.entity("the tech staff"), "goodFor", virus)
     g.add_root(g.private_state("writer", "sentiment", "negative", event))
     g.add_evidence("intends", "negative", event, from_input=True)
-    blocked = blocked_by_evidence(g, PSSpec("the tech staff", "intends", "positive", event))
+    blocked = blocked_by_evidence(g, named_ps("the tech staff", "intends", "positive", event))
     assert blocked is not None
     # different attitude type untouched
-    assert blocked_by_evidence(g, PSSpec("the tech staff", "sentiment", "positive", event)) is None
+    sentiment = named_ps("the tech staff", "sentiment", "positive", event)
+    assert blocked_by_evidence(g, sentiment) is None
     # holder restriction
     g2 = Graph()
     event2 = g2.gfbf(g2.entity("ins"), "goodFor", g2.entity("care"))
     idea = g2.idea_of(event2)
     g2.add_evidence("sentiment", "negative", idea, holder="ins", from_input=True)
-    assert blocked_by_evidence(g2, PSSpec("ins", "sentiment", "positive", idea)) is not None
-    assert blocked_by_evidence(g2, PSSpec("writer", "sentiment", "positive", idea)) is None
+    assert blocked_by_evidence(g2, named_ps("ins", "sentiment", "positive", idea)) is not None
+    assert blocked_by_evidence(g2, named_ps("writer", "sentiment", "positive", idea)) is None
 
 
 def test_no_evidence_never_blocks():
     g = Graph()
     event = g.gfbf(g.entity("a"), "goodFor", g.entity("b"))
-    assert blocked_by_evidence(g, PSSpec("a", "intends", "positive", event)) is None
+    assert blocked_by_evidence(g, named_ps("a", "intends", "positive", event)) is None
 
 
 def test_fire_records_existing_on_refire(run_sentence):

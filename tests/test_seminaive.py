@@ -16,7 +16,7 @@ import pytest
 from opine import Config, Graph, parse_document, process_document
 from opine import rules, spaces
 from opine.errors import InputError, IterationLimitExceeded
-from opine.graph import BELIEVES_TRUE, spec_exists
+from opine.graph import BELIEVES_TRUE
 from opine.render import dumps, render_trace
 
 from test_properties import random_document, rule_orders
@@ -231,7 +231,7 @@ def test_answered_spaces_need_no_check_and_no_placing(lexicon, corpus_files, mon
             size = (len(g.nodes), len(g.roots), len(g.top_level))
             for prop, top in zip(props, tops):
                 assert spaces.would_contradict(steps, prop, g) is None, (steps, prop)
-                assert spaces.place(g, spec_exists(g, prop), steps) == (top, []), (steps, prop)
+                assert spaces.place(g, g.lookup(prop), steps) == (top, []), (steps, prop)
             assert (len(g.nodes), len(g.roots), len(g.top_level)) == size
         return tops
 

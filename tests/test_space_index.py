@@ -21,10 +21,9 @@ from opine.graph import (
     NEGATIVE,
     PRIVATE_STATE,
     SENTIMENT,
-    AgrSpec,
     Node,
-    PSSpec,
-    spec_matches,
+    entity_fact,
+    ps_fact,
 )
 from opine.spaces import EPSILON, space_index, step_of
 
@@ -81,46 +80,27 @@ def reference_index(g):
     return found, memberships
 
 
-def _same_target(target, spec_target):
-    if isinstance(spec_target, Node):
-        return target is spec_target
-    return spec_matches(target, spec_target)
+def _is(node, part):
+    """Whether node is the part: the node itself, or a fact of its structure."""
+    if isinstance(part, Node):
+        return node is part
+    return (
+        (node.node_type, node.att_type, node.polarity, node.property, node.name) == part[:5]
+        and list(node.children) == [label for label, _ in part.children]
+        and all(_is(child, p) for child, (_, p) in zip(node.children.values(), part.children))
+    )
 
 
-def _conflicts(existing, spec):
-    if isinstance(spec, Node):
-        if spec.node_type == PRIVATE_STATE:
-            spec = PSSpec(
-                spec.source_name, spec.att_type, spec.polarity, spec.target,
-                substantial=spec.property is not None,
-            )
-        elif spec.node_type == AGREEMENT:
-            return (
-                existing.node_type == AGREEMENT
-                and existing.source_name == spec.source_name
-                and existing.with_whom is spec.with_whom
-                and existing.polarity != spec.polarity
-                and existing.target is spec.target
-            )
-        else:
-            return False
-    if isinstance(spec, PSSpec):
-        return (
-            existing.node_type == PRIVATE_STATE
-            and existing.source_name == spec.source
-            and existing.att_type == spec.att_type
-            and existing.polarity != spec.polarity
-            and _same_target(existing.target, spec.target)
-        )
-    if isinstance(spec, AgrSpec):
-        return (
-            existing.node_type == AGREEMENT
-            and existing.source_name == spec.source
-            and existing.with_whom.name == spec.with_whom
-            and existing.polarity != spec.polarity
-            and _same_target(existing.target, spec.px)
-        )
-    return False
+def _conflicts(existing, prop):
+    """Same private state or agreement as prop, but for its polarity and property."""
+    parts = prop.children.values() if isinstance(prop, Node) else [p for _, p in prop.children]
+    return (
+        prop.node_type in (PRIVATE_STATE, AGREEMENT)
+        and existing.node_type == prop.node_type
+        and existing.att_type == prop.att_type
+        and existing.polarity != prop.polarity
+        and all(_is(child, p) for child, p in zip(existing.children.values(), parts))
+    )
 
 
 def reference_would_contradict(steps, prop, g):
@@ -135,16 +115,16 @@ def reference_would_contradict(steps, prop, g):
     for path in found.get(steps, ([], []))[0]:
         last = path[-1]
         if last.att_type == BELIEVES_TRUE and last.polarity == NEGATIVE:
-            if _same_target(last.target, prop):
+            if _is(last.target, prop):
                 return last
-    level_spec = prop
+    level_fact = prop
     for depth in range(len(steps), -1, -1):
         for existing in members_of(steps[:depth]):
-            if _conflicts(existing, level_spec):
+            if _conflicts(existing, level_fact):
                 return existing
         if depth > 0:
             src, att, pol = steps[depth - 1]
-            level_spec = PSSpec(src, att, pol, level_spec)
+            level_fact = ps_fact(entity_fact(src), att, pol, level_fact)
     # A chain prop defines the space one step below, where its target is a
     # member, and so on down its chain.
     step = _chain_step(prop)
@@ -159,10 +139,8 @@ def reference_would_contradict(steps, prop, g):
 
 
 def _chain_step(prop):
-    if isinstance(prop, Node) and prop.is_chain_node():
-        return step_of(prop)
-    if isinstance(prop, PSSpec) and prop.att_type in (BELIEVES_TRUE, SENTIMENT):
-        return (prop.source, prop.att_type, prop.polarity)
+    if prop.node_type == PRIVATE_STATE and prop.att_type in (BELIEVES_TRUE, SENTIMENT):
+        return (prop.source.name, prop.att_type, prop.polarity)
     return None
 
 

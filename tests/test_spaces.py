@@ -1,7 +1,7 @@
 import pytest
 
 from opine import Graph, NoCommonSpace
-from opine.graph import PSSpec
+from opine.graph import entity_fact, ps_fact
 from opine.spaces import (
     belief_variant,
     extend_spaces,
@@ -10,6 +10,12 @@ from opine.spaces import (
     spaces_of,
     would_contradict,
 )
+
+
+def named_ps(source, att_type, polarity, target, **kwargs):
+    """A private-state fact whose source is given by name."""
+    return ps_fact(entity_fact(source), att_type, polarity, target, **kwargs)
+
 
 def chain_graph():
     """writer +B (mother -S (tree badFor boy)) plus writer +B-substantial event."""
@@ -78,7 +84,7 @@ def test_extension_into_base_and_belief_variant():
     event = g.gfbf(g.entity("MoveOn"), "badFor", mccain)
     root = g.private_state("writer", "sentiment", "negative", event)
     g.add_root(root)
-    q = PSSpec("MoveOn", "intends", "positive", event)
+    q = named_ps("MoveOn", "intends", "positive", event)
     outcome = extend_spaces(g, [event], [], [q])
     assert outcome.fired
     keys = {n.structural_key() for n in outcome.created}
@@ -92,7 +98,7 @@ def test_extension_skips_negative_belief_space():
     event = g.gfbf(g.entity("obama"), "badFor", rich)
     root = g.private_state("writer", "believesTrue", "negative", event, substantial=True)
     g.add_root(root)
-    q = PSSpec("obama", "intends", "positive", event)
+    q = named_ps("obama", "intends", "positive", event)
     outcome = extend_spaces(g, [event], [], [q])
     assert not outcome.fired
     assert outcome.blocked[0][1] == "negative-belief-path"
@@ -103,7 +109,7 @@ def test_extension_at_writer_level_makes_roots():
     event = g.gfbf(g.entity("a"), "goodFor", g.entity("b"))
     root = g.private_state("writer", "sentiment", "negative", event)
     g.add_root(root)
-    q = PSSpec("writer", "sentiment", "negative", g.idea_of(event))
+    q = named_ps("writer", "sentiment", "negative", g.idea_of(event))
     outcome = extend_spaces(g, [root], [], [q])
     assert outcome.fired
     assert len(g.roots) == 2
@@ -119,22 +125,22 @@ def test_extension_requires_common_space():
     g.add_root(r1)
     g.add_root(r2)
     with pytest.raises(NoCommonSpace):
-        extend_spaces(g, [e1, e2], [], [PSSpec("writer", "sentiment", "positive", e1)])
+        extend_spaces(g, [e1, e2], [], [named_ps("writer", "sentiment", "positive", e1)])
 
 
 def test_would_contradict_opposite_polarity():
     g, event, inner, root = chain_graph()
     space = (("writer", "believesTrue", "positive"),)
-    clash = would_contradict(space, PSSpec("mother", "sentiment", "positive", event), g)
+    clash = would_contradict(space, named_ps("mother", "sentiment", "positive", event), g)
     assert clash is inner
-    assert would_contradict(space, PSSpec("mother", "sentiment", "negative", event), g) is None
+    assert would_contradict(space, named_ps("mother", "sentiment", "negative", event), g) is None
 
 
 def test_would_contradict_different_target():
     g, event, inner, root = chain_graph()
     boy = next(n for n in g.nodes if n.name == "the boy")
     space = (("writer", "believesTrue", "positive"),)
-    assert would_contradict(space, PSSpec("mother", "sentiment", "negative", boy), g) is None
+    assert would_contradict(space, named_ps("mother", "sentiment", "negative", boy), g) is None
 
 
 def test_would_contradict_rightmost_negative_belief():
