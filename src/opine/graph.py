@@ -73,6 +73,8 @@ class Node:
         "name",
         "anchor",
         "children",
+        "source",
+        "target",
         "from_input",
         "retired",
     )
@@ -82,18 +84,13 @@ class Node:
         self.node_type, self.att_type, self.polarity, self.property, self.name, children = key
         self.anchor = anchor
         self.children = dict(children)
+        # attach_role2 adds only role2, so these stay valid for the node's life.
+        self.source = self.children.get("source")
+        self.target = self.children.get("target")
         self.from_input = False
         self.retired = False
 
     # -- structural accessors -------------------------------------------
-    @property
-    def source(self) -> Node | None:
-        return self.children.get("source")
-
-    @property
-    def target(self) -> Node | None:
-        return self.children.get("target")
-
     @property
     def agent(self) -> Node | None:
         return self.children.get("agent")

@@ -5,9 +5,14 @@ when its preconditions hold, every assumption has a basis, and no evidence
 contradicts an assumption or conclusion; space extension then places the
 assumptions and conclusions into every private-state space shared by the
 preconditions.  Rules are applied in a fixed order, repeatedly, until an
-entire pass adds no new node.  A matcher builds each assumption and
-conclusion as a ``graph.Fact`` over the nodes it matched; firing looks the
-facts up and interns them.
+entire pass adds no new node.
+
+A matcher returns the bindings of one outer node, building each assumption
+and conclusion as a ``graph.Fact`` over the nodes it matched; firing looks
+the facts up and interns them.  ``match`` runs a matcher over the whole
+graph.  The fixpoint instead builds each binding once per run, matching only
+the nodes a pass added, and replays a productive fire's confirmation rather
+than firing the binding again (``run_to_fixpoint``).
 """
 
 from __future__ import annotations
@@ -102,6 +107,11 @@ class Binding:
     assumptions: list[Fact]
     conclusions: list[Fact]
     fire_key: tuple = ()
+    # Fixpoint state (see run_to_fixpoint): the input stamp taken before a
+    # fire that settled the binding, and (stamp, touched, assumption nodes)
+    # of a productive fire that reported no block, to replay its confirmation.
+    settled: tuple | None = field(default=None, compare=False, repr=False)
+    replay: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.fire_key:
@@ -111,266 +121,249 @@ class Binding:
 @dataclass(frozen=True)
 class Rule:
     name: str
-    matcher: Callable
+    matcher: Callable  # (g, outer) -> the bindings of one outer node
+    node_type: str = PRIVATE_STATE  # the outer nodes' type
+    att_type: str | None = None  # and their attitude type, when the rule fixes one
     fire_once: bool = False
+    join: Callable | None = None  # (g, live outer-type nodes) -> outer pairs
 
 
 def _mul(p1: str, p2: str) -> str:
     return polarity_of(sign(p1) * sign(p2))
 
 
-def _live(g: Graph, node_type: str) -> list[Node]:
-    return [n for n in g.nodes_by_type.get(node_type, ()) if not n.retired]
-
-
-def _live_private_states(g: Graph, att_type=None):
-    for node in g.nodes_by_type.get(PRIVATE_STATE, ()):
-        if node.retired:
+def _live(nodes, att_type=None):
+    """The nodes rules match on: not retired, not over a retired target, and of
+    the attitude type when one is given."""
+    for node in nodes:
+        if node.retired or (att_type is not None and node.att_type != att_type):
             continue
-        if att_type is not None and node.att_type != att_type:
-            continue
-        if node.target is not None and node.target.retired:
+        target = node.target
+        if target is not None and target.retired:
             continue
         yield node
 
 
+def _live_private_states(g: Graph, att_type=None):
+    return _live(g.nodes_by_type.get(PRIVATE_STATE, ()), att_type)
+
+
 # -- matchers ---------------------------------------------------------------
+# A matcher returns the bindings of one outer node: the precondition, or the
+# outer attitude of a nested one.  rule8's outer is a (belief, sentiment) pair.
 
-def _match_rule8(g: Graph, cfg: Config):
-    bindings = []
-    sentiments = list(_live_private_states(g, SENTIMENT))
-    for belief in _live_private_states(g, BELIEVES_TRUE):
-        if belief.polarity != POSITIVE:
-            continue
+def _rule8_pairs(g: Graph, beliefs):
+    """Each positive belief in an event, paired with every sentiment of its
+    source toward the event's object, in nested-loop order: a hash join on
+    (source, object)."""
+    sentiments: dict[tuple[Node, Node], list[Node]] = {}
+    for sent in _live_private_states(g, SENTIMENT):
+        sentiments.setdefault((sent.source, sent.target), []).append(sent)
+    for belief in beliefs:
         event = belief.target
-        if event.node_type != GFBF:
-            continue
-        for sent in sentiments:
-            if sent.source is not belief.source or sent.target is not event.object:
-                continue
-            q = ps_fact(
-                belief.source,
-                SENTIMENT,
-                polarity_of(sign(sent.polarity) * effect_sign(event.effect)),
-                event,
-            )
-            bindings.append(Binding("rule8", [belief, sent], [], [q]))
-    return bindings
+        if belief.polarity == POSITIVE and event.node_type == GFBF:
+            for sent in sentiments.get((belief.source, event.object), ()):
+                yield belief, sent
 
 
-def _match_rule1(g: Graph, cfg: Config):
-    bindings = []
-    for sent in _live_private_states(g, SENTIMENT):
-        event = sent.target
-        if event.node_type != GFBF:
-            continue
-        q = ps_fact(sent.source, SENTIMENT, sent.polarity, idea_of_fact(event))
-        bindings.append(Binding("rule1", [sent], [], [q]))
-    return bindings
+def _match_rule8(g: Graph, pair):
+    belief, sent = pair
+    event = belief.target
+    q = ps_fact(
+        belief.source,
+        SENTIMENT,
+        polarity_of(sign(sent.polarity) * effect_sign(event.effect)),
+        event,
+    )
+    return [Binding("rule8", [belief, sent], [], [q])]
 
 
-def _match_rule2(g: Graph, cfg: Config):
-    bindings = []
-    for sent in _live_private_states(g, SENTIMENT):
-        idea = sent.target
-        if idea.node_type != IDEA_OF or idea.idea_object.retired:
-            continue
-        event = idea.idea_object
-        q = ps_fact(
-            sent.source,
-            SENTIMENT,
-            polarity_of(sign(sent.polarity) * effect_sign(event.effect)),
-            event.object,
-        )
-        bindings.append(Binding("rule2", [sent], [], [q]))
-    return bindings
+def _match_rule1(g: Graph, sent: Node):
+    event = sent.target
+    if event.node_type != GFBF:
+        return []
+    q = ps_fact(sent.source, SENTIMENT, sent.polarity, idea_of_fact(event))
+    return [Binding("rule1", [sent], [], [q])]
 
 
-def _match_rule31(g: Graph, cfg: Config):
-    bindings = []
-    for outer in _live_private_states(g, SENTIMENT):
-        inner = outer.target
-        if inner.node_type != PRIVATE_STATE or inner.att_type != SENTIMENT:
-            continue
-        z = inner.target
-        if z.retired or z.node_type not in _JUDGEABLE + (GFBF,):
-            continue
-        conclusions = []
-        if z.node_type in _JUDGEABLE:
-            judgement = "isGood" if inner.polarity == POSITIVE else "isBad"
-            conclusions.append(
-                agreement_fact(outer.source, outer.polarity, inner.source,
-                               p_x_fact(judgement, z))
-            )
+def _match_rule2(g: Graph, sent: Node):
+    idea = sent.target
+    if idea.node_type != IDEA_OF or idea.idea_object.retired:
+        return []
+    event = idea.idea_object
+    q = ps_fact(
+        sent.source,
+        SENTIMENT,
+        polarity_of(sign(sent.polarity) * effect_sign(event.effect)),
+        event.object,
+    )
+    return [Binding("rule2", [sent], [], [q])]
+
+
+def _match_rule31(g: Graph, outer: Node):
+    inner = outer.target
+    if inner.node_type != PRIVATE_STATE or inner.att_type != SENTIMENT:
+        return []
+    z = inner.target
+    if z.retired or z.node_type not in _JUDGEABLE + (GFBF,):
+        return []
+    conclusions = []
+    if z.node_type in _JUDGEABLE:
+        judgement = "isGood" if inner.polarity == POSITIVE else "isBad"
         conclusions.append(
-            ps_fact(outer.source, SENTIMENT, _mul(outer.polarity, inner.polarity), z)
+            agreement_fact(outer.source, outer.polarity, inner.source,
+                           p_x_fact(judgement, z))
         )
-        bindings.append(Binding("rule3.1", [outer], [], conclusions))
-    return bindings
+    conclusions.append(
+        ps_fact(outer.source, SENTIMENT, _mul(outer.polarity, inner.polarity), z)
+    )
+    return [Binding("rule3.1", [outer], [], conclusions)]
 
 
-def _match_rule32(g: Graph, cfg: Config):
-    bindings = []
-    for outer in _live_private_states(g, SENTIMENT):
-        inner = outer.target
-        if (
-            inner.node_type != PRIVATE_STATE
-            or inner.att_type != BELIEVES_TRUE
-            or inner.property != SUBSTANTIAL
-        ):
-            continue
-        z = inner.target
-        if z.retired:
-            continue
-        verdict = "isTrue" if inner.polarity == POSITIVE else "isFalse"
-        conclusions = [
-            agreement_fact(outer.source, outer.polarity, inner.source, p_x_fact(verdict, z)),
-            ps_fact(outer.source, BELIEVES_TRUE, _mul(outer.polarity, inner.polarity),
-                    z, substantial=True),
-        ]
-        bindings.append(Binding("rule3.2", [outer], [], conclusions))
-    return bindings
+def _match_rule32(g: Graph, outer: Node):
+    inner = outer.target
+    if (
+        inner.node_type != PRIVATE_STATE
+        or inner.att_type != BELIEVES_TRUE
+        or inner.property != SUBSTANTIAL
+    ):
+        return []
+    z = inner.target
+    if z.retired:
+        return []
+    verdict = "isTrue" if inner.polarity == POSITIVE else "isFalse"
+    conclusions = [
+        agreement_fact(outer.source, outer.polarity, inner.source, p_x_fact(verdict, z)),
+        ps_fact(outer.source, BELIEVES_TRUE, _mul(outer.polarity, inner.polarity),
+                z, substantial=True),
+    ]
+    return [Binding("rule3.2", [outer], [], conclusions)]
 
 
-def _match_rule33(g: Graph, cfg: Config):
-    bindings = []
-    for outer in _live_private_states(g, SENTIMENT):
-        inner = outer.target
-        if inner.node_type != PRIVATE_STATE or inner.att_type != BELIEVES_SHOULD:
-            continue
-        z = inner.target
-        if z.retired:
-            continue
-        deontic = "should" if inner.polarity == POSITIVE else "shouldNot"
-        conclusions = [
-            agreement_fact(outer.source, outer.polarity, inner.source, p_x_fact(deontic, z)),
-            ps_fact(outer.source, BELIEVES_SHOULD, _mul(outer.polarity, inner.polarity), z),
-        ]
-        bindings.append(Binding("rule3.3", [outer], [], conclusions))
-    return bindings
+def _match_rule33(g: Graph, outer: Node):
+    inner = outer.target
+    if inner.node_type != PRIVATE_STATE or inner.att_type != BELIEVES_SHOULD:
+        return []
+    z = inner.target
+    if z.retired:
+        return []
+    deontic = "should" if inner.polarity == POSITIVE else "shouldNot"
+    conclusions = [
+        agreement_fact(outer.source, outer.polarity, inner.source, p_x_fact(deontic, z)),
+        ps_fact(outer.source, BELIEVES_SHOULD, _mul(outer.polarity, inner.polarity), z),
+    ]
+    return [Binding("rule3.3", [outer], [], conclusions)]
 
 
-def _match_rule4(g: Graph, cfg: Config):
-    bindings = []
-    for agr in _live(g, AGREEMENT):
-        q = ps_fact(agr.source, SENTIMENT, agr.polarity, agr.with_whom)
-        bindings.append(Binding("rule4", [agr], [], [q]))
-    return bindings
+def _match_rule4(g: Graph, agr: Node):
+    q = ps_fact(agr.source, SENTIMENT, agr.polarity, agr.with_whom)
+    return [Binding("rule4", [agr], [], [q])]
 
 
-def _match_rule6(g: Graph, cfg: Config):
-    bindings = []
-    for event in _live(g, GFBF):
-        if event.agent.node_type != ANIM:
-            continue
-        q = ps_fact(event.agent, INTENDS, POSITIVE, event)
-        bindings.append(Binding("rule6", [event], [], [q]))
-    return bindings
+def _match_rule6(g: Graph, event: Node):
+    if event.agent.node_type != ANIM:
+        return []
+    q = ps_fact(event.agent, INTENDS, POSITIVE, event)
+    return [Binding("rule6", [event], [], [q])]
 
 
-def _match_rule7(g: Graph, cfg: Config):
-    bindings = []
-    for intend in _live_private_states(g, INTENDS):
-        if intend.polarity != POSITIVE:
-            continue
-        event = intend.target
-        if event.node_type != GFBF or intend.source is not event.agent:
-            continue
-        q = ps_fact(intend.source, SENTIMENT, POSITIVE, idea_of_fact(event))
-        bindings.append(Binding("rule7", [intend], [], [q]))
-    return bindings
+def _match_rule7(g: Graph, intend: Node):
+    if intend.polarity != POSITIVE:
+        return []
+    event = intend.target
+    if event.node_type != GFBF or intend.source is not event.agent:
+        return []
+    q = ps_fact(intend.source, SENTIMENT, POSITIVE, idea_of_fact(event))
+    return [Binding("rule7", [intend], [], [q])]
 
 
-def _match_rule9(g: Graph, cfg: Config):
-    bindings = []
-    for sent in _live_private_states(g, SENTIMENT):
-        event = sent.target
-        if event.node_type != GFBF or event.agent.node_type != THING:
-            continue
-        assumption = ps_fact(sent.source, BELIEVES_TRUE, POSITIVE, event, substantial=True)
-        q = ps_fact(sent.source, SENTIMENT, sent.polarity, event.agent)
-        bindings.append(Binding("rule9", [sent], [assumption], [q]))
-    return bindings
+def _match_rule9(g: Graph, sent: Node):
+    event = sent.target
+    if event.node_type != GFBF or event.agent.node_type != THING:
+        return []
+    assumption = ps_fact(sent.source, BELIEVES_TRUE, POSITIVE, event, substantial=True)
+    q = ps_fact(sent.source, SENTIMENT, sent.polarity, event.agent)
+    return [Binding("rule9", [sent], [assumption], [q])]
 
 
-def _match_rule10(g: Graph, cfg: Config):
-    bindings = []
+def _match_rule10(g: Graph, event: Node):
+    if not event.from_input:
+        return []
+    key = g.entity_lex_key(event.object)
+    connotation = g.lexicon.connotation.get(key) if key else None
+    if connotation is None:
+        return []
     writer = entity_fact(WRITER)  # rule10 has no precondition holding the writer
-    for event in _live(g, GFBF):
-        if not event.from_input:
+    assumption = ps_fact(writer, BELIEVES_TRUE, POSITIVE, event)
+    q = ps_fact(writer, SENTIMENT, connotation, event.object)
+    return [Binding("rule10", [], [assumption], [q], fire_key=("rule10", event.node_id))]
+
+
+def _match_rule5source(g: Graph, outer: Node):
+    holder = outer.target
+    if not outer.from_input or holder.node_type != ANIM:
+        return []
+    bindings = []
+    for inner in _live_private_states(g):
+        if not inner.from_input or inner is outer:
             continue
-        key = g.entity_lex_key(event.object)
-        connotation = g.lexicon.connotation.get(key) if key else None
-        if connotation is None:
+        if inner.source_name != holder.name:
             continue
-        assumption = ps_fact(writer, BELIEVES_TRUE, POSITIVE, event)
-        q = ps_fact(writer, SENTIMENT, connotation, event.object)
+        assumption = ps_fact(outer.source, BELIEVES_TRUE, POSITIVE, inner)
+        q = ps_fact(outer.source, SENTIMENT, outer.polarity, inner)
         bindings.append(
-            Binding("rule10", [], [assumption], [q], fire_key=("rule10", event.node_id))
+            Binding("rule5source", [outer], [assumption], [q],
+                    fire_key=("rule5source", outer.node_id))
         )
     return bindings
 
 
-def _match_rule5source(g: Graph, cfg: Config):
+def _match_rule5agent(g: Graph, outer: Node):
+    agent = outer.target
+    if not outer.from_input or agent.node_type != ANIM:
+        return []
     bindings = []
-    for outer in _live_private_states(g, SENTIMENT):
-        if not outer.from_input:
+    for event in _live(g.nodes_by_type.get(GFBF, ())):
+        if not event.from_input or event.agent is not agent:
             continue
-        holder = outer.target
-        if holder.node_type != ANIM:
-            continue
-        for inner in _live_private_states(g):
-            if not inner.from_input or inner is outer:
-                continue
-            if inner.source_name != holder.name:
-                continue
-            assumption = ps_fact(outer.source, BELIEVES_TRUE, POSITIVE, inner)
-            q = ps_fact(outer.source, SENTIMENT, outer.polarity, inner)
-            bindings.append(
-                Binding("rule5source", [outer], [assumption], [q],
-                        fire_key=("rule5source", outer.node_id))
-            )
-    return bindings
-
-
-def _match_rule5agent(g: Graph, cfg: Config):
-    bindings = []
-    for outer in _live_private_states(g, SENTIMENT):
-        if not outer.from_input:
-            continue
-        agent = outer.target
-        if agent.node_type != ANIM:
-            continue
-        for event in _live(g, GFBF):
-            if not event.from_input or event.agent is not agent:
-                continue
-            q = ps_fact(outer.source, SENTIMENT, outer.polarity, event)
-            bindings.append(
-                Binding("rule5agent", [outer], [q], [q],
-                        fire_key=("rule5agent", outer.node_id))
-            )
+        q = ps_fact(outer.source, SENTIMENT, outer.polarity, event)
+        bindings.append(
+            Binding("rule5agent", [outer], [q], [q],
+                    fire_key=("rule5agent", outer.node_id))
+        )
     return bindings
 
 
 RULES: dict[str, Rule] = {
-    "rule8": Rule("rule8", _match_rule8),
-    "rule1": Rule("rule1", _match_rule1),
-    "rule2": Rule("rule2", _match_rule2),
-    "rule3.1": Rule("rule3.1", _match_rule31),
-    "rule3.2": Rule("rule3.2", _match_rule32),
-    "rule3.3": Rule("rule3.3", _match_rule33),
-    "rule4": Rule("rule4", _match_rule4),
-    "rule6": Rule("rule6", _match_rule6),
-    "rule7": Rule("rule7", _match_rule7),
-    "rule9": Rule("rule9", _match_rule9),
-    "rule10": Rule("rule10", _match_rule10),
-    "rule5source": Rule("rule5source", _match_rule5source, fire_once=True),
-    "rule5agent": Rule("rule5agent", _match_rule5agent, fire_once=True),
+    "rule8": Rule("rule8", _match_rule8, att_type=BELIEVES_TRUE, join=_rule8_pairs),
+    "rule1": Rule("rule1", _match_rule1, att_type=SENTIMENT),
+    "rule2": Rule("rule2", _match_rule2, att_type=SENTIMENT),
+    "rule3.1": Rule("rule3.1", _match_rule31, att_type=SENTIMENT),
+    "rule3.2": Rule("rule3.2", _match_rule32, att_type=SENTIMENT),
+    "rule3.3": Rule("rule3.3", _match_rule33, att_type=SENTIMENT),
+    "rule4": Rule("rule4", _match_rule4, node_type=AGREEMENT),
+    "rule6": Rule("rule6", _match_rule6, node_type=GFBF),
+    "rule7": Rule("rule7", _match_rule7, att_type=INTENDS),
+    "rule9": Rule("rule9", _match_rule9, att_type=SENTIMENT),
+    "rule10": Rule("rule10", _match_rule10, node_type=GFBF),
+    "rule5source": Rule("rule5source", _match_rule5source, att_type=SENTIMENT, fire_once=True),
+    "rule5agent": Rule("rule5agent", _match_rule5agent, att_type=SENTIMENT, fire_once=True),
 }
 
 
+def _outers(rule: Rule, g: Graph, nodes):
+    """The outer nodes (or pairs) a rule matches from, among nodes of its type."""
+    live = _live(nodes, rule.att_type)
+    return live if rule.join is None else rule.join(g, live)
+
+
 def match(rule: Rule, g: Graph, cfg: Config | None = None) -> list[Binding]:
-    return rule.matcher(g, cfg or Config())
+    """Every binding of a rule on the whole graph, outer node by outer node.
+
+    No rule reads ``cfg``; it is accepted so callers can pass their run's.
+    """
+    nodes = g.nodes_by_type.get(rule.node_type, ())
+    return [b for outer in _outers(rule, g, nodes) for b in rule.matcher(g, outer)]
 
 
 # -- assumption bases and evidence blocking ----------------------------------
@@ -439,6 +432,7 @@ class FireOutcome:
     existing: list[Node] = field(default_factory=list)
     assumptions: list[Node] = field(default_factory=list)
     blocks: list[BlockReport] = field(default_factory=list)
+    touched: list[Node] = field(default_factory=list)  # ExtensionOutcome.touched
 
 
 class EngineState:
@@ -485,6 +479,7 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
         existing=extension.existing,
         assumptions=[n for n in assumed if n is not None],
         blocks=blocks,
+        touched=extension.touched,
     )
     _log(g, state, rule, binding, iteration, outcome)
     return outcome
@@ -556,42 +551,96 @@ def _input_stamp(g: Graph, ps: list[Node]) -> tuple:
     )
 
 
+class _Bindings:
+    """One rule's bindings over one fixpoint run, each built once.
+
+    Inside the fixpoint no node is retired, ``from_input`` and the layout do
+    not move, and no gfbf is created, so the bindings of an outer node depend
+    on that node alone.  ``current`` matches only the nodes of the rule's type
+    added since its last call and appends their bindings, which keeps the
+    list in ``match``'s order.  A joining rule (rule8) pairs two growing sets,
+    so it is re-matched on every call, each pair reusing the bindings built
+    for it.
+    """
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.bindings: list[Binding] = []
+        self.matched = 0  # nodes of the rule's type matched so far
+        self.by_pair: dict[tuple, list[Binding]] = {}
+
+    def current(self, g: Graph) -> list[Binding]:
+        rule = self.rule
+        nodes = g.nodes_by_type.get(rule.node_type, ())
+        if rule.join is not None:
+            bindings = []
+            for pair in _outers(rule, g, nodes):
+                built = self.by_pair.get(pair)
+                if built is None:
+                    built = self.by_pair[pair] = rule.matcher(g, pair)
+                bindings += built
+            return bindings
+        for outer in _outers(rule, g, nodes[self.matched:]):
+            self.bindings += rule.matcher(g, outer)
+        self.matched = len(nodes)
+        return self.bindings
+
+
 def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     """Apply the rules in order, pass after pass, until a pass adds no node.
 
-    Semi-naive: a binding whose last fire created nothing and reported no
-    unsettled block is settled, and is not fired again while its input stamp
-    is what it was before that fire.  Such a fire would place nothing and log
-    an event signature already logged; accepted spaces stay accepted, because
-    no space may hold both polarities of a member.  The stamp is taken before
-    the fire because a fire can make an existing chain node a root, and so
-    change its own preconditions' spaces.  Every binding is still matched in
-    order, so the trace is the naive loop's, event for event.
+    At each rule's turn the loop walks the bindings ``match`` would return,
+    in its order, but builds each binding once per run (``_Bindings``).  A
+    binding is then fired, skipped, or has its last fire's confirmation
+    replayed, so the trace is the naive loop's, event for event:
+
+    - Settled: a fire that created nothing and reported no unsettled block
+      stamps the binding with its input stamp taken before that fire.  While
+      the stamp is unchanged the binding is skipped: a fire would place
+      nothing and log an event signature already logged; accepted spaces stay
+      accepted, because no space may hold both polarities of a member.  The
+      stamp is taken before the fire because a fire can make an existing
+      chain node a root, and so change its own preconditions' spaces.
+    - Replayed: a fire that created nodes and reported no block placed into
+      every candidate space; it keeps its stamp, its touched nodes and its
+      assumption nodes.  Stamps only grow, so if the stamp is unchanged at
+      the next visit, neither that fire nor a later one changed what the
+      binding's next fire depends on: it would find every addition placed
+      in the same spaces (``placed_tops``) and log the touched nodes as
+      existing.  The loop logs that event itself and settles the binding.
     """
     cfg = cfg or Config()
     state = EngineState()
     rules = [RULES[name] for name in cfg.rule_order]
-    settled: dict[tuple, tuple] = {}  # binding -> input stamp before its last fire
+    matched = {rule.name: _Bindings(rule) for rule in rules}
     iterations = 0
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
         before = len(g.nodes)
         for rule in rules:
-            for binding in match(rule, g, cfg):
-                if rule.fire_once and cfg.fire_once and binding.fire_key in state.consumed:
+            once = rule.fire_once and cfg.fire_once
+            for binding in matched[rule.name].current(g):
+                if once and binding.fire_key in state.consumed:
                     continue
-                key = (rule.name, binding.fire_key, tuple(binding.ps),
-                       tuple(binding.assumptions), tuple(binding.conclusions))
                 stamp = _input_stamp(g, binding.ps)
-                if settled.get(key) == stamp:
+                if binding.settled == stamp:
+                    continue
+                replay, binding.replay = binding.replay, None
+                if replay is not None and replay[0] == stamp:
+                    _, touched, assumed = replay
+                    _log(g, state, rule, binding, iteration,
+                         FireOutcome(True, existing=touched, assumptions=assumed))
+                    binding.settled = stamp
                     continue
                 outcome = fire(rule, binding, g, cfg, state, iteration)
-                if outcome.fired and rule.fire_once and cfg.fire_once:
+                if outcome.fired and once:
                     state.consumed.add(binding.fire_key)
+                if outcome.created and not outcome.blocks:
+                    binding.replay = (stamp, outcome.touched, outcome.assumptions)
                 if outcome.created or any(b.cause in _UNSETTLED_CAUSES for b in outcome.blocks):
-                    settled.pop(key, None)
+                    binding.settled = None
                 else:
-                    settled[key] = stamp
+                    binding.settled = stamp
         if cfg.extended_belief_spaces:
             _expected_space_closure(g)
         if len(g.nodes) == before:

@@ -334,6 +334,9 @@ class ExtensionOutcome:
     created: list[Node] = field(default_factory=list)
     existing: list[Node] = field(default_factory=list)
     blocked: list[tuple[tuple[Step, ...], str, str]] = field(default_factory=list)
+    # What a re-fire would record as existing: the bare additions, then each
+    # accepted space's tops, de-duplicated.
+    touched: list[Node] = field(default_factory=list)
 
 
 def _order_key(steps: tuple[Step, ...], index: SpaceIndex) -> tuple:
@@ -464,14 +467,18 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
         record(node, False)
         bare.append(node)
 
+    placed: list[Node] = []
     for steps, is_variant, tops in accepted:
         if tops is not None:
             for top in tops:
                 record(top, False)
+            placed += tops
             continue
         for node in (bare + variant_ps) if is_variant else bare:
             top, wrappers = place(g, node, steps)
             for w in wrappers:
                 record(w, True)
             record(top, False)
+            placed.append(top)
+    outcome.touched = list(dict.fromkeys(bare + placed))
     return outcome
