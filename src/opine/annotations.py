@@ -17,7 +17,7 @@ believesTrue line: ``Prop1 p(B2,substantial)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import (
     DanglingReference,
@@ -55,8 +55,7 @@ _ENTITY_LEX_RE = re.compile(r"^(?P<name>.*?)\s*\((?P<key>[^()]+):lexEntry\)$")
 _ID_LIKE_RE = re.compile(r"^(E|S|B|I|V|Prop)\d+$")
 
 
-@dataclass(frozen=True)
-class EntityRef:
+class EntityRef(NamedTuple):
     """A surface-string entity mention, with inanimacy and lexicon-key flags."""
 
     name: str
@@ -64,8 +63,7 @@ class EntityRef:
     lex_key: str | None = None
 
 
-@dataclass
-class AnnotationLine:
+class AnnotationLine(NamedTuple):
     line_id: str
     kind: str
     source: EntityRef | None  # agent for gfbf/influencer; None for evidence "none" and prop
@@ -78,10 +76,20 @@ class AnnotationLine:
     lineno: int = 0
 
 
-@dataclass
 class SentenceAnnotation:
-    text: str
-    lines: list[AnnotationLine] = field(default_factory=list)
+    __slots__ = ("text", "lines")
+
+    def __init__(self, text: str, lines: list[AnnotationLine] | None = None):
+        self.text = text
+        self.lines = [] if lines is None else lines
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.text == other.text and self.lines == other.lines
+
+    def __repr__(self):
+        return f"SentenceAnnotation(text={self.text!r}, lines={self.lines!r})"
 
     def line(self, line_id: str) -> AnnotationLine:
         for ln in self.lines:
@@ -90,10 +98,21 @@ class SentenceAnnotation:
         raise KeyError(line_id)
 
 
-@dataclass
 class AnnotationDoc:
-    sentences: list[SentenceAnnotation] = field(default_factory=list)
-    source_name: str = "<input>"
+    __slots__ = ("sentences", "source_name")
+
+    def __init__(self, sentences: list[SentenceAnnotation] | None = None,
+                 source_name: str = "<input>"):
+        self.sentences = [] if sentences is None else sentences
+        self.source_name = source_name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sentences == other.sentences and self.source_name == other.source_name
+
+    def __repr__(self):
+        return f"AnnotationDoc(sentences={self.sentences!r}, source_name={self.source_name!r})"
 
     def with_polarity(self, line_id: str, polarity: str) -> "AnnotationDoc":
         """Return a copy of the document with one line's polarity replaced."""
@@ -107,7 +126,7 @@ class AnnotationDoc:
                 if ln.line_id == line_id:
                     if ln.polarity is None:
                         raise ValueError(f"line {line_id} carries no polarity")
-                    ln = replace(ln, polarity=polarity)
+                    ln = ln._replace(polarity=polarity)
                     found = True
                 lines.append(ln)
             sentences.append(SentenceAnnotation(sent.text, lines))
@@ -365,17 +384,20 @@ def render_document(doc: AnnotationDoc) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-@dataclass(frozen=True)
-class GfbfEntry:
+class GfbfEntry(NamedTuple):
     effect: str
     role2_effect: str | None = None
 
 
-@dataclass
 class Lexicon:
-    connotation: dict[str, str] = field(default_factory=dict)
-    gfbf_entries: dict[str, GfbfEntry] = field(default_factory=dict)
-    influencers: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("connotation", "gfbf_entries", "influencers")
+
+    def __init__(self, connotation: dict[str, str] | None = None,
+                 gfbf_entries: dict[str, GfbfEntry] | None = None,
+                 influencers: dict[str, str] | None = None):
+        self.connotation = {} if connotation is None else connotation
+        self.gfbf_entries = {} if gfbf_entries is None else gfbf_entries
+        self.influencers = {} if influencers is None else influencers
 
 
 def parse_lexicon(text: str, filename: str = "<lexicon>") -> Lexicon:

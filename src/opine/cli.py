@@ -53,6 +53,8 @@ def _config_from_args(args) -> Config:
         unknown = [name for name in order if name not in RULES]
         if unknown:
             raise ValueError(f"unknown rule names: {', '.join(unknown)}")
+    if args.max_iterations < 1:
+        raise ValueError(f"--max-iterations must be at least 1, got {args.max_iterations}")
     return Config(
         rule_order=order,
         fire_once=args.fire_once,
@@ -110,7 +112,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OpineError as exc:

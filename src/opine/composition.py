@@ -9,7 +9,7 @@ nodes stay in the graph for display but no rule matches them afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .annotations import Lexicon
 from .errors import CyclicChain
@@ -26,8 +26,7 @@ from .graph import (
 )
 
 
-@dataclass
-class InfluencerChain:
+class InfluencerChain(NamedTuple):
     links: list[Node]  # outermost influencer first
     terminal: Node     # the gfbf the chain bottoms out in
 
@@ -42,11 +41,15 @@ class InfluencerChain:
         return effect
 
 
-@dataclass
 class CompositionResult:
-    new_gfbfs: list[Node] = field(default_factory=list)
-    new_evidence: list[EvidenceFact] = field(default_factory=list)
-    chains: list[InfluencerChain] = field(default_factory=list)
+    __slots__ = ("new_gfbfs", "new_evidence", "chains")
+
+    def __init__(self, new_gfbfs: list[Node] | None = None,
+                 new_evidence: list[EvidenceFact] | None = None,
+                 chains: list[InfluencerChain] | None = None):
+        self.new_gfbfs = [] if new_gfbfs is None else new_gfbfs
+        self.new_evidence = [] if new_evidence is None else new_evidence
+        self.chains = [] if chains is None else chains
 
 
 def _find_chains(g: Graph) -> list[InfluencerChain]:

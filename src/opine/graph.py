@@ -13,7 +13,6 @@ identity; structurally equal nodes are the same object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -227,7 +226,6 @@ def structural_signature(node: Node) -> Fact:
                   tuple(node.children.items())))
 
 
-@dataclass
 class EvidenceFact:
     """Out-of-space blocker: an attitude the context rules out.
 
@@ -235,18 +233,23 @@ class EvidenceFact:
     their assumptions and conclusions.
     """
 
-    fact_id: int
-    att_type: str
-    polarity: str
-    target: Node
-    holder: str | None = None
-    property: str | None = None
-    from_input: bool = False
-    retired: bool = False
+    __slots__ = ("fact_id", "att_type", "polarity", "target", "holder", "property",
+                 "from_input", "retired")
+
+    def __init__(self, fact_id: int, att_type: str, polarity: str, target: Node,
+                 holder: str | None = None, property: str | None = None,
+                 from_input: bool = False, retired: bool = False):
+        self.fact_id = fact_id
+        self.att_type = att_type
+        self.polarity = polarity
+        self.target = target
+        self.holder = holder
+        self.property = property
+        self.from_input = from_input
+        self.retired = retired
 
 
-@dataclass
-class BlockReport:
+class BlockReport(NamedTuple):
     rule: str
     binding: tuple[int, ...]
     cause: str  # evidence | space-contradiction | negative-belief-path | no-assumption-basis
@@ -254,16 +257,24 @@ class BlockReport:
     space: tuple | None = None
 
 
-@dataclass
 class TraceEvent:
-    kind: str  # "fire" or "composition"
-    rule: str
-    iteration: int
-    preconditions: list[int] = field(default_factory=list)
-    assumptions: list[int] = field(default_factory=list)
-    created: list[int] = field(default_factory=list)
-    existing: list[int] = field(default_factory=list)
-    blocks: list[BlockReport] = field(default_factory=list)
+    __slots__ = ("kind", "rule", "iteration", "preconditions", "assumptions", "created",
+                 "existing", "blocks")
+
+    def __init__(self, kind: str, rule: str, iteration: int,
+                 preconditions: list[int] | None = None,
+                 assumptions: list[int] | None = None,
+                 created: list[int] | None = None,
+                 existing: list[int] | None = None,
+                 blocks: list[BlockReport] | None = None):
+        self.kind = kind  # "fire" or "composition"
+        self.rule = rule
+        self.iteration = iteration
+        self.preconditions = [] if preconditions is None else preconditions
+        self.assumptions = [] if assumptions is None else assumptions
+        self.created = [] if created is None else created
+        self.existing = [] if existing is None else existing
+        self.blocks = [] if blocks is None else blocks
 
 
 class IdAllocator:

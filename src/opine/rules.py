@@ -17,9 +17,8 @@ than firing the binding again (``run_to_fixpoint``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .annotations import AnnotationDoc, Lexicon, SentenceAnnotation, WRITER
 from .composition import run_composition
@@ -92,34 +91,49 @@ DEFAULT_RULE_ORDER = (
 _JUDGEABLE = (ANIM, THING, IDEA_OF, AGREEMENT, PRIVATE_STATE)
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     rule_order: tuple[str, ...] = DEFAULT_RULE_ORDER
     fire_once: bool = True
     extended_belief_spaces: bool = False
     max_iterations: int = 50
 
 
-@dataclass
 class Binding:
-    rule: str
-    ps: list[Node]
-    assumptions: list[Fact]
-    conclusions: list[Fact]
-    fire_key: tuple = ()
-    # Fixpoint state (see run_to_fixpoint): the input stamp taken before a
-    # fire that settled the binding, and (stamp, touched, assumption nodes)
-    # of a productive fire that reported no block, to replay its confirmation.
-    settled: tuple | None = field(default=None, compare=False, repr=False)
-    replay: tuple | None = field(default=None, compare=False, repr=False)
+    """One match of a rule: its preconditions, assumptions and conclusions.
 
-    def __post_init__(self):
-        if not self.fire_key:
-            self.fire_key = (self.rule, tuple(p.node_id for p in self.ps))
+    Two bindings are equal when their rule, ps, assumptions, conclusions and
+    fire_key are; the fixpoint state is not compared.
+    """
+
+    __slots__ = ("rule", "ps", "assumptions", "conclusions", "fire_key", "settled", "replay")
+
+    def __init__(self, rule: str, ps: list[Node], assumptions: list[Fact],
+                 conclusions: list[Fact], fire_key: tuple = ()):
+        self.rule = rule
+        self.ps = ps
+        self.assumptions = assumptions
+        self.conclusions = conclusions
+        self.fire_key = fire_key or (rule, tuple(p.node_id for p in ps))
+        # Fixpoint state (see run_to_fixpoint): the input stamp taken before a
+        # fire that settled the binding, and (stamp, touched, assumption nodes)
+        # of a productive fire that reported no block, to replay its confirmation.
+        self.settled = None
+        self.replay = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rule == other.rule and self.ps == other.ps
+                and self.assumptions == other.assumptions
+                and self.conclusions == other.conclusions
+                and self.fire_key == other.fire_key)
+
+    def __repr__(self):
+        return (f"Binding(rule={self.rule!r}, ps={self.ps!r}, assumptions={self.assumptions!r},"
+                f" conclusions={self.conclusions!r}, fire_key={self.fire_key!r})")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     name: str
     matcher: Callable  # (g, outer) -> the bindings of one outer node
     node_type: str = PRIVATE_STATE  # the outer nodes' type
@@ -357,11 +371,8 @@ def _outers(rule: Rule, g: Graph, nodes):
     return live if rule.join is None else rule.join(g, live)
 
 
-def match(rule: Rule, g: Graph, cfg: Config | None = None) -> list[Binding]:
-    """Every binding of a rule on the whole graph, outer node by outer node.
-
-    No rule reads ``cfg``; it is accepted so callers can pass their run's.
-    """
+def match(rule: Rule, g: Graph) -> list[Binding]:
+    """Every binding of a rule on the whole graph, outer node by outer node."""
     nodes = g.nodes_by_type.get(rule.node_type, ())
     return [b for outer in _outers(rule, g, nodes) for b in rule.matcher(g, outer)]
 
@@ -425,14 +436,20 @@ def blocked_by_evidence(g: Graph, fact: Fact) -> EvidenceFact | None:
 
 # -- firing -------------------------------------------------------------------
 
-@dataclass
 class FireOutcome:
-    fired: bool
-    created: list[Node] = field(default_factory=list)
-    existing: list[Node] = field(default_factory=list)
-    assumptions: list[Node] = field(default_factory=list)
-    blocks: list[BlockReport] = field(default_factory=list)
-    touched: list[Node] = field(default_factory=list)  # ExtensionOutcome.touched
+    __slots__ = ("fired", "created", "existing", "assumptions", "blocks", "touched")
+
+    def __init__(self, fired: bool, created: list[Node] | None = None,
+                 existing: list[Node] | None = None,
+                 assumptions: list[Node] | None = None,
+                 blocks: list[BlockReport] | None = None,
+                 touched: list[Node] | None = None):
+        self.fired = fired
+        self.created = [] if created is None else created
+        self.existing = [] if existing is None else existing
+        self.assumptions = [] if assumptions is None else assumptions
+        self.blocks = [] if blocks is None else blocks
+        self.touched = [] if touched is None else touched  # ExtensionOutcome.touched
 
 
 class EngineState:
@@ -518,8 +535,7 @@ def _log(g: Graph, state: EngineState, rule: Rule, binding: Binding,
 
 # -- control ------------------------------------------------------------------
 
-@dataclass
-class InferenceResult:
+class InferenceResult(NamedTuple):
     graph: Graph
     iterations: int
 

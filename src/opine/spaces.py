@@ -8,8 +8,6 @@ those steps.  Two chains with the same step list are the same space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import NoCommonSpace
 from .graph import (
     AGREEMENT,
@@ -55,14 +53,20 @@ def _add_to_table(table: dict[ClashKey, dict[str, Node]], node: Node) -> None:
         table.setdefault(key, {}).setdefault(node.polarity, node)
 
 
-@dataclass
 class SpaceInstance:
-    steps: tuple[Step, ...]
-    paths: list[tuple[Node, ...]] = field(default_factory=list)  # chain node sequences
-    members: dict[int, Node] = field(default_factory=dict)  # by node id, in insertion order
-    clash: dict[ClashKey, dict[str, Node]] = field(default_factory=dict)  # {polarity: first}
-    first_root: int = 0  # smallest root id among the paths
-    closure_seen: int = 0  # members the expected-space closure has visited
+    __slots__ = ("steps", "paths", "members", "clash", "first_root", "closure_seen")
+
+    def __init__(self, steps: tuple[Step, ...],
+                 paths: list[tuple[Node, ...]] | None = None,
+                 members: dict[int, Node] | None = None,
+                 clash: dict[ClashKey, dict[str, Node]] | None = None,
+                 first_root: int = 0, closure_seen: int = 0):
+        self.steps = steps
+        self.paths = [] if paths is None else paths  # chain node sequences
+        self.members = {} if members is None else members  # by node id, in insertion order
+        self.clash = {} if clash is None else clash  # {polarity: first}
+        self.first_root = first_root  # smallest root id among the paths
+        self.closure_seen = closure_seen  # members the expected-space closure has visited
 
     def add_path(self, path: tuple[Node, ...]) -> bool:
         """Add a chain; True when it moves the first_root of a known space."""
@@ -328,15 +332,20 @@ def first_clash(g: Graph) -> tuple[tuple[Step, ...], Node, Node] | None:
     return None
 
 
-@dataclass
 class ExtensionOutcome:
-    fired: bool
-    created: list[Node] = field(default_factory=list)
-    existing: list[Node] = field(default_factory=list)
-    blocked: list[tuple[tuple[Step, ...], str, str]] = field(default_factory=list)
-    # What a re-fire would record as existing: the bare additions, then each
-    # accepted space's tops, de-duplicated.
-    touched: list[Node] = field(default_factory=list)
+    __slots__ = ("fired", "created", "existing", "blocked", "touched")
+
+    def __init__(self, fired: bool, created: list[Node] | None = None,
+                 existing: list[Node] | None = None,
+                 blocked: list[tuple[tuple[Step, ...], str, str]] | None = None,
+                 touched: list[Node] | None = None):
+        self.fired = fired
+        self.created = [] if created is None else created
+        self.existing = [] if existing is None else existing
+        self.blocked = [] if blocked is None else blocked
+        # What a re-fire would record as existing: the bare additions, then
+        # each accepted space's tops, de-duplicated.
+        self.touched = [] if touched is None else touched
 
 
 def _order_key(steps: tuple[Step, ...], index: SpaceIndex) -> tuple:

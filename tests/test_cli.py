@@ -144,6 +144,36 @@ def test_max_iterations_flag(capsys):
     assert "internal error" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_max_iterations_below_one_is_an_error(capsys, cap):
+    code, out, err = run_cli(
+        capsys, "--input", CORPUS / "taxes.ann", "--max-iterations", cap
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: --max-iterations must be at least 1, got {cap}\n"
+
+
+def test_unreadable_input_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.ann"
+    code, out, err = run_cli(capsys, "--input", missing)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_unreadable_lexicon_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.lex"
+    code, out, err = run_cli(capsys, "--input", CORPUS / "moveon.ann", "--lexicon", missing)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_unwritable_json_path_is_an_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out.json"
+    code, _, err = run_cli(capsys, "--input", CORPUS / "moveon.ann", "--json", target)
+    assert code == 1 and not target.exists()
+    assert err.startswith("error: ") and str(target) in err
+
+
 def test_rule_order_cannot_place_precondition_next_to_its_opposite(tmp_path, capsys):
     # Rule 2 fires on S19 in [writer +S], whose belief variant [writer +B]
     # already holds the opposite sentiment placed there by rule 3.1.  The

@@ -1,10 +1,22 @@
-"""The engine has no runtime dependencies beyond the standard library."""
+"""The engine has no runtime dependencies beyond the standard library, and
+importing it loads neither dataclasses nor inspect."""
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "opine").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "opine").glob("*.py"))
+
+_IMPORT_CHILD = """\
+import json, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import opine
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -31,3 +43,16 @@ def test_the_check_sees_a_foreign_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os.path\nfrom . import x\ndef f():\n    from numpy import array\n")
     assert imported_modules(module) - sys.stdlib_module_names == {"numpy"}
+
+
+def test_importing_opine_loads_no_dataclasses_or_inspect():
+    """Record types are written in the source: ``@dataclass`` would load
+    dataclasses, inspect and ten more modules, and compile each class's
+    methods from source text at every import."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _IMPORT_CHILD, str(SRC)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = json.loads(proc.stdout)
+    assert "opine" in added
+    assert not {"dataclasses", "inspect"} & set(added), added

@@ -167,7 +167,7 @@ def naive_run_to_fixpoint(g, cfg=None):
         iterations = iteration
         before = len(g.nodes)
         for rule in order:
-            for binding in rules.match(rule, g, cfg):
+            for binding in rules.match(rule, g):
                 if rule.fire_once and cfg.fire_once and binding.fire_key in state.consumed:
                     continue
                 outcome = rules.fire(rule, binding, g, cfg, state, iteration)
@@ -256,7 +256,7 @@ def test_fixpoint_walks_the_bindings_match_returns(lexicon, corpus_files, monkey
     def checked_current(self, g):
         walked = current(self, g)
         # Binding equality is rule, ps, assumptions, conclusions and fire_key.
-        assert walked == rules.match(self.rule, g, cfg), self.rule.name
+        assert walked == rules.match(self.rule, g), self.rule.name
         if g is not run["graph"]:
             run["graph"], run["first"] = g, {}
         for binding in walked:
