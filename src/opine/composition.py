@@ -44,12 +44,10 @@ class InfluencerChain(NamedTuple):
 class CompositionResult:
     __slots__ = ("new_gfbfs", "new_evidence", "chains")
 
-    def __init__(self, new_gfbfs: list[Node] | None = None,
-                 new_evidence: list[EvidenceFact] | None = None,
-                 chains: list[InfluencerChain] | None = None):
-        self.new_gfbfs = [] if new_gfbfs is None else new_gfbfs
-        self.new_evidence = [] if new_evidence is None else new_evidence
-        self.chains = [] if chains is None else chains
+    def __init__(self, chains: list[InfluencerChain]):
+        self.new_gfbfs: list[Node] = []
+        self.new_evidence: list[EvidenceFact] = []
+        self.chains = chains
 
 
 def _find_chains(g: Graph) -> list[InfluencerChain]:

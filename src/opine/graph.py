@@ -305,7 +305,7 @@ class Graph:
         self.gfbf_lex_keys: dict[int, str] = {}
         self.pending_role2: list[tuple[Node, str]] = []
         self.input_lines: dict[int, AnnotationLine] = {}  # node id -> line it stands for
-        self.layout_version = 0  # bumped when an existing node gains a child
+        self._space_index = None  # spaces.space_index's cache; dropped when a node changes
         self._interned: dict[Fact, Node] = {}
         self._root_set: set[Node] = set()
         self._top_set: set[Node] = set()
@@ -410,7 +410,7 @@ class Graph:
             raise IllFormedNode("second-role expansion collides with an existing node")
         del self._interned[old_key]
         self._interned[new_key] = event
-        self.layout_version += 1
+        self._space_index = None
         return event
 
     def idea_of(self, event: Node) -> Node:

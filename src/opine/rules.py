@@ -105,7 +105,7 @@ class Binding:
     fire_key are; the fixpoint state is not compared.
     """
 
-    __slots__ = ("rule", "ps", "assumptions", "conclusions", "fire_key", "settled", "replay")
+    __slots__ = ("rule", "ps", "assumptions", "conclusions", "fire_key", "memo")
 
     def __init__(self, rule: str, ps: list[Node], assumptions: list[Fact],
                  conclusions: list[Fact], fire_key: tuple = ()):
@@ -114,11 +114,11 @@ class Binding:
         self.assumptions = assumptions
         self.conclusions = conclusions
         self.fire_key = fire_key or (rule, tuple(p.node_id for p in ps))
-        # Fixpoint state (see run_to_fixpoint): the input stamp taken before a
-        # fire that settled the binding, and (stamp, touched, assumption nodes)
-        # of a productive fire that reported no block, to replay its confirmation.
-        self.settled = None
-        self.replay = None
+        # Fixpoint state (see run_to_fixpoint): (stamp, confirmation), the
+        # input stamp taken before the last fire and, when that fire was
+        # productive and reported no block, the (touched, assumption nodes)
+        # to replay; None as the confirmation when that fire settled it.
+        self.memo = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -556,12 +556,11 @@ def _input_stamp(g: Graph, ps: list[Node]) -> tuple:
     """What a settled binding's next fire depends on that can still change.
 
     Each precondition's spaces (memberships only grow, so a count tells) and
-    whether it is writer-level, the order of the spaces (first_root moves),
-    and the layout.  Evidence is fixed after composition.
+    whether it is writer-level, and the order of the spaces (first_root
+    moves).  Evidence and the layout are fixed after composition.
     """
     index = space_index(g)
     return (
-        g.layout_version,
         index.first_root_moves,
         tuple((len(index.memberships.get(p.node_id, ())), g.is_writer_level(p)) for p in ps),
     )
@@ -608,22 +607,28 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     At each rule's turn the loop walks the bindings ``match`` would return,
     in its order, but builds each binding once per run (``_Bindings``).  A
     binding is then fired, skipped, or has its last fire's confirmation
-    replayed, so the trace is the naive loop's, event for event:
+    replayed, so the trace is the naive loop's, event for event.
+
+    Each binding keeps one memo, ``(stamp, confirmation)``: the input stamp
+    taken before its last fire, and what to replay of that fire or None.
+    The stamp is taken before the fire because a fire can make an existing
+    chain node a root, and so change its own preconditions' spaces.  Every
+    placement is checked against the index as it stands (``extend_spaces``),
+    so no space ever holds both polarities of a member, and an addition
+    already placed in a space never clashes there.  So:
 
     - Settled: a fire that created nothing and reported no unsettled block
-      stamps the binding with its input stamp taken before that fire.  While
-      the stamp is unchanged the binding is skipped: a fire would place
-      nothing and log an event signature already logged; accepted spaces stay
-      accepted, because no space may hold both polarities of a member.  The
-      stamp is taken before the fire because a fire can make an existing
-      chain node a root, and so change its own preconditions' spaces.
+      leaves no confirmation.  While the stamp is unchanged the binding is
+      skipped: a fire would place nothing and log an event signature
+      already logged, and its accepted spaces stay accepted.
     - Replayed: a fire that created nodes and reported no block placed into
-      every candidate space; it keeps its stamp, its touched nodes and its
+      every candidate space; its confirmation is its touched nodes and its
       assumption nodes.  Stamps only grow, so if the stamp is unchanged at
-      the next visit, neither that fire nor a later one changed what the
-      binding's next fire depends on: it would find every addition placed
-      in the same spaces (``placed_tops``) and log the touched nodes as
-      existing.  The loop logs that event itself and settles the binding.
+      the next visit, neither that fire nor a later one changed the
+      binding's candidate spaces or their order.  A fire would check every
+      addition where it is placed already, find no clash, create nothing
+      and log the touched nodes as existing.  The loop logs that event
+      itself and settles the binding.
     """
     cfg = cfg or Config()
     state = EngineState()
@@ -639,24 +644,23 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
                 if once and binding.fire_key in state.consumed:
                     continue
                 stamp = _input_stamp(g, binding.ps)
-                if binding.settled == stamp:
-                    continue
-                replay, binding.replay = binding.replay, None
-                if replay is not None and replay[0] == stamp:
-                    _, touched, assumed = replay
-                    _log(g, state, rule, binding, iteration,
-                         FireOutcome(True, existing=touched, assumptions=assumed))
-                    binding.settled = stamp
+                memo = binding.memo
+                if memo is not None and memo[0] == stamp:
+                    if memo[1] is not None:
+                        touched, assumed = memo[1]
+                        _log(g, state, rule, binding, iteration,
+                             FireOutcome(True, existing=touched, assumptions=assumed))
+                        binding.memo = (stamp, None)
                     continue
                 outcome = fire(rule, binding, g, cfg, state, iteration)
                 if outcome.fired and once:
                     state.consumed.add(binding.fire_key)
                 if outcome.created and not outcome.blocks:
-                    binding.replay = (stamp, outcome.touched, outcome.assumptions)
-                if outcome.created or any(b.cause in _UNSETTLED_CAUSES for b in outcome.blocks):
-                    binding.settled = None
+                    binding.memo = (stamp, (outcome.touched, outcome.assumptions))
+                elif outcome.created or any(b.cause in _UNSETTLED_CAUSES for b in outcome.blocks):
+                    binding.memo = None
                 else:
-                    binding.settled = stamp
+                    binding.memo = (stamp, None)
         if cfg.extended_belief_spaces:
             _expected_space_closure(g)
         if len(g.nodes) == before:

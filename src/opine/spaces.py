@@ -56,17 +56,13 @@ def _add_to_table(table: dict[ClashKey, dict[str, Node]], node: Node) -> None:
 class SpaceInstance:
     __slots__ = ("steps", "paths", "members", "clash", "first_root", "closure_seen")
 
-    def __init__(self, steps: tuple[Step, ...],
-                 paths: list[tuple[Node, ...]] | None = None,
-                 members: dict[int, Node] | None = None,
-                 clash: dict[ClashKey, dict[str, Node]] | None = None,
-                 first_root: int = 0, closure_seen: int = 0):
+    def __init__(self, steps: tuple[Step, ...]):
         self.steps = steps
-        self.paths = [] if paths is None else paths  # chain node sequences
-        self.members = {} if members is None else members  # by node id, in insertion order
-        self.clash = {} if clash is None else clash  # {polarity: first}
-        self.first_root = first_root  # smallest root id among the paths
-        self.closure_seen = closure_seen  # members the expected-space closure has visited
+        self.paths: list[tuple[Node, ...]] = []  # chain node sequences
+        self.members: dict[int, Node] = {}  # by node id, in insertion order
+        self.clash: dict[ClashKey, dict[str, Node]] = {}  # {polarity: first}
+        self.first_root = 0  # smallest root id among the paths
+        self.closure_seen = 0  # members the expected-space closure has visited
 
     def add_path(self, path: tuple[Node, ...]) -> bool:
         """Add a chain; True when it moves the first_root of a known space."""
@@ -92,21 +88,20 @@ class SpaceIndex:
     chain below a root is fixed once the root exists: only ``Graph.add_root``
     adds chains, and ``update`` walks just the roots (and top-level facts)
     added since the last call.  ``Graph.attach_role2`` changes a node that
-    may already be a member, so it bumps ``g.layout_version`` and
-    ``space_index`` then builds a new index from scratch.
+    may already be a member, so it drops the graph's cached index and
+    ``space_index`` then builds a new one from scratch.
 
-    The writer level (EPSILON) has two clash tables: one for roots and one
-    for top-level facts, probed in that order.  ``first_root_moves`` counts
-    the times a known space's first_root went down, which changes the order
-    ``extend_spaces`` visits spaces in.
+    Each space has one clash table of its members; the writer level's
+    (EPSILON) holds the roots and the top-level facts.  Their keys do not
+    meet, since a root is a writer chain node and a top-level fact is not.
+    ``first_root_moves`` counts the times a known space's first_root went
+    down, which changes the order ``extend_spaces`` visits spaces in.
     """
 
     def __init__(self, g: Graph):
-        self.layout_version = g.layout_version
         self.spaces: dict[tuple[Step, ...], SpaceInstance] = {}
         self.memberships: dict[int, dict[tuple[Step, ...], tuple[Node, ...]]] = {}
-        self.root_clash: dict[ClashKey, dict[str, Node]] = {}
-        self.top_clash: dict[ClashKey, dict[str, Node]] = {}
+        self.writer_clash: dict[ClashKey, dict[str, Node]] = {}
         self.roots_seen = 0
         self.top_seen = 0
         self.first_root_moves = 0
@@ -116,12 +111,12 @@ class SpaceIndex:
         """Add the chains of the roots and the top-level facts added since the last call."""
         if len(g.roots) > self.roots_seen:
             for root in g.roots[self.roots_seen:]:
-                _add_to_table(self.root_clash, root)
+                _add_to_table(self.writer_clash, root)
                 self._add_chains(root)
             self.roots_seen = len(g.roots)
         if len(g.top_level) > self.top_seen:
             for node in g.top_level[self.top_seen:]:
-                _add_to_table(self.top_clash, node)
+                _add_to_table(self.writer_clash, node)
             self.top_seen = len(g.top_level)
 
     def _add_chains(self, root: Node) -> None:
@@ -146,19 +141,18 @@ class SpaceIndex:
         inst.add_member(member)
         self.memberships.setdefault(member.node_id, {}).setdefault(inst.steps, path)
 
-    def clash_tables(self, steps: tuple[Step, ...]) -> tuple[dict, ...]:
-        """The clash tables of a space's members, in the order to probe them."""
+    def clash_table(self, steps: tuple[Step, ...]) -> dict | None:
+        """The clash table of a space's members, or None for an unknown space."""
         if steps == EPSILON:
-            return (self.root_clash, self.top_clash)
+            return self.writer_clash
         inst = self.spaces.get(steps)
-        return (inst.clash,) if inst else ()
+        return inst.clash if inst else None
 
 
 def space_index(g: Graph) -> SpaceIndex:
-    index = getattr(g, "_space_index", None)
-    if index is None or index.layout_version != g.layout_version:
-        index = SpaceIndex(g)
-        g._space_index = index
+    index = g._space_index
+    if index is None:
+        index = g._space_index = SpaceIndex(g)
     else:
         index.update(g)
     return index
@@ -241,14 +235,10 @@ def _wrap(g: Graph, step: Step, inner: Node) -> tuple[ClashKey | None, Node | No
     return (PRIVATE_STATE, att, wrapper.children), g.lookup(wrapper)
 
 
-def _probe(tables, key: ClashKey, polarity: str) -> Node | None:
-    """The first member of the tables clashing with a key of that polarity."""
-    other = opposite_polarity(polarity)
-    for table in tables:
-        by_polarity = table.get(key)
-        if by_polarity is not None and other in by_polarity:
-            return by_polarity[other]
-    return None
+def _probe(table, key: ClashKey, polarity: str) -> Node | None:
+    """The first member of the table clashing with a key of that polarity."""
+    by_polarity = table.get(key) if table else None
+    return None if by_polarity is None else by_polarity.get(opposite_polarity(polarity))
 
 
 def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
@@ -277,7 +267,7 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
     polarity = prop.polarity
     for depth in range(len(steps), -1, -1):
         if key is not None:
-            clash = _probe(index.clash_tables(steps[:depth]), key, polarity)
+            clash = _probe(index.clash_table(steps[:depth]), key, polarity)
             if clash is not None:
                 return clash
         if depth == 0 or inner is None:
@@ -307,7 +297,7 @@ def _chain_clash(steps: tuple[Step, ...], prop, g: Graph, index: SpaceIndex):
         prop = prop.target
         key = _prop_key(g, prop)
         if key is not None:
-            clash = _probe(index.clash_tables(steps), key, prop.polarity)
+            clash = _probe(index.clash_table(steps), key, prop.polarity)
             if clash is not None:
                 return clash
         step = _chain_step(prop)
@@ -321,12 +311,7 @@ def first_clash(g: Graph) -> tuple[tuple[Step, ...], Node, Node] | None:
     """
     index = space_index(g)
     for steps in (EPSILON, *index.spaces):
-        merged: dict[ClashKey, dict[str, Node]] = {}
-        for table in index.clash_tables(steps):
-            for key, by_polarity in table.items():
-                for polarity, node in by_polarity.items():
-                    merged.setdefault(key, {}).setdefault(polarity, node)
-        for by_polarity in merged.values():
+        for by_polarity in index.clash_table(steps).values():
             if len(by_polarity) > 1:
                 return steps, by_polarity[POSITIVE], by_polarity[NEGATIVE]
     return None
@@ -335,17 +320,14 @@ def first_clash(g: Graph) -> tuple[tuple[Step, ...], Node, Node] | None:
 class ExtensionOutcome:
     __slots__ = ("fired", "created", "existing", "blocked", "touched")
 
-    def __init__(self, fired: bool, created: list[Node] | None = None,
-                 existing: list[Node] | None = None,
-                 blocked: list[tuple[tuple[Step, ...], str, str]] | None = None,
-                 touched: list[Node] | None = None):
+    def __init__(self, fired: bool):
         self.fired = fired
-        self.created = [] if created is None else created
-        self.existing = [] if existing is None else existing
-        self.blocked = [] if blocked is None else blocked
+        self.created: list[Node] = []
+        self.existing: list[Node] = []
+        self.blocked: list[tuple[tuple[Step, ...], str, str]] = []
         # What a re-fire would record as existing: the bare additions, then
         # each accepted space's tops, de-duplicated.
-        self.touched = [] if touched is None else touched
+        self.touched: list[Node] = []
 
 
 def _order_key(steps: tuple[Step, ...], index: SpaceIndex) -> tuple:
@@ -372,29 +354,6 @@ def place(g: Graph, node: Node, steps: tuple[Step, ...]) -> tuple[Node, list[Nod
     return current, created
 
 
-def placed_tops(g: Graph, props: list, steps: tuple[Step, ...]) -> list[Node] | None:
-    """The tops ``place`` would return for the props, if all are placed already.
-
-    A prop is placed when the exact chain ``place`` would build for it exists
-    and its top is writer-level: the prop is then a member of the space and
-    each wrapper a member of the space above.  No space may hold both
-    polarities of a member (``check_consistency``), so ``would_contradict``
-    finds nothing against placed props, and ``place`` would create nothing.
-    Returns None when any prop is not placed.
-    """
-    tops = []
-    for prop in props:
-        node = g.lookup(prop)
-        for step in reversed(steps):
-            if node is None:
-                return None
-            _, node = _wrap(g, step, node)
-        if node is None or not g.is_writer_level(node):
-            return None
-        tops.append(node)
-    return tops
-
-
 def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list,
                   *, extended_belief_spaces: bool = False) -> ExtensionOutcome:
     """Place assumptions and conclusions into every space holding all the ps.
@@ -406,10 +365,11 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     variants, where only propositions are placed unless extended_belief_spaces
     is set.
 
-    Nothing is placed until every check has passed, so the index fetched at
-    the start holds for choosing and ordering the spaces and for the checks.
-    A space where every addition is already placed (``placed_tops``) skips
-    the checks and the placing; its tops are recorded as existing.
+    The candidate spaces are visited once, in order.  Each one's additions
+    are checked against the index as it stands, which holds every placement
+    made into the spaces before it: the space is blocked if any addition
+    would contradict, and placed into at once otherwise.  So one fire cannot
+    put both polarities of a member into a space through two of its spaces.
     """
     index = space_index(g)
     if ps:
@@ -437,15 +397,20 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             if all(variant != s for s, _ in candidates):
                 candidates.append((variant, True))
 
+    def record(node: Node, is_new: bool) -> None:
+        if node in outcome.created or node in outcome.existing:
+            return
+        (outcome.created if is_new else outcome.existing).append(node)
+
     additions = list(assumptions) + list(conclusions)
     # A belief variant also receives the preconditions, so they must fit too.
     variant_ps = [p for p in ps if p.is_proposition() or extended_belief_spaces]
-    accepted: list[tuple[tuple[Step, ...], bool, list[Node] | None]] = []
+    bare: list[Node] = []
+    placed: list[Node] = []
     for steps, is_variant in candidates:
         props = (additions + variant_ps) if is_variant else additions
-        tops = placed_tops(g, props, steps)
         clash = None
-        for prop in props if tops is None else ():
+        for prop in props:
             clash = would_contradict(steps, prop, g, index)
             if clash is not None:
                 break
@@ -454,40 +419,24 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
                 (steps, "space-contradiction", f"node {clash.node_id}")
             )
             continue
-        accepted.append((steps, is_variant, tops))
-    if not accepted:
-        return outcome
-
-    outcome.fired = True
-
-    def record(node: Node, is_new: bool) -> None:
-        if node in outcome.created or node in outcome.existing:
-            return
-        (outcome.created if is_new else outcome.existing).append(node)
-
-    # Intern the bare propositions first so conclusions can nest assumptions.
-    # Sub-structures (ideaOf, p(x)) interned on the way count as created too.
-    bare: list[Node] = []
-    for fact in additions:
-        start = len(g.nodes)
-        node = g.intern(fact)
-        for fresh in g.nodes[start:]:
-            record(fresh, True)
-        record(node, False)
-        bare.append(node)
-
-    placed: list[Node] = []
-    for steps, is_variant, tops in accepted:
-        if tops is not None:
-            for top in tops:
-                record(top, False)
-            placed += tops
-            continue
+        if not outcome.fired:
+            outcome.fired = True
+            # Intern the bare propositions first so conclusions can nest
+            # assumptions.  Sub-structures (ideaOf, p(x)) interned on the way
+            # count as created too.
+            for fact in additions:
+                start = len(g.nodes)
+                node = g.intern(fact)
+                for fresh in g.nodes[start:]:
+                    record(fresh, True)
+                record(node, False)
+                bare.append(node)
         for node in (bare + variant_ps) if is_variant else bare:
             top, wrappers = place(g, node, steps)
             for w in wrappers:
                 record(w, True)
             record(top, False)
             placed.append(top)
+        index = space_index(g)  # take in what was just placed
     outcome.touched = list(dict.fromkeys(bare + placed))
     return outcome

@@ -8,7 +8,7 @@ import pytest
 
 from opine.cli import main
 
-from test_seminaive import CHAIN_TARGET_DOCUMENT
+from test_seminaive import CHAIN_TARGET_DOCUMENT, VARIANT_CLASH_DOCUMENT
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -203,6 +203,19 @@ def test_chain_placed_at_the_writer_level_is_blocked_by_a_clash_below_it(tmp_pat
                              "--trace")
     assert code == 0 and err == ""
     assert "space-contradiction" in out
+
+
+def test_belief_variant_is_blocked_by_a_placement_of_its_own_fire(tmp_path, capsys):
+    # One fire places alice -S E1 into [writer +B alice -S], which puts
+    # alice -S (alice -S E1) into [writer +B].  The belief variant [writer +B]
+    # would then receive the precondition alice +S (alice -S E1); it is
+    # blocked instead of reaching the consistency check.
+    doc = tmp_path / "variant.ann"
+    doc.write_text(VARIANT_CLASH_DOCUMENT)
+    code, out, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex",
+                             "--trace")
+    assert code == 0 and err == ""
+    assert "blocked in space [writer +B]: space-contradiction" in out
 
 
 CONTRADICTORY_INPUTS = {

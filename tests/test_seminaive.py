@@ -1,24 +1,21 @@
-"""Differential checks of semi-naive firing, the closure and already-placed spaces.
+"""Differential checks of semi-naive firing and the closure.
 
 ``run_to_fixpoint`` builds each binding once per run, skips a binding whose
 inputs have not changed since a fire that created nothing, and replays the
 confirmation of a productive fire instead of firing it again;
-``_expected_space_closure`` visits each space member once, and
-``extend_spaces`` answers a space whose additions are all placed already
-without checking or placing them.  Each is compared with what it replaces:
-``rules.match`` on the same graph, copies of the loop that fires every binding
-on every pass and of the closure that visits every member on every pass, and
-the contradiction check and placing that an answered space skips.
+``_expected_space_closure`` visits each space member once.  Each is compared
+with what it replaces: ``rules.match`` on the same graph, and copies of the
+loop that fires every binding on every pass and of the closure that visits
+every member on every pass.
 """
 
 import random
 
 import pytest
 
-from opine import Config, Graph, parse_document, process_document
+from opine import Config, parse_document, process_document
 from opine import rules, spaces
 from opine.errors import InputError, IterationLimitExceeded
-from opine.graph import BELIEVES_TRUE
 from opine.render import dumps, render_trace
 
 from test_properties import deep_document, random_document, rule_orders
@@ -129,8 +126,23 @@ B4 privateState <writer, negative sentiment (w), S3>
 B5 privateState <writer, positive sentiment (w), S5>
 V1 evidence <none, negative believesTrue (e), E3>
 """,
+    # A fire whose precondition is alice +S (alice -S E1) passes the checks of
+    # [writer +B alice -S] and of its belief variant [writer +B].  Placing
+    # alice -S E1 into the first puts alice -S (alice -S E1) into [writer +B],
+    # so the variant, which also receives the precondition, is blocked.
+    """"A deeper sentence."
+E1 gfbf <alice, goodFor (x1), carol>
+S0 subjectivity <alice, negative sentiment (w), E1>
+S1 subjectivity <alice, positive sentiment (w), S0>
+S2 subjectivity <carol, negative sentiment (w), S1>
+S3 subjectivity <alice, positive sentiment (w), S2>
+S4 subjectivity <writer, positive sentiment (w), S0>
+S5 subjectivity <writer, positive sentiment (w), S2>
+B1 privateState <writer, positive believesTrue (w), S3>
+""",
 ]
 CHAIN_TARGET_DOCUMENT = STAMP_DOCUMENTS[4]
+VARIANT_CLASH_DOCUMENT = STAMP_DOCUMENTS[6]
 
 
 def naive_expected_space_closure(g):
@@ -278,48 +290,6 @@ def test_fixpoint_walks_the_bindings_match_returns(lexicon, corpus_files, monkey
     for text in texts:
         outputs(text, lexicon, cfg)
     assert counts["met_again"] > 1000, counts
-
-
-def test_answered_spaces_need_no_check_and_no_placing(lexicon, corpus_files, monkeypatch):
-    """Whenever extend_spaces answers a space from placed_tops, the check it
-    skips finds no clash and placing creates nothing."""
-    answered = 0
-    placed_tops = spaces.placed_tops
-
-    def checked_placed_tops(g, props, steps):
-        nonlocal answered
-        tops = placed_tops(g, props, steps)
-        if tops is not None:
-            answered += 1
-            size = (len(g.nodes), len(g.roots), len(g.top_level))
-            for prop, top in zip(props, tops):
-                assert spaces.would_contradict(steps, prop, g) is None, (steps, prop)
-                assert spaces.place(g, g.lookup(prop), steps) == (top, []), (steps, prop)
-            assert (len(g.nodes), len(g.roots), len(g.top_level)) == size
-        return tops
-
-    monkeypatch.setattr(spaces, "placed_tops", checked_placed_tops)
-    rng = random.Random(20240214)
-    texts = [path.read_text(encoding="utf-8") for path in corpus_files]
-    texts += [random_document(rng) for _ in range(DOCUMENTS)] + STAMP_DOCUMENTS
-    for order in rule_orders():
-        for extended in (False, True):
-            cfg = Config(rule_order=order, extended_belief_spaces=extended)
-            for text in texts:
-                outputs(text, lexicon, cfg)
-    assert answered > 1000
-
-
-def test_placed_tops_needs_a_writer_level_top():
-    g = Graph()
-    held = g.private_state("a", "sentiment", "positive", g.entity("x"))
-    wrapper = g.private_state("writer", BELIEVES_TRUE, "positive", held)
-    g.add_root(g.private_state("writer", "sentiment", "positive",
-                               g.private_state("b", BELIEVES_TRUE, "positive", wrapper)))
-    steps = (("writer", BELIEVES_TRUE, "positive"),)
-    assert spaces.placed_tops(g, [held], steps) is None  # the chain exists, nested
-    g.add_root(wrapper)
-    assert spaces.placed_tops(g, [held], steps) == [wrapper]
 
 
 def test_closure_visits_each_member_once(lexicon, corpus_files, monkeypatch):

@@ -53,7 +53,8 @@ V1 evidence <none, positive sentiment (e), E1>
 
 def reference_index(g):
     """(spaces, memberships) from walking every root, as the index once did."""
-    version = (len(g.roots), g.layout_version)
+    # Roots only grow, and attach_role2 is the one change to an existing node.
+    version = (len(g.roots), sum("role2" in n.children for n in g.nodes_by_type.get("gfbf", ())))
     cached = getattr(g, "_reference_index", None)
     if cached is not None and cached[0] == version:
         return cached[1]
