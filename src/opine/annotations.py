@@ -12,11 +12,15 @@ Angle brackets may be typed as ``<`` ``>`` or ``⟨`` ``⟩``.  Entities may car
 a ``:thing`` suffix (inanimate) and a ``(key:lexEntry)`` suffix naming a
 lexicon key.  ``Prop`` lines attach the ``substantial`` property to a
 believesTrue line: ``Prop1 p(B2,substantial)``.
+
+Lines are matched with ``str`` methods (``split``, ``partition``, ``find``,
+``endswith``), not regular expressions, so importing the parser compiles
+nothing.  Whitespace is what ``str.split()`` splits on, letters in a prop
+name are ASCII, and digits in an id are any Unicode decimal digits.
 """
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
 from .errors import (
@@ -39,20 +43,88 @@ WRITER = "writer"
 
 _QUOTES = {'"': '"', "'": "'", "“": "”", "«": "»"}
 
-_LINE_RE = re.compile(
-    r"^(?P<id>\S+)\s+(?P<kind>gfbf|influencer|subjectivity|privateState|evidence)"
-    r"\s+[<⟨](?P<body>.*)[>⟩]\s*$"
-)
-_PROP_RE = re.compile(
-    r"^(?P<id>\S+)\s+p\(\s*(?P<target>[^,\s]+)\s*,\s*(?P<prop>[A-Za-z]+)\s*\)\s*$"
-)
-_ATT_RE = re.compile(
-    r"^(?P<head>goodFor|badFor|retain|reverse|"
-    r"(?:positive|negative)\s+(?:sentiment|believesTrue|intends|believesShould))"
-    r"\s*(?:\((?P<anchor>.*)\))?$"
-)
-_ENTITY_LEX_RE = re.compile(r"^(?P<name>.*?)\s*\((?P<key>[^()]+):lexEntry\)$")
-_ID_LIKE_RE = re.compile(r"^(E|S|B|I|V|Prop)\d+$")
+_LINE_KINDS = frozenset(KINDS) - {"prop"}  # prop lines have their own shape
+_BARE_HEADS = frozenset(EFFECTS + INFLUENCER_KINDS)
+_LEX_SUFFIX = ":lexEntry)"
+
+
+def _match_prop(raw: str) -> tuple[str, str, str] | None:
+    """Split ``<id> p(<target>, <prop>)`` into id, target and prop, or return None.
+
+    The id is the first whitespace-separated token.  The target has no comma
+    and no whitespace, the prop is one or more ASCII letters, and whitespace
+    may stand around either of them.  ``raw`` is a stripped line.
+    """
+    parts = raw.split(None, 1)
+    if len(parts) < 2 or not parts[1].startswith("p(") or not parts[1].endswith(")"):
+        return None
+    target, comma, prop = parts[1][2:-1].partition(",")
+    target, prop = target.strip(), prop.strip()
+    if not comma or len(target.split()) != 1 or not (prop.isascii() and prop.isalpha()):
+        return None
+    return parts[0], target, prop
+
+
+def _match_line(raw: str) -> tuple[str, str, str] | None:
+    """Split ``<id> <kind> <body>`` into id, kind and body, or return None.
+
+    The kind is gfbf, influencer, subjectivity, privateState or evidence, with
+    whitespace on both sides.  The body is everything between the ``<`` or
+    ``⟨`` that opens the rest of the line and the ``>`` or ``⟩`` that ends it.
+    ``raw`` is a stripped line.
+    """
+    parts = raw.split(None, 2)
+    if len(parts) < 3 or parts[1] not in _LINE_KINDS:
+        return None
+    rest = parts[2]
+    if len(rest) < 2 or rest[0] not in "<⟨" or rest[-1] not in ">⟩":
+        return None
+    return parts[0], parts[1], rest[1:-1]
+
+
+def _match_attitude(field: str) -> tuple[list[str], str | None] | None:
+    """Split ``<head> [(<anchor>)]`` into the head's words and the anchor, or return None.
+
+    The head is goodFor, badFor, retain, reverse, or ``positive|negative``
+    and an attitude type with whitespace between.  The anchor runs from the
+    first ``(`` to the ``)`` that ends the field; whitespace may precede the
+    ``(``.  Without a ``(`` the anchor is None.  ``field`` is stripped.
+    """
+    open_at = field.find("(")
+    if open_at < 0:
+        head, anchor = field, None
+    elif field.endswith(")"):
+        head, anchor = field[:open_at], field[open_at + 1 : -1]
+    else:
+        return None
+    words = head.split()
+    if len(words) == 1:
+        return (words, anchor) if words[0] in _BARE_HEADS else None
+    if len(words) == 2 and words[0] in POLARITIES and words[1] in ATT_TYPES:
+        return words, anchor
+    return None
+
+
+def _match_lex_key(token: str) -> tuple[str, str] | None:
+    """Split ``<name> (<key>:lexEntry)`` into name and key, or return None.
+
+    The key is the non-empty text, with no parenthesis in it, between the
+    last ``(`` and the ``:lexEntry)`` that ends the token.
+    """
+    if not token.endswith(_LEX_SUFFIX):
+        return None
+    open_at = token.rfind("(")
+    key = token[open_at + 1 : -len(_LEX_SUFFIX)]
+    if open_at < 0 or not key or ")" in key:
+        return None
+    return token[:open_at], key
+
+
+def _is_id_like(token: str) -> bool:
+    """Whether the token is E, S, B, I, V or Prop followed by decimal digits."""
+    if token.startswith("Prop"):
+        return token[4:].isdecimal()
+    return token[:1] in ("E", "S", "B", "I", "V") and token[1:].isdecimal()
 
 
 class EntityRef(NamedTuple):
@@ -153,10 +225,10 @@ def _split_top_commas(body: str) -> list[str]:
 
 def _parse_entity(token: str) -> EntityRef:
     lex_key = None
-    m = _ENTITY_LEX_RE.match(token)
+    m = _match_lex_key(token)
     if m:
-        token = m.group("name").strip()
-        lex_key = m.group("key").strip()
+        token = m[0].strip()
+        lex_key = m[1].strip()
     thing = token.endswith(":thing")
     if thing:
         token = token[: -len(":thing")].strip()
@@ -182,7 +254,7 @@ def _parse_anchor(raw: str | None) -> tuple[str, str | None]:
 def _target_token(token: str, known_ids: dict, filename: str, lineno: int):
     if token in known_ids:
         return token
-    if _ID_LIKE_RE.match(token):
+    if _is_id_like(token):
         raise DanglingReference(
             f"reference to undefined id {token!r}", filename, lineno
         )
@@ -190,21 +262,21 @@ def _target_token(token: str, known_ids: dict, filename: str, lineno: int):
 
 
 def _parse_line(raw: str, known_ids: dict, filename: str, lineno: int) -> AnnotationLine:
-    m = _PROP_RE.match(raw)
+    m = _match_prop(raw)
     if m:
-        if m.group("prop") != "substantial":
+        line_id, target, prop = m
+        if prop != "substantial":
             raise MalformedLine(
-                f"prop lines carry exactly p(<id>, substantial), got {m.group('prop')!r}",
+                f"prop lines carry exactly p(<id>, substantial), got {prop!r}",
                 filename,
                 lineno,
             )
-        target = m.group("target")
         if target not in known_ids:
             raise DanglingReference(
                 f"reference to undefined id {target!r}", filename, lineno
             )
         return AnnotationLine(
-            line_id=m.group("id"),
+            line_id=line_id,
             kind="prop",
             source=None,
             attitude="substantial",
@@ -215,11 +287,11 @@ def _parse_line(raw: str, known_ids: dict, filename: str, lineno: int) -> Annota
             lineno=lineno,
         )
 
-    m = _LINE_RE.match(raw)
+    m = _match_line(raw)
     if m is None:
         raise MalformedLine(f"unrecognized annotation syntax: {raw!r}", filename, lineno)
-    kind = m.group("kind")
-    fields = _split_top_commas(m.group("body"))
+    line_id, kind, body = m
+    fields = _split_top_commas(body)
     if len(fields) not in (3, 4):
         raise MalformedLine(
             f"expected 3 or 4 comma-separated fields, got {len(fields)}", filename, lineno
@@ -227,11 +299,11 @@ def _parse_line(raw: str, known_ids: dict, filename: str, lineno: int) -> Annota
     if len(fields) == 4 and kind != "gfbf":
         raise MalformedLine("only gfbf lines take a second-role field", filename, lineno)
 
-    am = _ATT_RE.match(fields[1])
+    am = _match_attitude(fields[1])
     if am is None:
         raise MalformedLine(f"bad attitude/effect field {fields[1]!r}", filename, lineno)
-    head = am.group("head").split()
-    anchor, lex_key = _parse_anchor(am.group("anchor"))
+    head, raw_anchor = am
+    anchor, lex_key = _parse_anchor(raw_anchor)
     if len(head) == 1:
         attitude, polarity = head[0], None
     else:
@@ -264,7 +336,7 @@ def _parse_line(raw: str, known_ids: dict, filename: str, lineno: int) -> Annota
     target = _target_token(fields[2], known_ids, filename, lineno)
     role2 = _parse_entity(fields[3]) if len(fields) == 4 else None
     return AnnotationLine(
-        line_id=m.group("id"),
+        line_id=line_id,
         kind=kind,
         source=source,
         attitude=attitude,

@@ -9,7 +9,10 @@ with any particular listing.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring as _encode
+try:  # the C routine json.dumps uses, without loading the json package
+    from _json import encode_basestring as _encode
+except ImportError:
+    from json.encoder import encode_basestring as _encode
 
 from .annotations import AnnotationDoc, Lexicon
 from .graph import (

@@ -163,13 +163,6 @@ def spaces_of(node: Node, g: Graph) -> set[tuple[Step, ...]]:
     return set(space_index(g).memberships.get(node.node_id, ()))
 
 
-def members_of(steps: tuple[Step, ...], g: Graph) -> list[Node]:
-    if steps == EPSILON:
-        return list(g.roots) + list(g.top_level)
-    inst = space_index(g).spaces.get(steps)
-    return list(inst.members.values()) if inst else []
-
-
 def rightmost_nodes(steps: tuple[Step, ...], index: SpaceIndex) -> list[Node]:
     inst = index.spaces.get(steps)
     if inst is None:

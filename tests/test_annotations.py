@@ -1,3 +1,8 @@
+import random
+import re
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from opine import (
@@ -11,6 +16,19 @@ from opine import (
     parse_lexicon,
     render_document,
 )
+from opine.annotations import (
+    ATT_TYPES,
+    EFFECTS,
+    EVIDENCE_ATTS,
+    INFLUENCER_KINDS,
+    AnnotationLine,
+    EntityRef,
+    _parse_anchor,
+    _parse_line,
+    _split_top_commas,
+)
+
+CORPUS = Path(__file__).parent / "corpus"
 
 MOVEON = """\
 "Is it no surprise then that MoveOn would attack Senator McCain.!?"
@@ -187,3 +205,225 @@ def test_with_polarity_flip():
         doc.with_polarity("S9", "positive")
     with pytest.raises(ValueError):
         doc.with_polarity("E1", "positive")
+
+
+# -- the regular-expression parser the str-method matchers replaced -----------
+#
+# A reference copy: the five patterns and the code that read their groups.
+# The two parsers must agree on every line, as an AnnotationLine or as an
+# (exception type, message) pair.
+
+_LINE_RE = re.compile(
+    r"^(?P<id>\S+)\s+(?P<kind>gfbf|influencer|subjectivity|privateState|evidence)"
+    r"\s+[<⟨](?P<body>.*)[>⟩]\s*$"
+)
+_PROP_RE = re.compile(
+    r"^(?P<id>\S+)\s+p\(\s*(?P<target>[^,\s]+)\s*,\s*(?P<prop>[A-Za-z]+)\s*\)\s*$"
+)
+_ATT_RE = re.compile(
+    r"^(?P<head>goodFor|badFor|retain|reverse|"
+    r"(?:positive|negative)\s+(?:sentiment|believesTrue|intends|believesShould))"
+    r"\s*(?:\((?P<anchor>.*)\))?$"
+)
+_ENTITY_LEX_RE = re.compile(r"^(?P<name>.*?)\s*\((?P<key>[^()]+):lexEntry\)$")
+_ID_LIKE_RE = re.compile(r"^(E|S|B|I|V|Prop)\d+$")
+
+
+def _reference_entity(token):
+    lex_key = None
+    m = _ENTITY_LEX_RE.match(token)
+    if m:
+        token = m.group("name").strip()
+        lex_key = m.group("key").strip()
+    thing = token.endswith(":thing")
+    if thing:
+        token = token[: -len(":thing")].strip()
+    return EntityRef(token, thing=thing, lex_key=lex_key)
+
+
+def _reference_parse_line(raw, known_ids, filename, lineno):
+    m = _PROP_RE.match(raw)
+    if m:
+        if m.group("prop") != "substantial":
+            raise MalformedLine(
+                f"prop lines carry exactly p(<id>, substantial), got {m.group('prop')!r}",
+                filename, lineno,
+            )
+        target = m.group("target")
+        if target not in known_ids:
+            raise DanglingReference(f"reference to undefined id {target!r}", filename, lineno)
+        return AnnotationLine(m.group("id"), "prop", None, "substantial", None, "", None,
+                              target, lineno=lineno)
+
+    m = _LINE_RE.match(raw)
+    if m is None:
+        raise MalformedLine(f"unrecognized annotation syntax: {raw!r}", filename, lineno)
+    kind = m.group("kind")
+    fields = _split_top_commas(m.group("body"))
+    if len(fields) not in (3, 4):
+        raise MalformedLine(
+            f"expected 3 or 4 comma-separated fields, got {len(fields)}", filename, lineno
+        )
+    if len(fields) == 4 and kind != "gfbf":
+        raise MalformedLine("only gfbf lines take a second-role field", filename, lineno)
+    am = _ATT_RE.match(fields[1])
+    if am is None:
+        raise MalformedLine(f"bad attitude/effect field {fields[1]!r}", filename, lineno)
+    head = am.group("head").split()
+    anchor, lex_key = _parse_anchor(am.group("anchor"))
+    if len(head) == 1:
+        attitude, polarity = head[0], None
+    else:
+        polarity, attitude = head
+    if kind in ("gfbf", "influencer"):
+        if polarity is not None:
+            raise MalformedLine(f"{kind} lines carry no polarity", filename, lineno)
+        if kind == "gfbf" and attitude not in EFFECTS:
+            raise MalformedLine("gfbf effect must be goodFor/badFor", filename, lineno)
+        if kind == "influencer" and attitude not in INFLUENCER_KINDS:
+            raise MalformedLine("influencer kind must be retain/reverse", filename, lineno)
+    else:
+        if polarity is None or attitude not in ATT_TYPES:
+            raise MalformedLine(
+                f"{kind} lines need 'positive|negative <attitude-type>'", filename, lineno
+            )
+        if kind == "evidence" and attitude not in EVIDENCE_ATTS:
+            raise MalformedLine(
+                "evidence attitude must be intends, believesTrue or sentiment", filename, lineno
+            )
+    source = None if kind == "evidence" and fields[0] == "none" else _reference_entity(fields[0])
+    target = fields[2]
+    if target not in known_ids:
+        if _ID_LIKE_RE.match(target):
+            raise DanglingReference(f"reference to undefined id {target!r}", filename, lineno)
+        target = _reference_entity(target)
+    role2 = _reference_entity(fields[3]) if len(fields) == 4 else None
+    return AnnotationLine(m.group("id"), kind, source, attitude, polarity, anchor, lex_key,
+                          target, role2, lineno)
+
+
+def corpus_lines():
+    """Every corpus annotation line, stripped, with the ids defined before it."""
+    lines = []
+    for path in sorted(CORPUS.glob("*.ann")):
+        text = path.read_text(encoding="utf-8")
+        raws = [raw.strip() for raw in text.splitlines()]
+        for sent in parse_document(text, path.name).sentences:
+            known = {}
+            for ln in sent.lines:
+                lines.append((raws[ln.lineno - 1], dict(known)))
+                known[ln.line_id] = ln
+    return lines
+
+
+# Pieces the mutations insert or delete: the format's punctuation, whitespace
+# that str.strip and \s both take (tab, no-break space), the suffixes, and
+# characters that pass isalpha or isdecimal but not isascii.
+MUTATION_PIECES = ("(", ")", "<", ">", "⟨", "⟩", ",", ":", " ", "\t", "\xa0", "lexEntry",
+                   ":thing", "p(", "١", "٧", "ä", "é", "ж", "1")
+
+
+def mutate(line, rng):
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(line) + 1)
+        roll = rng.random()
+        if roll < 0.5:
+            line = line[:at] + rng.choice(MUTATION_PIECES) + line[at:]
+        elif roll < 0.8:
+            line = line[:at] + line[at + rng.randint(1, 3):]
+        else:
+            piece = rng.choice(MUTATION_PIECES)
+            found = line.find(piece, at)
+            if found >= 0:
+                line = line[:found] + line[found + len(piece):]
+    return line.strip()
+
+
+EDGE_KNOWN = dict.fromkeys(("E1", "S1", "B2"))
+EDGE_LINES = (
+    "E1 gfbf<a, goodFor (x), b>",
+    "E1 gfbf <a, goodFor (x), b> and more",
+    "E1 gfbf <a, goodFor (x), b>>",
+    "E1 gfbf ⟨a, goodFor (x), b⟩",
+    "E1 gfbf ⟨a, goodFor (x), b>",
+    "E1 gfbf <>",
+    "E1 gfbf <",
+    "E1 gfbf",
+    "P1 p( B2 , substantial )",
+    "P1 p(B2,substantial)x",
+    "P1 p(B2,substäntial)",
+    "P1 p(B2,substantial1)",
+    "P1 p(B 2,substantial)",
+    "P1 p(B2,,substantial)",
+    "P1 p(B2)",
+    "P1 p()",
+    "P1 p(B3,substantial)",
+    "S2 subjectivity <writer, negative sentiment (x), S١>",
+    "S2 subjectivity <writer, negative sentiment (x), Prop٣>",
+    "S2 subjectivity <writer, negative sentiment (x), Propx>",
+    "S2 subjectivity <writer, negative\xa0sentiment (x), E1>",
+    "S2 subjectivity <writer, negative sentiment(x), E1>",
+    "S2 subjectivity <writer, negative sentiment (x) (y), E1>",
+    "S2 subjectivity <writer, negative sentiment (x) y, E1>",
+    "S2 subjectivity <writer, negativesentiment, E1>",
+    "E2 gfbf <a (k:lexEntry), goodFor, b ((k):lexEntry)>",
+    "E2 gfbf <a ( k :lexEntry), goodFor, (:lexEntry)>",
+    "E2 gfbf <a:thing (k:lexEntry), goodFor(x,y:lexEntry), b (a)(k:lexEntry)>",
+)
+
+
+def parse_outcome(parse, raw, known):
+    try:
+        return parse(raw, known, "f.ann", 7)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def disagreements(cases):
+    return [
+        (raw, mine, reference)
+        for raw, known in cases
+        if (mine := parse_outcome(_parse_line, raw, known))
+        != (reference := parse_outcome(_reference_parse_line, raw, known))
+    ]
+
+
+def outcome_kind(outcome):
+    """"line", or the error type and the first word of its message."""
+    if isinstance(outcome, AnnotationLine):
+        return "line"
+    kind, text = outcome
+    return f"{kind.__name__} {text.split(': ', 2)[2].split()[0]}"
+
+
+def test_str_matchers_agree_with_the_regexes_on_the_corpus():
+    cases = corpus_lines()
+    assert len(cases) > 50
+    assert not disagreements(cases)
+
+
+def test_str_matchers_agree_with_the_regexes_on_edge_lines():
+    assert not disagreements([(line, EDGE_KNOWN) for line in EDGE_LINES])
+
+
+def test_str_matchers_agree_with_the_regexes_on_mutated_lines():
+    rng = random.Random(20240610)
+    corpus = corpus_lines()
+    cases = []
+    while len(cases) < 20_000:
+        line, known = rng.choice(corpus)
+        mutated = mutate(line, rng)
+        if mutated:
+            cases.append((mutated, known))
+    assert not disagreements(cases)
+    # The mutations reach every outcome: a parsed line and each kind of error.
+    kinds = Counter(outcome_kind(parse_outcome(_reference_parse_line, raw, known))
+                    for raw, known in cases)
+    assert kinds["line"] > 1000, kinds
+    assert {
+        "MalformedLine unrecognized",  # neither line shape matched
+        "MalformedLine bad",  # the attitude field did not match
+        "MalformedLine expected",
+        "MalformedLine prop",  # a prop line with a prop other than substantial
+        "DanglingReference reference",  # an id-like target defined nowhere
+    } <= set(kinds), kinds

@@ -6,7 +6,7 @@ from opine.spaces import (
     belief_variant,
     extend_spaces,
     format_space,
-    members_of,
+    space_index,
     spaces_of,
     would_contradict,
 )
@@ -51,7 +51,8 @@ def test_same_steps_same_space():
     g, event, inner, root = chain_graph()
     spaces = spaces_of(event, g)
     assert (("writer", "believesTrue", "positive"),) in spaces
-    assert len(members_of((("writer", "believesTrue", "positive"),), g)) == 2
+    steps = (("writer", "believesTrue", "positive"),)
+    assert len(space_index(g).spaces[steps].members) == 2
 
 
 def test_taxes_space_inventory(run_sentence):
