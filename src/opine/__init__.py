@@ -46,7 +46,6 @@ from .graph import (
     IdAllocator,
     Node,
     build_input_graph,
-    structural_signature,
 )
 from .render import (
     dumps,

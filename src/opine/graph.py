@@ -4,7 +4,9 @@ Every fact has one representation, its key: a ``Fact`` tuple of node type,
 attitude type, polarity, property, name and the (label, part) pairs of its
 children, in the node type's fixed label order.  The graph interns each node
 under its key, so re-deriving a fact yields the node that already represents
-it, and a node's parts are nodes that hash by identity.  A fact not interned
+it, and a node's parts are nodes that hash by identity.  A node holds the key
+it is interned under as its only structure and reads its parts from it;
+``Graph.attach_role2`` re-keys a gfbf with a new key.  A fact not interned
 yet may hold further such facts as parts: ``Graph.lookup`` finds its node
 without creating anything, and ``Graph.intern`` creates the missing nodes
 through the validated constructors.  Node ids are a display aid and never
@@ -63,56 +65,59 @@ def effect_sign(effect: str) -> int:
 
 
 class Node:
-    __slots__ = (
-        "node_id",
-        "node_type",
-        "att_type",
-        "polarity",
-        "property",
-        "name",
-        "anchor",
-        "children",
-        "source",
-        "target",
-        "from_input",
-        "retired",
-    )
+    """One interned fact; ``key`` is the Fact the graph interns it under.
+
+    The key is the node's only structure.  The accessors read its (label,
+    part) pairs by position, in each node type's fixed label order: gfbf
+    (agent, object, effect, [role2]), ideaOf (ideaObject), p(x) (x) and
+    influencer (agent, target).  The scalar slots copy the key's strings;
+    ``source`` and ``target`` are set once, as attach_role2 only appends role2.
+    """
+
+    __slots__ = ("node_id", "node_type", "att_type", "polarity", "property", "name",
+                 "anchor", "key", "source", "target", "from_input", "retired")
 
     def __init__(self, node_id, key: Fact, anchor=None):
         self.node_id = node_id
-        self.node_type, self.att_type, self.polarity, self.property, self.name, children = key
+        self.node_type, self.att_type, self.polarity, self.property, self.name, parts = key
         self.anchor = anchor
-        self.children = dict(children)
-        # attach_role2 adds only role2, so these stay valid for the node's life.
-        self.source = self.children.get("source")
-        self.target = self.children.get("target")
+        self.key = key
+        t = self.node_type
+        self.source = parts[0][1] if t in (PRIVATE_STATE, AGREEMENT) else None
+        self.target = parts[-1][1] if t in (PRIVATE_STATE, AGREEMENT, INFLUENCER) else None
         self.from_input = False
         self.retired = False
 
     # -- structural accessors -------------------------------------------
     @property
     def agent(self) -> Node | None:
-        return self.children.get("agent")
+        return self.key.children[0][1] if self.node_type in (GFBF, INFLUENCER) else None
 
     @property
     def object(self) -> Node | None:
-        return self.children.get("object")
+        return self.key.children[1][1] if self.node_type == GFBF else None
 
     @property
     def with_whom(self) -> Node | None:
-        return self.children.get("withWhom")
+        return self.key.children[1][1] if self.node_type == AGREEMENT else None
 
     @property
     def idea_object(self) -> Node | None:
-        return self.children.get("ideaObject")
+        return self.key.children[0][1] if self.node_type == IDEA_OF else None
+
+    @property
+    def x(self) -> Node | None:
+        return self.key.children[0][1] if self.node_type == P_X else None
 
     @property
     def effect(self) -> str | None:
-        if GOOD_FOR in self.children:
-            return GOOD_FOR
-        if BAD_FOR in self.children:
-            return BAD_FOR
-        return None
+        return self.key.children[2][0] if self.node_type == GFBF else None
+
+    @property
+    def role2(self) -> Node | None:
+        """The second-role relation attach_role2 gave a gfbf, if any."""
+        parts = self.key.children
+        return parts[3][1] if len(parts) == 4 and self.node_type == GFBF else None
 
     @property
     def source_name(self) -> str | None:
@@ -139,13 +144,13 @@ class Node:
             return self.name
         if t == GFBF:
             parts = [self.agent.structural_key(), self.effect, self.object.structural_key()]
-            if "role2" in self.children:
-                parts.append(self.children["role2"].structural_key())
+            if self.role2 is not None:
+                parts.append(self.role2.structural_key())
             return f"(gfbf {' '.join(parts)})"
         if t == IDEA_OF:
             return f"(ideaOf {self.idea_object.structural_key()})"
         if t == P_X:
-            return f"(px {self.property} {self.children['x'].structural_key()})"
+            return f"(px {self.property} {self.x.structural_key()})"
         if t == AGREEMENT:
             return (
                 f"(agree {self.source.structural_key()} {self.with_whom.structural_key()}"
@@ -218,12 +223,6 @@ def ps_fact(source, att_type: str, polarity: str, target, *,
 def agreement_fact(source, polarity: str, with_whom, target) -> Fact:
     return _fact((AGREEMENT, None, polarity, None, None,
                   (("source", source), ("withWhom", with_whom), ("target", target))))
-
-
-def structural_signature(node: Node) -> Fact:
-    """The intern key of a node: equal iff the nodes are structurally identical."""
-    return _fact((node.node_type, node.att_type, node.polarity, node.property, node.name,
-                  tuple(node.children.items())))
 
 
 class EvidenceFact:
@@ -401,15 +400,15 @@ class Graph:
         """Attach a second-role derived relation to a gfbf, re-keying the intern table."""
         if event.node_type != GFBF or derived.node_type != GFBF:
             raise IllFormedNode("role2 expansion applies to gfbf nodes")
-        if "role2" in event.children:
+        if event.role2 is not None:
             raise IllFormedNode("gfbf already carries a second-role relation")
-        old_key = structural_signature(event)
-        event.children["role2"] = derived
-        new_key = structural_signature(event)
+        old_key = event.key
+        new_key = _fact((*old_key[:5], old_key.children + (("role2", derived),)))
         if new_key in self._interned:
             raise IllFormedNode("second-role expansion collides with an existing node")
         del self._interned[old_key]
         self._interned[new_key] = event
+        event.key = new_key
         self._space_index = None
         return event
 
@@ -511,7 +510,7 @@ class Graph:
             if node.node_id in stack:
                 raise IllFormedNode(f"cycle through node {node.node_id}")
             stack.add(node.node_id)
-            for child in node.children.values():
+            for _, child in node.key.children:
                 visit(child)
             stack.discard(node.node_id)
             seen.add(node.node_id)
@@ -596,7 +595,7 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
         else:  # pragma: no cover - parser enforces the kind set
             raise IllFormedNode(f"unknown line kind {ln.kind!r}")
         node.from_input = True
-        for child in node.children.values():
+        for _, child in node.key.children:
             child.from_input = True
         by_id[ln.line_id] = node
         g.input_lines.setdefault(node.node_id, ln)

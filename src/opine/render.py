@@ -47,8 +47,8 @@ def render_node(node: Node, indent: int = 0) -> str:
     if t == GFBF:
         word = node.anchor or node.effect
         lines = [f"{pad}{node.node_id} {node.agent.name} {word} {node.object.name}"]
-        if "role2" in node.children:
-            derived = node.children["role2"]
+        derived = node.role2
+        if derived is not None:
             lines.append(
                 f"{pad}{_INDENT}{derived.node_id} {derived.agent.name};"
                 f" which is {derived.effect} {derived.object.name}"
@@ -57,7 +57,7 @@ def render_node(node: Node, indent: int = 0) -> str:
     if t == IDEA_OF:
         return f"{pad}{node.node_id} ideaOf\n" + render_node(node.idea_object, indent + 1)
     if t == P_X:
-        return f"{pad}{node.node_id} {node.property}\n" + render_node(node.children["x"], indent + 1)
+        return f"{pad}{node.node_id} {node.property}\n" + render_node(node.x, indent + 1)
     if t == AGREEMENT:
         verb = "agrees" if node.polarity == POSITIVE else "disagrees"
         head = f"{pad}{node.node_id} {node.source.name} {verb} with {node.with_whom.name} that"
@@ -163,7 +163,7 @@ def _node_to_json(node: Node) -> dict:
         "anchor": node.anchor,
         "fromInput": node.from_input,
         "retired": node.retired,
-        "children": {label: child.node_id for label, child in sorted(node.children.items())},
+        "children": {label: child.node_id for label, child in sorted(node.key.children)},
     }
 
 
@@ -308,10 +308,10 @@ def _blocks(blocks, level: int) -> str:
 # Objects of a sentence's lists: braces at level 4, keys at level 5.
 
 def _node_text(node: Node) -> str:
-    children = node.children
+    children = node.key.children
     if children:
         kids = "{\n            " + ",\n            ".join(
-            f"{_encode(label)}: {children[label].node_id}" for label in sorted(children)
+            f"{_encode(label)}: {child.node_id}" for label, child in sorted(children)
         ) + "\n          }"
     else:
         kids = "{}"

@@ -469,10 +469,11 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
         _log(g, state, rule, binding, iteration, outcome)
         return outcome
 
-    for fact in list(binding.assumptions) + list(binding.conclusions):
-        evidence = blocked_by_evidence(g, fact)
-        if evidence is not None:
-            return report("evidence", f"evidence {evidence.fact_id}")
+    for facts in (binding.assumptions, binding.conclusions):
+        for fact in facts:
+            evidence = blocked_by_evidence(g, fact)
+            if evidence is not None:
+                return report("evidence", f"evidence {evidence.fact_id}")
     for fact in binding.assumptions:
         if assumption_basis(g, fact) is None:
             return report("no-assumption-basis", _describe_assumption(fact))

@@ -18,6 +18,7 @@ from .graph import (
     PRIVATE_STATE,
     SENTIMENT,
     WRITER,
+    Fact,
     Graph,
     Node,
     entity_fact,
@@ -36,19 +37,19 @@ def step_of(node: Node) -> Step:
 ClashKey = tuple  # (node type, attitude type, (label, node) pairs)
 
 
-def clash_key(node: Node) -> ClashKey | None:
+def clash_key(fact: Fact) -> ClashKey | None:
     """What two members must share to clash; they clash when polarities differ.
 
-    It is the node's fact key without the polarity and the property
-    (substantial is deliberately not part of it).
+    It is the resolved fact (a node's key) without the polarity and the
+    property (substantial is deliberately not part of it).
     """
-    if node.node_type in (PRIVATE_STATE, AGREEMENT):
-        return (node.node_type, node.att_type, tuple(node.children.items()))
+    if fact.node_type in (PRIVATE_STATE, AGREEMENT):
+        return (fact.node_type, fact.att_type, fact.children)
     return None
 
 
 def _add_to_table(table: dict[ClashKey, dict[str, Node]], node: Node) -> None:
-    key = clash_key(node)
+    key = clash_key(node.key)
     if key is not None:
         table.setdefault(key, {}).setdefault(node.polarity, node)
 
@@ -133,8 +134,8 @@ class SpaceIndex:
             if inst.add_path(path):
                 self.first_root_moves += 1
             self._add_member(inst, member, path)
-            if member.node_type == "gfbf" and "role2" in member.children:
-                self._add_member(inst, member.children["role2"], path)
+            if member.role2 is not None:
+                self._add_member(inst, member.role2, path)
             node = member
 
     def _add_member(self, inst: SpaceInstance, member: Node, path: tuple[Node, ...]) -> None:
@@ -207,11 +208,10 @@ def format_space(steps: tuple[Step, ...]) -> str:
 def _prop_key(g: Graph, prop) -> ClashKey | None:
     """The clash key of a node or fact, or None when nothing can clash with it."""
     if type(prop) is Node:
-        return clash_key(prop)
-    if prop.node_type in (PRIVATE_STATE, AGREEMENT):
+        return clash_key(prop.key)
+    if prop.node_type in (PRIVATE_STATE, AGREEMENT):  # resolve only what can clash
         resolved = g.resolve(prop)
-        if resolved is not None:
-            return (prop.node_type, prop.att_type, resolved.children)
+        return None if resolved is None else clash_key(resolved)
     return None
 
 
@@ -225,7 +225,7 @@ def _wrap(g: Graph, step: Step, inner: Node) -> tuple[ClashKey | None, Node | No
     if source is None:  # then no member has that source either
         return None, None
     wrapper = ps_fact(source, att, pol, inner)
-    return (PRIVATE_STATE, att, wrapper.children), g.lookup(wrapper)
+    return clash_key(wrapper), g.lookup(wrapper)
 
 
 def _probe(table, key: ClashKey, polarity: str) -> Node | None:
@@ -395,7 +395,7 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             return
         (outcome.created if is_new else outcome.existing).append(node)
 
-    additions = list(assumptions) + list(conclusions)
+    additions = [*assumptions, *conclusions]
     # A belief variant also receives the preconditions, so they must fit too.
     variant_ps = [p for p in ps if p.is_proposition() or extended_belief_spaces]
     bare: list[Node] = []

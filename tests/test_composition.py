@@ -97,7 +97,7 @@ def test_deprive_second_role(lexicon):
     assert len(derived) == 1
     assert derived[0].structural_key() == "(gfbf food goodFor the children)"
     event = next(n for n in g.nodes if n.node_type == "gfbf" and n.agent.name == "the leader")
-    assert event.children["role2"] is derived[0]
+    assert event.role2 is derived[0]
 
 
 def test_no_entry_no_expansion(lexicon):

@@ -1,3 +1,8 @@
+import gc
+import random
+import types
+from pathlib import Path
+
 import pytest
 
 from opine import (
@@ -7,7 +12,6 @@ from opine import (
     build_input_graph,
     parse_document,
     process_document,
-    structural_signature,
 )
 from opine.graph import (
     PRIVATE_STATE,
@@ -43,7 +47,7 @@ def test_intern_distinguishes_effect():
     good = g.gfbf(moveon, "goodFor", mccain)
     bad = g.gfbf(moveon, "badFor", mccain)
     assert good is not bad
-    assert structural_signature(good) != structural_signature(bad)
+    assert good.key != bad.key
 
 
 def test_signature_ignores_ids_and_provenance():
@@ -55,7 +59,7 @@ def test_signature_ignores_ids_and_provenance():
     other = Graph()
     twin_event = other.gfbf(other.entity("MoveOn"), "badFor", other.entity("Senator McCain"))
     twin = other.private_state("mother", "sentiment", "negative", twin_event)
-    for left, right in zip(structural_signature(ps), structural_signature(twin)):
+    for left, right in zip(ps.key, twin.key):
         if isinstance(left, tuple):
             assert [l for l, _ in left] == [r for r, _ in right]
         else:
@@ -74,7 +78,7 @@ def test_entities_have_no_children():
     g = Graph()
     tree = g.entity("the tree", thing=True)
     assert tree.node_type == "thing"
-    assert tree.children == {}
+    assert tree.key.children == ()
 
 
 def test_illformed_nodes_rejected():
@@ -196,8 +200,8 @@ def test_every_node_looks_up_under_its_signature(lexicon, corpus_files, extended
         for result in process_document(doc, lexicon, Config(extended_belief_spaces=extended)):
             g = result.graph
             for node in g.nodes:
-                assert g.lookup(structural_signature(node)) is node, (path.name, node)
-            rekeyed += sum(1 for n in g.nodes if "role2" in n.children)
+                assert g.lookup(node.key) is node, (path.name, node)
+            rekeyed += sum(1 for n in g.nodes if n.role2 is not None)
     assert rekeyed  # a gfbf re-keyed by attach_role2 is among them
 
 
@@ -214,7 +218,7 @@ def test_nested_facts_look_up_after_intern():
         assert g.lookup(fact) is None
         node = g.intern(fact)
         assert g.lookup(fact) is node
-        assert g.lookup(structural_signature(node)) is node
+        assert g.lookup(node.key) is node
         assert g.intern(fact) is node
 
 
@@ -249,3 +253,63 @@ def test_intern_validates_through_the_constructors():
     with pytest.raises(IllFormedNode):
         g.intern(idea_of_fact(mccain))
     assert g.lookup(ps_fact(moveon, "intends", "positive", mccain)) is None
+
+
+def test_attach_role2_rekeys_the_event():
+    g = Graph()
+    a, b, c = (g.entity(name) for name in ("a", "b", "c"))
+    event = g.gfbf(a, "badFor", b)
+    derived = g.gfbf(c, "goodFor", b)
+    old_key = event.key
+    assert g.attach_role2(event, derived) is event
+    assert g.lookup(old_key) is None
+    assert g.lookup(event.key) is event
+    assert event.role2 is derived
+    assert event.structural_key() == "(gfbf a badFor b (gfbf c goodFor b))"
+
+
+def test_attach_role2_guards():
+    g = Graph()
+    a, b, c = (g.entity(name) for name in ("a", "b", "c"))
+    event = g.gfbf(a, "badFor", b)
+    derived = g.gfbf(c, "goodFor", b)
+    with pytest.raises(IllFormedNode):  # role2 joins gfbf nodes only
+        g.attach_role2(g.idea_of(event), derived)
+    g.attach_role2(event, derived)
+    with pytest.raises(IllFormedNode):  # a second role2 on one event
+        g.attach_role2(event, g.gfbf(c, "badFor", b))
+    # A fresh gfbf with the event's old structure would, given the same
+    # role2, equal the re-keyed event.
+    twin = g.gfbf(a, "badFor", b)
+    assert twin is not event
+    with pytest.raises(IllFormedNode):
+        g.attach_role2(twin, derived)
+    assert twin.role2 is None and g.lookup(twin.key) is twin
+    assert g.lookup(event.key) is event
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def load_workloads() -> types.ModuleType:
+    """bench/workloads.py, compiled from its source so nothing is written under bench/."""
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(WORKLOADS)
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), module.__dict__)
+    return module
+
+
+def test_tracked_objects_per_node(lexicon):
+    # The cyclic collector scans every tracked object, so the objects a
+    # derived node leaves behind set the fixpoint's collection cost.
+    doc = parse_document(load_workloads().wide_document(random.Random("sweep-12"), 12))
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        results = process_document(doc, lexicon, Config())
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    nodes = sum(len(result.graph.nodes) for result in results)
+    assert (after - before) / nodes <= 13.0, (after - before, nodes)

@@ -190,7 +190,7 @@ def test_dumps_matches_json_on_random_documents(lexicon, cfg):
 def test_dumps_matches_json_on_escapes_and_empty_containers(lexicon):
     results = process_document(parse_document(ESCAPES_DOCUMENT), lexicon)
     assert any(block.space for block in results[0].block_reports())
-    assert any(not node.children for node in results[0].graph.nodes)
+    assert any(not node.key.children for node in results[0].graph.nodes)
     exported = dumps(results)
     assert exported == reference_dumps(results)
     assert json.loads(exported)["sentences"][0]["text"] == (

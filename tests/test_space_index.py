@@ -54,7 +54,7 @@ V1 evidence <none, positive sentiment (e), E1>
 def reference_index(g):
     """(spaces, memberships) from walking every root, as the index once did."""
     # Roots only grow, and attach_role2 is the one change to an existing node.
-    version = (len(g.roots), sum("role2" in n.children for n in g.nodes_by_type.get("gfbf", ())))
+    version = (len(g.roots), sum(n.role2 is not None for n in g.nodes_by_type.get("gfbf", ())))
     cached = getattr(g, "_reference_index", None)
     if cached is not None and cached[0] == version:
         return cached[1]
@@ -70,8 +70,8 @@ def reference_index(g):
             paths, members = found.setdefault(steps, ([], []))
             paths.append(tuple(path))
             held = [member]
-            if member.node_type == "gfbf" and "role2" in member.children:
-                held.append(member.children["role2"])
+            if member.node_type == "gfbf" and member.role2 is not None:
+                held.append(member.role2)
             for m in held:
                 if m not in members:
                     members.append(m)
@@ -87,20 +87,20 @@ def _is(node, part):
         return node is part
     return (
         (node.node_type, node.att_type, node.polarity, node.property, node.name) == part[:5]
-        and list(node.children) == [label for label, _ in part.children]
-        and all(_is(child, p) for child, (_, p) in zip(node.children.values(), part.children))
+        and [label for label, _ in node.key.children] == [label for label, _ in part.children]
+        and all(_is(child, p) for (_, child), (_, p) in zip(node.key.children, part.children))
     )
 
 
 def _conflicts(existing, prop):
     """Same private state or agreement as prop, but for its polarity and property."""
-    parts = prop.children.values() if isinstance(prop, Node) else [p for _, p in prop.children]
+    parts = [p for _, p in (prop.key if isinstance(prop, Node) else prop).children]
     return (
         prop.node_type in (PRIVATE_STATE, AGREEMENT)
         and existing.node_type == prop.node_type
         and existing.att_type == prop.att_type
         and existing.polarity != prop.polarity
-        and all(_is(child, p) for child, p in zip(existing.children.values(), parts))
+        and all(_is(child, p) for (_, child), p in zip(existing.key.children, parts))
     )
 
 
