@@ -349,21 +349,23 @@ def _parse_line(raw: str, known_ids: dict, filename: str, lineno: int) -> Annota
     )
 
 
+def _mark(line_id: str, by_id: dict[str, AnnotationLine], reachable: set[str]) -> None:
+    """Mark a line and the lines below it reachable.  Not a closure: a recursive
+    closure refers to itself, a reference cycle left by every sentence."""
+    if line_id in reachable:
+        return
+    reachable.add(line_id)
+    ln = by_id[line_id]
+    if isinstance(ln.target, str):
+        _mark(ln.target, by_id, reachable)
+
+
 def _check_roots(sent: SentenceAnnotation, filename: str) -> None:
     # A line dominates the line its target refers to; every non-evidence,
     # non-prop line must be reachable from a writer-sourced sentiment or
     # believesTrue line.
     by_id = {ln.line_id: ln for ln in sent.lines}
     reachable: set[str] = set()
-
-    def mark(line_id: str) -> None:
-        if line_id in reachable:
-            return
-        reachable.add(line_id)
-        ln = by_id[line_id]
-        if isinstance(ln.target, str):
-            mark(ln.target)
-
     for ln in sent.lines:
         if (
             ln.kind in ("subjectivity", "privateState")
@@ -371,7 +373,7 @@ def _check_roots(sent: SentenceAnnotation, filename: str) -> None:
             and ln.source.name == WRITER
             and ln.attitude in ("sentiment", "believesTrue")
         ):
-            mark(ln.line_id)
+            _mark(ln.line_id, by_id, reachable)
     for ln in sent.lines:
         if ln.kind in ("evidence", "prop"):
             continue

@@ -338,6 +338,11 @@ class Graph:
 
     def resolve(self, fact: Fact) -> Fact | None:
         """The fact with every part a Node, or None when a part is not interned."""
+        for _, part in fact.children:
+            if type(part) is not Node:
+                break
+        else:
+            return fact
         parts = []
         for label, part in fact.children:
             part = self.lookup(part)
@@ -381,7 +386,9 @@ class Graph:
     def entity(self, name: str, *, thing: bool | None = None) -> Node:
         if thing is not None:
             self.declare_entity(name, thing=thing)
-        meta = self.entity_meta.setdefault(name, {"thing": False, "lex_key": None})
+        meta = self.entity_meta.get(name)
+        if meta is None:
+            meta = self.entity_meta[name] = {"thing": False, "lex_key": None}
         return self._intern(_fact((THING if meta["thing"] else ANIM, None, None, None, name, ())))
 
     def entity_lex_key(self, node: Node) -> str | None:
@@ -503,20 +510,22 @@ class Graph:
     def assert_acyclic(self) -> None:
         seen: set[int] = set()
         stack: set[int] = set()
-
-        def visit(node: Node) -> None:
-            if node.node_id in seen:
-                return
-            if node.node_id in stack:
-                raise IllFormedNode(f"cycle through node {node.node_id}")
-            stack.add(node.node_id)
-            for _, child in node.key.children:
-                visit(child)
-            stack.discard(node.node_id)
-            seen.add(node.node_id)
-
         for node in self.nodes:
-            visit(node)
+            _visit(node, seen, stack)
+
+
+def _visit(node: Node, seen: set[int], stack: set[int]) -> None:
+    """Graph.assert_acyclic's depth-first walk.  Not a closure: a recursive
+    closure refers to itself, a reference cycle left by every graph."""
+    if node.node_id in seen:
+        return
+    if node.node_id in stack:
+        raise IllFormedNode(f"cycle through node {node.node_id}")
+    stack.add(node.node_id)
+    for _, child in node.key.children:
+        _visit(child, seen, stack)
+    stack.discard(node.node_id)
+    seen.add(node.node_id)
 
 
 # -- building the input graph ----------------------------------------------

@@ -461,22 +461,16 @@ class EngineState:
 def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
          state: EngineState | None = None, iteration: int = 0) -> FireOutcome:
     state = state or EngineState()
-    binding_ids = tuple(p.node_id for p in binding.ps)
-
-    def report(cause: str, detail: str, space=None) -> FireOutcome:
-        block = BlockReport(rule.name, binding_ids, cause, detail, space)
-        outcome = FireOutcome(False, blocks=[block])
-        _log(g, state, rule, binding, iteration, outcome)
-        return outcome
-
     for facts in (binding.assumptions, binding.conclusions):
         for fact in facts:
             evidence = blocked_by_evidence(g, fact)
             if evidence is not None:
-                return report("evidence", f"evidence {evidence.fact_id}")
+                return _blocked(g, state, rule, binding, iteration,
+                                "evidence", f"evidence {evidence.fact_id}")
     for fact in binding.assumptions:
         if assumption_basis(g, fact) is None:
-            return report("no-assumption-basis", _describe_assumption(fact))
+            return _blocked(g, state, rule, binding, iteration,
+                            "no-assumption-basis", _describe_assumption(fact))
 
     try:
         extension = extend_spaces(
@@ -486,19 +480,23 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
     except NoCommonSpace:
         return FireOutcome(False)
 
-    blocks = [
-        BlockReport(rule.name, binding_ids, cause, detail, space)
-        for space, cause, detail in extension.blocked
-    ]
+    blocks = []
+    if extension.blocked:
+        binding_ids = tuple([p.node_id for p in binding.ps])
+        blocks = [BlockReport(rule.name, binding_ids, cause, detail, space)
+                  for space, cause, detail in extension.blocked]
     assumed = [g.lookup(fact) for fact in binding.assumptions]
-    outcome = FireOutcome(
-        fired=extension.fired,
-        created=extension.created,
-        existing=extension.existing,
-        assumptions=[n for n in assumed if n is not None],
-        blocks=blocks,
-        touched=extension.touched,
-    )
+    outcome = FireOutcome(extension.fired, extension.created, extension.existing,
+                          [n for n in assumed if n is not None], blocks, extension.touched)
+    _log(g, state, rule, binding, iteration, outcome)
+    return outcome
+
+
+def _blocked(g: Graph, state: EngineState, rule: Rule, binding: Binding, iteration: int,
+             cause: str, detail: str) -> FireOutcome:
+    """The outcome of a fire blocked before space extension, logged."""
+    binding_ids = tuple([p.node_id for p in binding.ps])
+    outcome = FireOutcome(False, blocks=[BlockReport(rule.name, binding_ids, cause, detail)])
     _log(g, state, rule, binding, iteration, outcome)
     return outcome
 
@@ -510,27 +508,21 @@ def _describe_assumption(fact: Fact) -> str:
 
 def _log(g: Graph, state: EngineState, rule: Rule, binding: Binding,
          iteration: int, outcome: FireOutcome) -> None:
-    created_ids = [n.node_id for n in outcome.created]
     existing_ids = [n.node_id for n in outcome.existing]
-    block_sig = tuple((b.cause, b.detail, b.space) for b in outcome.blocks)
-    if not created_ids:
-        signature = (rule.name, binding.fire_key, tuple(existing_ids), block_sig)
+    blocks = outcome.blocks
+    if not outcome.created:
+        # (cause, detail, space) of each block
+        signature = (rule.name, binding.fire_key, tuple(existing_ids),
+                     tuple([b[2:] for b in blocks]))
         if signature in state.logged:
             return
         state.logged.add(signature)
-        if not existing_ids and not outcome.blocks:
+        if not existing_ids and not blocks:
             return
     g.trace.append(
-        TraceEvent(
-            kind="fire",
-            rule=rule.name,
-            iteration=iteration,
-            preconditions=[p.node_id for p in binding.ps],
-            assumptions=[n.node_id for n in outcome.assumptions],
-            created=created_ids,
-            existing=existing_ids,
-            blocks=outcome.blocks,
-        )
+        TraceEvent("fire", rule.name, iteration, [p.node_id for p in binding.ps],
+                   [n.node_id for n in outcome.assumptions],
+                   [n.node_id for n in outcome.created], existing_ids, blocks)
     )
 
 
@@ -561,9 +553,10 @@ def _input_stamp(g: Graph, ps: list[Node]) -> tuple:
     moves).  Evidence and the layout are fixed after composition.
     """
     index = space_index(g)
+    memberships = index.memberships
     return (
         index.first_root_moves,
-        tuple((len(index.memberships.get(p.node_id, ())), g.is_writer_level(p)) for p in ps),
+        tuple([(len(memberships.get(p.node_id, ())), g.is_writer_level(p)) for p in ps]),
     )
 
 
@@ -574,9 +567,10 @@ class _Bindings:
     not move, and no gfbf is created, so the bindings of an outer node depend
     on that node alone.  ``current`` matches only the nodes of the rule's type
     added since its last call and appends their bindings, which keeps the
-    list in ``match``'s order.  A joining rule (rule8) pairs two growing sets,
-    so it is re-matched on every call, each pair reusing the bindings built
-    for it.
+    list in ``match``'s order.  A joining rule (rule8) pairs two growing sets
+    of nodes of its type, so it is re-matched on every call that follows an
+    addition, each pair reusing the bindings built for it.  With no node of
+    the rule's type added, either kind returns its last list.
     """
 
     def __init__(self, rule: Rule):
@@ -588,6 +582,8 @@ class _Bindings:
     def current(self, g: Graph) -> list[Binding]:
         rule = self.rule
         nodes = g.nodes_by_type.get(rule.node_type, ())
+        if len(nodes) == self.matched:
+            return self.bindings
         if rule.join is not None:
             bindings = []
             for pair in _outers(rule, g, nodes):
@@ -595,9 +591,10 @@ class _Bindings:
                 if built is None:
                     built = self.by_pair[pair] = rule.matcher(g, pair)
                 bindings += built
-            return bindings
-        for outer in _outers(rule, g, nodes[self.matched:]):
-            self.bindings += rule.matcher(g, outer)
+            self.bindings = bindings
+        else:
+            for outer in _outers(rule, g, nodes[self.matched:]):
+                self.bindings += rule.matcher(g, outer)
         self.matched = len(nodes)
         return self.bindings
 
@@ -658,7 +655,7 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
                     state.consumed.add(binding.fire_key)
                 if outcome.created and not outcome.blocks:
                     binding.memo = (stamp, (outcome.touched, outcome.assumptions))
-                elif outcome.created or any(b.cause in _UNSETTLED_CAUSES for b in outcome.blocks):
+                elif outcome.created or any([b.cause in _UNSETTLED_CAUSES for b in outcome.blocks]):
                     binding.memo = None
                 else:
                     binding.memo = (stamp, None)

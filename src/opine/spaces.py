@@ -55,7 +55,8 @@ def _add_to_table(table: dict[ClashKey, dict[str, Node]], node: Node) -> None:
 
 
 class SpaceInstance:
-    __slots__ = ("steps", "paths", "members", "clash", "first_root", "closure_seen")
+    __slots__ = ("steps", "paths", "members", "clash", "first_root", "closure_seen",
+                 "negative_belief", "variant")
 
     def __init__(self, steps: tuple[Step, ...]):
         self.steps = steps
@@ -64,6 +65,10 @@ class SpaceInstance:
         self.clash: dict[ClashKey, dict[str, Node]] = {}  # {polarity: first}
         self.first_root = 0  # smallest root id among the paths
         self.closure_seen = 0  # members the expected-space closure has visited
+        # The space's kind, read on every fire: whether a step is a negative
+        # belief, and the belief variant (None without a sentiment step).
+        self.negative_belief = (BELIEVES_TRUE, NEGATIVE) in [step[1:] for step in steps]
+        self.variant = belief_variant(steps) if SENTIMENT in [step[1] for step in steps] else None
 
     def add_path(self, path: tuple[Node, ...]) -> bool:
         """Add a chain; True when it moves the first_root of a known space."""
@@ -75,11 +80,6 @@ class SpaceInstance:
             self.first_root = root_id
             return True
         return False
-
-    def add_member(self, member: Node) -> None:
-        if member.node_id not in self.members:
-            self.members[member.node_id] = member
-            _add_to_table(self.clash, member)
 
 
 class SpaceIndex:
@@ -126,7 +126,7 @@ class SpaceIndex:
         node = root
         while node is not None and node.is_chain_node():
             path += (node,)
-            steps += (step_of(node),)
+            steps += ((node.source.name, node.att_type, node.polarity),)
             member = node.target
             inst = self.spaces.get(steps)
             if inst is None:
@@ -139,8 +139,12 @@ class SpaceIndex:
             node = member
 
     def _add_member(self, inst: SpaceInstance, member: Node, path: tuple[Node, ...]) -> None:
-        inst.add_member(member)
-        self.memberships.setdefault(member.node_id, {}).setdefault(inst.steps, path)
+        """Put a member into a space, its clash table and its memberships."""
+        node_id = member.node_id
+        if node_id not in inst.members:
+            inst.members[node_id] = member
+            _add_to_table(inst.clash, member)
+            self.memberships.setdefault(node_id, {})[inst.steps] = path
 
     def clash_table(self, steps: tuple[Step, ...]) -> dict | None:
         """The clash table of a space's members, or None for an unknown space."""
@@ -169,18 +173,6 @@ def rightmost_nodes(steps: tuple[Step, ...], index: SpaceIndex) -> list[Node]:
     if inst is None:
         return []
     return [path[-1] for path in inst.paths]
-
-
-def placement_spaces(node: Node, g: Graph, index: SpaceIndex) -> set[tuple[Step, ...]]:
-    """Spaces a precondition counts as occupying, including the writer level."""
-    spaces = set(index.memberships.get(node.node_id, ()))
-    if g.is_writer_level(node):
-        spaces = spaces | {EPSILON}
-    return spaces
-
-
-def has_negative_belief(steps: tuple[Step, ...]) -> bool:
-    return any(att == BELIEVES_TRUE and pol == NEGATIVE for _, att, pol in steps)
 
 
 def belief_variant(steps: tuple[Step, ...]) -> tuple[Step, ...]:
@@ -267,7 +259,9 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
             break
         polarity = steps[depth - 1][2]
         key, inner = _wrap(g, steps[depth - 1], inner)
-    return _chain_clash(steps, prop, g, index)
+    if prop.node_type == PRIVATE_STATE and prop.att_type in CHAIN_ATTS:
+        return _chain_clash(steps, prop, g, index)
+    return None
 
 
 def _chain_step(prop) -> Step | None:
@@ -365,39 +359,42 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     put both polarities of a member into a space through two of its spaces.
     """
     index = space_index(g)
-    if ps:
-        base: set[tuple[Step, ...]] | None = None
-        for p in ps:
-            ours = placement_spaces(p, g, index)
-            base = ours if base is None else (base & ours)
-        base = base or set()
-    else:
+    # The spaces every precondition occupies, the writer level included.
+    base: set[tuple[Step, ...]] | None = None
+    for p in ps:
+        ours = set(index.memberships.get(p.node_id, ()))
+        if g.is_writer_level(p):
+            ours.add(EPSILON)
+        base = ours if base is None else base & ours
+    if base is None:
         base = {EPSILON}
     if not base:
         raise NoCommonSpace("preconditions share no private-state space")
 
     outcome = ExtensionOutcome(fired=False)
-    ordered = sorted(base, key=lambda s: _order_key(s, index))
+    ordered = sorted(base, key=lambda s: _order_key(s, index)) if len(base) > 1 else base
     candidates: list[tuple[tuple[Step, ...], bool]] = []
+    variants: list[tuple[Step, ...]] = []
     for steps in ordered:
-        if has_negative_belief(steps):
+        inst = index.spaces.get(steps)  # None for the writer level
+        if inst is not None and inst.negative_belief:
             outcome.blocked.append((steps, "negative-belief-path", format_space(steps)))
             continue
         candidates.append((steps, False))
-    for steps, _ in list(candidates):
-        if any(att == SENTIMENT for _, att, _ in steps):
-            variant = belief_variant(steps)
-            if all(variant != s for s, _ in candidates):
+        if inst is not None and inst.variant is not None:
+            variants.append(inst.variant)
+    if variants:
+        taken = [steps for steps, _ in candidates]
+        for variant in variants:
+            if variant not in taken:
+                taken.append(variant)
                 candidates.append((variant, True))
-
-    def record(node: Node, is_new: bool) -> None:
-        if node in outcome.created or node in outcome.existing:
-            return
-        (outcome.created if is_new else outcome.existing).append(node)
 
     additions = [*assumptions, *conclusions]
     # A belief variant also receives the preconditions, so they must fit too.
     variant_ps = [p for p in ps if p.is_proposition() or extended_belief_spaces]
+    created, existing = outcome.created, outcome.existing
+    seen: set[Node] = set()  # the nodes in created or existing
     bare: list[Node] = []
     placed: list[Node] = []
     for steps, is_variant in candidates:
@@ -416,19 +413,24 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             outcome.fired = True
             # Intern the bare propositions first so conclusions can nest
             # assumptions.  Sub-structures (ideaOf, p(x)) interned on the way
-            # count as created too.
+            # count as created too.  A node created here is not in seen yet.
             for fact in additions:
                 start = len(g.nodes)
                 node = g.intern(fact)
-                for fresh in g.nodes[start:]:
-                    record(fresh, True)
-                record(node, False)
+                fresh = g.nodes[start:]
+                created += fresh
+                seen.update(fresh)
+                if node not in seen:
+                    seen.add(node)
+                    existing.append(node)
                 bare.append(node)
         for node in (bare + variant_ps) if is_variant else bare:
             top, wrappers = place(g, node, steps)
-            for w in wrappers:
-                record(w, True)
-            record(top, False)
+            created += wrappers
+            seen.update(wrappers)
+            if top not in seen:
+                seen.add(top)
+                existing.append(top)
             placed.append(top)
         index = space_index(g)  # take in what was just placed
     outcome.touched = list(dict.fromkeys(bare + placed))

@@ -13,6 +13,13 @@ from opine import (
     parse_document,
     process_document,
 )
+from opine.render import (
+    document_to_json,
+    dumps,
+    render_by_spaces,
+    render_graph,
+    render_trace,
+)
 from opine.graph import (
     PRIVATE_STATE,
     agreement_fact,
@@ -313,3 +320,27 @@ def test_tracked_objects_per_node(lexicon):
         gc.enable()
     nodes = sum(len(result.graph.nodes) for result in results)
     assert (after - before) / nodes <= 13.0, (after - before, nodes)
+
+
+def test_no_reference_cycles_per_document(lexicon, corpus_files):
+    # What a document leaves behind must be freed by reference counting: a
+    # cycle waits for the collector, and makes it run sooner.
+    texts = [path.read_text(encoding="utf-8") for path in corpus_files]
+    texts.append(load_workloads().wide_document(random.Random("sweep-12"), 12))
+    gc.collect()
+    gc.disable()
+    try:
+        for extended in (False, True):
+            cfg = Config(extended_belief_spaces=extended)
+            for text in texts:
+                results = process_document(parse_document(text), lexicon, cfg)
+                dumps(results)
+                document_to_json(results)
+                for result in results:
+                    render_graph(result.graph)
+                    render_by_spaces(result)
+                    render_trace(result)
+                del results
+                assert gc.collect() == 0, (extended, text)
+    finally:
+        gc.enable()

@@ -25,7 +25,7 @@ from opine.graph import (
     entity_fact,
     ps_fact,
 )
-from opine.spaces import EPSILON, space_index, step_of
+from opine.spaces import EPSILON, belief_variant, space_index, step_of
 
 from test_properties import deep_document, random_document, rule_orders
 
@@ -205,6 +205,23 @@ def test_incremental_index_matches_scans_on_deep_documents(lexicon, checked_engi
             for text in texts:
                 process_document(parse_document(text), lexicon, cfg)
     assert checked_engine["contradiction_checks"] > 1000
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["default", "extended"])
+def test_each_space_stores_its_kind(lexicon, corpus_files, extended):
+    """The kind a space stores when the index creates it, read on every fire,
+    is what a scan of its steps gives."""
+    kinds = set()
+    for path in corpus_files:
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        for result in process_document(doc, lexicon, Config(extended_belief_spaces=extended)):
+            for steps, inst in space_index(result.graph).spaces.items():
+                negative = any(att == BELIEVES_TRUE and pol == NEGATIVE for _, att, pol in steps)
+                sentiment = any(att == SENTIMENT for _, att, _ in steps)
+                assert inst.negative_belief == negative, steps
+                assert inst.variant == (belief_variant(steps) if sentiment else None), steps
+                kinds.add((negative, sentiment))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_attach_role2_forces_a_rebuild():
