@@ -115,6 +115,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # nested lines are walked recursively, from the parser on
+        print("error: input nests too deeply", file=sys.stderr)
+        return 1
     except OpineError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -145,9 +145,9 @@ def resolve_chains(g: Graph) -> CompositionResult:
                 kind="composition",
                 rule="influencer-chain",
                 iteration=0,
-                preconditions=[n.node_id for n in chain.links + [chain.terminal]],
-                created=[n.node_id for n in g.nodes[start:]]
-                + [f.fact_id for f in new_evidence],
+                preconditions=tuple([n.node_id for n in chain.links + [chain.terminal]]),
+                created=tuple([n.node_id for n in g.nodes[start:]]
+                              + [f.fact_id for f in new_evidence]),
             )
         )
     return result
@@ -176,8 +176,8 @@ def expand_extra_roles(g: Graph, lex: Lexicon) -> list[Node]:
                 kind="composition",
                 rule="extra-role",
                 iteration=0,
-                preconditions=[event.node_id],
-                created=[n.node_id for n in g.nodes[start:]],
+                preconditions=(event.node_id,),
+                created=tuple([n.node_id for n in g.nodes[start:]]),
             )
         )
     return derived

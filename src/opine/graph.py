@@ -261,18 +261,20 @@ class TraceEvent:
                  "existing", "blocks")
 
     def __init__(self, kind: str, rule: str, iteration: int,
-                 preconditions: list[int] | None = None,
-                 assumptions: list[int] | None = None,
-                 created: list[int] | None = None,
-                 existing: list[int] | None = None,
+                 preconditions: tuple[int, ...] = (),
+                 assumptions: tuple[int, ...] = (),
+                 created: tuple[int, ...] = (),
+                 existing: tuple[int, ...] = (),
                  blocks: list[BlockReport] | None = None):
         self.kind = kind  # "fire" or "composition"
         self.rule = rule
         self.iteration = iteration
-        self.preconditions = [] if preconditions is None else preconditions
-        self.assumptions = [] if assumptions is None else assumptions
-        self.created = [] if created is None else created
-        self.existing = [] if existing is None else existing
+        # Ids in tuples: a tuple of ints is one object the cyclic collector
+        # stops tracking, where a list stays tracked.
+        self.preconditions = preconditions
+        self.assumptions = assumptions
+        self.created = created
+        self.existing = existing
         self.blocks = [] if blocks is None else blocks
 
 

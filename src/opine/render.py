@@ -34,45 +34,63 @@ from .graph import (
     Node,
 )
 from .rules import Config, InferenceResult, process_document
-from .spaces import format_space, space_index, step_of
+from .spaces import format_space, space_index
 
 _INDENT = "  "
+_NEST = "\n" + _INDENT  # a line break one level deeper
+
+
+def _display(node: Node, memo: dict[Node, str]) -> str:
+    """The node's display at indent 0, one line per node, children indented.
+
+    ``memo`` holds the display of every node built so far in one view, so a
+    subtree shared by several nodes is built once; a child's display is
+    nested by indenting each of its lines.
+    """
+    text = memo.get(node)
+    if text is not None:
+        return text
+    t = node.node_type
+    if t in (ANIM, THING):
+        text = f"{node.node_id} {node.name}"
+    elif t == GFBF:
+        text = f"{node.node_id} {node.agent.name} {node.anchor or node.effect} {node.object.name}"
+        derived = node.role2
+        if derived is not None:
+            text += (f"{_NEST}{derived.node_id} {derived.agent.name};"
+                     f" which is {derived.effect} {derived.object.name}")
+    else:
+        if t == IDEA_OF:
+            head, child = f"{node.node_id} ideaOf", node.idea_object
+        elif t == P_X:
+            head, child = f"{node.node_id} {node.property}", node.x
+        elif t == AGREEMENT:
+            verb = "agrees" if node.polarity == POSITIVE else "disagrees"
+            head = f"{node.node_id} {node.source.name} {verb} with {node.with_whom.name} that"
+            child = node.target
+        elif t == PRIVATE_STATE:
+            prop = f" {node.property}" if node.property else ""
+            head = f"{node.node_id} {node.source.name} {node.polarity} {node.att_type}{prop}"
+            child = node.target
+        elif t == INFLUENCER:
+            head, child = f"{node.node_id} {node.agent.name} <{node.property}>", node.target
+        else:
+            raise ValueError(f"unrenderable node type {t!r}")
+        text = head + _NEST + _display(child, memo).replace("\n", _NEST)
+    memo[node] = text
+    return text
 
 
 def render_node(node: Node, indent: int = 0) -> str:
     pad = _INDENT * indent
-    t = node.node_type
-    if t in (ANIM, THING):
-        return f"{pad}{node.node_id} {node.name}"
-    if t == GFBF:
-        word = node.anchor or node.effect
-        lines = [f"{pad}{node.node_id} {node.agent.name} {word} {node.object.name}"]
-        derived = node.role2
-        if derived is not None:
-            lines.append(
-                f"{pad}{_INDENT}{derived.node_id} {derived.agent.name};"
-                f" which is {derived.effect} {derived.object.name}"
-            )
-        return "\n".join(lines)
-    if t == IDEA_OF:
-        return f"{pad}{node.node_id} ideaOf\n" + render_node(node.idea_object, indent + 1)
-    if t == P_X:
-        return f"{pad}{node.node_id} {node.property}\n" + render_node(node.x, indent + 1)
-    if t == AGREEMENT:
-        verb = "agrees" if node.polarity == POSITIVE else "disagrees"
-        head = f"{pad}{node.node_id} {node.source.name} {verb} with {node.with_whom.name} that"
-        return head + "\n" + render_node(node.target, indent + 1)
-    if t == PRIVATE_STATE:
-        prop = f" {node.property}" if node.property else ""
-        head = f"{pad}{node.node_id} {node.source.name} {node.polarity} {node.att_type}{prop}"
-        return head + "\n" + render_node(node.target, indent + 1)
-    if t == INFLUENCER:
-        head = f"{pad}{node.node_id} {node.agent.name} <{node.property}>"
-        return head + "\n" + render_node(node.target, indent + 1)
-    raise ValueError(f"unrenderable node type {t!r}")
+    return pad + _display(node, {}).replace("\n", "\n" + pad)
 
 
 def render_evidence(fact: EvidenceFact) -> str:
+    return _evidence_display(fact, {})
+
+
+def _evidence_display(fact: EvidenceFact, memo: dict[Node, str]) -> str:
     if fact.att_type == INTENDS:
         qualifier = "intentional" if fact.polarity == POSITIVE else "not intentional"
         head = f"{fact.fact_id} There is evidence that the following is {qualifier}:"
@@ -81,12 +99,7 @@ def render_evidence(fact: EvidenceFact) -> str:
         head = f"{fact.fact_id} There is evidence that the following is {qualifier}"
     else:
         head = f"{fact.fact_id} (evidence,{fact.holder},{fact.polarity},{fact.att_type})"
-    return head + "\n" + render_node(fact.target, 1)
-
-
-def _space_label(path: tuple[Node, ...]) -> str:
-    """A chain's space, as format_space writes it, led by the chain's root id."""
-    return f"[{path[0].node_id} {format_space(tuple(map(step_of, path)))[1:]}"
+    return head + _NEST + _display(fact.target, memo).replace("\n", _NEST)
 
 
 _BY_SPACES_TYPES = (ANIM, THING, GFBF, IDEA_OF, AGREEMENT)
@@ -103,20 +116,24 @@ def _shown_in_by_spaces(node: Node) -> bool:
 def render_by_spaces(result: InferenceResult | Graph) -> str:
     """Space-membership summary: each resident node under its space lines."""
     g = result.graph if isinstance(result, InferenceResult) else result
-    index = space_index(g)
+    memberships = space_index(g).memberships
+    # A space line is "[" and the chain's root id before format_space's text
+    # of the space, whose steps are the membership's key: one text per space.
+    labels: dict[tuple, str] = {}
+    memo: dict[Node, str] = {}
     chunks = []
-    shown = [
-        node
-        for node in g.nodes
-        if _shown_in_by_spaces(node) and node.node_id in index.memberships
-    ]
-    for node in sorted(shown, key=lambda n: n.node_id):
-        paths = sorted(index.memberships[node.node_id].values(), key=lambda p: p[0].node_id)
+    for node in g.nodes:  # in id order
+        spaces = memberships.get(node.node_id)
+        if spaces is None or not _shown_in_by_spaces(node):
+            continue
         lines = []
-        for path in paths:
-            prefix = "From Input: " if all(n.from_input for n in path) else ""
-            lines.append(prefix + _space_label(path))
-        lines.append(render_node(node))
+        for steps, path in sorted(spaces.items(), key=lambda item: item[1][0].node_id):
+            label = labels.get(steps)
+            if label is None:
+                label = labels[steps] = format_space(steps)[1:]
+            prefix = "From Input: [" if all(n.from_input for n in path) else "["
+            lines.append(f"{prefix}{path[0].node_id} {label}")
+        lines.append(_display(node, memo))
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + ("\n" if chunks else "")
 
@@ -124,8 +141,9 @@ def render_by_spaces(result: InferenceResult | Graph) -> str:
 def render_graph(g: Graph) -> str:
     """Top-level view: every root chain and writer-level fact, in id order."""
     tops = sorted(list(g.roots) + list(g.top_level), key=lambda n: n.node_id)
-    parts = [render_node(n) for n in tops]
-    parts.extend(render_evidence(f) for f in g.evidence if not f.retired)
+    memo: dict[Node, str] = {}
+    parts = [_display(n, memo) for n in tops]
+    parts.extend(_evidence_display(f, memo) for f in g.evidence if not f.retired)
     return "\n".join(parts) + ("\n" if parts else "")
 
 

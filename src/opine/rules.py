@@ -61,7 +61,6 @@ from .graph import (
     sign,
 )
 from .spaces import (
-    belief_variant,
     extend_spaces,
     first_clash,
     format_space,
@@ -508,11 +507,11 @@ def _describe_assumption(fact: Fact) -> str:
 
 def _log(g: Graph, state: EngineState, rule: Rule, binding: Binding,
          iteration: int, outcome: FireOutcome) -> None:
-    existing_ids = [n.node_id for n in outcome.existing]
+    existing_ids = tuple([n.node_id for n in outcome.existing])
     blocks = outcome.blocks
     if not outcome.created:
         # (cause, detail, space) of each block
-        signature = (rule.name, binding.fire_key, tuple(existing_ids),
+        signature = (rule.name, binding.fire_key, existing_ids,
                      tuple([b[2:] for b in blocks]))
         if signature in state.logged:
             return
@@ -520,9 +519,9 @@ def _log(g: Graph, state: EngineState, rule: Rule, binding: Binding,
         if not existing_ids and not blocks:
             return
     g.trace.append(
-        TraceEvent("fire", rule.name, iteration, [p.node_id for p in binding.ps],
-                   [n.node_id for n in outcome.assumptions],
-                   [n.node_id for n in outcome.created], existing_ids, blocks)
+        TraceEvent("fire", rule.name, iteration, tuple([p.node_id for p in binding.ps]),
+                   tuple([n.node_id for n in outcome.assumptions]),
+                   tuple([n.node_id for n in outcome.created]), existing_ids, blocks)
     )
 
 
@@ -545,19 +544,21 @@ class InferenceResult(NamedTuple):
 _UNSETTLED_CAUSES = ("space-contradiction", "no-assumption-basis")
 
 
-def _input_stamp(g: Graph, ps: list[Node]) -> tuple:
+def _input_stamp(g: Graph, ps: list[Node]) -> int:
     """What a settled binding's next fire depends on that can still change.
 
-    Each precondition's spaces (memberships only grow, so a count tells) and
-    whether it is writer-level, and the order of the spaces (first_root
-    moves).  Evidence and the layout are fixed after composition.
+    One int, the sum of: the order of the spaces (first_root moves) and, for
+    each precondition, the number of its spaces (memberships only grow, so a
+    count tells) and whether it is writer-level (0 or 1).  Each term only
+    grows, so the sum is unchanged exactly when every term is.  Evidence and
+    the layout are fixed after composition.
     """
     index = space_index(g)
     memberships = index.memberships
-    return (
-        index.first_root_moves,
-        tuple([(len(memberships.get(p.node_id, ())), g.is_writer_level(p)) for p in ps]),
-    )
+    stamp = index.first_root_moves
+    for p in ps:
+        stamp += len(memberships.get(p.node_id, ())) + g.is_writer_level(p)
+    return stamp
 
 
 class _Bindings:
@@ -675,12 +676,12 @@ def _expected_space_closure(g: Graph) -> None:
     """Optional closure: every member of a sentiment-bearing space is also
     believed, i.e. placed into the space's positive-belief variant.
 
-    Semi-naive: each space's ``closure_seen`` counts the members already
-    visited, and a pass visits only the members after it.  Inside the
-    fixpoint no member is retired and the layout does not move, while chains
-    and clash tables only grow, so a visited member's outcome stays what it
-    was: skipped, blocked, or placed (placing again creates nothing).  A
-    rebuilt index starts from zero again.
+    Semi-naive: each sentiment-bearing space's ``closure_seen`` counts the
+    members already visited, and a pass visits only the members after it.
+    Inside the fixpoint no member is retired and the layout does not move,
+    while chains and clash tables only grow, so a visited member's outcome
+    stays what it was: skipped, blocked, or placed (placing again creates
+    nothing).  A rebuilt index starts from zero again.
     """
     changed = True
     while changed:
@@ -688,21 +689,18 @@ def _expected_space_closure(g: Graph) -> None:
         # Snapshot the new members: placing below adds to the (live) index.
         index = space_index(g)
         snapshot = []
-        for steps, inst in index.spaces.items():
-            if len(inst.members) > inst.closure_seen:
+        for inst in index.spaces.values():
+            if inst.variant is not None and len(inst.members) > inst.closure_seen:
                 new = list(islice(inst.members.values(), inst.closure_seen, None))
-                snapshot.append((steps, new))
+                snapshot.append((inst.variant, inst.paths[0], new))
                 inst.closure_seen = len(inst.members)
-        for steps, members in snapshot:
-            variant = belief_variant(steps)
-            if variant == steps:
-                continue
+        for variant, chain, members in snapshot:
             for member in members:
                 if member.retired:
                     continue
                 if would_contradict(variant, member, g, index) is not None:
                     continue
-                _, created = place(g, member, variant)
+                _, created = place(g, member, variant, chain)
                 index = space_index(g)  # take in the chain just placed
                 if created:
                     changed = True

@@ -30,10 +30,6 @@ Step = tuple[str, str, str]  # (source name, attitude type, polarity)
 EPSILON: tuple[Step, ...] = ()
 
 
-def step_of(node: Node) -> Step:
-    return (node.source_name, node.att_type, node.polarity)
-
-
 ClashKey = tuple  # (node type, attitude type, (label, node) pairs)
 
 
@@ -58,7 +54,7 @@ class SpaceInstance:
     __slots__ = ("steps", "paths", "members", "clash", "first_root", "closure_seen",
                  "negative_belief", "variant")
 
-    def __init__(self, steps: tuple[Step, ...]):
+    def __init__(self, steps: tuple[Step, ...], parent: SpaceInstance | None):
         self.steps = steps
         self.paths: list[tuple[Node, ...]] = []  # chain node sequences
         self.members: dict[int, Node] = {}  # by node id, in insertion order
@@ -67,8 +63,19 @@ class SpaceInstance:
         self.closure_seen = 0  # members the expected-space closure has visited
         # The space's kind, read on every fire: whether a step is a negative
         # belief, and the belief variant (None without a sentiment step).
-        self.negative_belief = (BELIEVES_TRUE, NEGATIVE) in [step[1:] for step in steps]
-        self.variant = belief_variant(steps) if SENTIMENT in [step[1] for step in steps] else None
+        # Both extend those of the parent, the space one step up (None for a
+        # one-step space), by the last step.
+        src, att, pol = steps[-1]
+        if parent is None:
+            above, negative, variant = EPSILON, False, None
+        else:
+            above, negative, variant = parent.steps, parent.negative_belief, parent.variant
+        self.negative_belief = negative or (att == BELIEVES_TRUE and pol == NEGATIVE)
+        if att == SENTIMENT:
+            belief = (src, BELIEVES_TRUE, POSITIVE)
+            self.variant = (above if variant is None else variant) + (belief,)
+        else:
+            self.variant = None if variant is None else variant + (steps[-1],)
 
     def add_path(self, path: tuple[Node, ...]) -> bool:
         """Add a chain; True when it moves the first_root of a known space."""
@@ -123,6 +130,7 @@ class SpaceIndex:
     def _add_chains(self, root: Node) -> None:
         path: tuple[Node, ...] = ()
         steps: tuple[Step, ...] = EPSILON
+        parent = None
         node = root
         while node is not None and node.is_chain_node():
             path += (node,)
@@ -130,12 +138,13 @@ class SpaceIndex:
             member = node.target
             inst = self.spaces.get(steps)
             if inst is None:
-                inst = self.spaces[steps] = SpaceInstance(steps)
+                inst = self.spaces[steps] = SpaceInstance(steps, parent)
             if inst.add_path(path):
                 self.first_root_moves += 1
             self._add_member(inst, member, path)
             if member.role2 is not None:
                 self._add_member(inst, member.role2, path)
+            parent = inst
             node = member
 
     def _add_member(self, inst: SpaceInstance, member: Node, path: tuple[Node, ...]) -> None:
@@ -173,14 +182,6 @@ def rightmost_nodes(steps: tuple[Step, ...], index: SpaceIndex) -> list[Node]:
     if inst is None:
         return []
     return [path[-1] for path in inst.paths]
-
-
-def belief_variant(steps: tuple[Step, ...]) -> tuple[Step, ...]:
-    """Replace every sentiment step with positive belief by the same source."""
-    return tuple(
-        (src, BELIEVES_TRUE, POSITIVE) if att == SENTIMENT else (src, att, pol)
-        for src, att, pol in steps
-    )
 
 
 def format_space(steps: tuple[Step, ...]) -> str:
@@ -322,16 +323,20 @@ def _order_key(steps: tuple[Step, ...], index: SpaceIndex) -> tuple:
     return (inst.first_root if inst else 0, len(steps), steps)
 
 
-def place(g: Graph, node: Node, steps: tuple[Step, ...]) -> tuple[Node, list[Node]]:
+def place(g: Graph, node: Node, steps: tuple[Step, ...],
+          chain: tuple[Node, ...]) -> tuple[Node, list[Node]]:
     """Intern the chain wrapping node in the space's steps.
 
-    Returns the top node and every node newly created by the wrapping.
+    Each level takes its source entity from the same level of chain: a chain
+    of the space itself or, for a belief variant, of its base space, whose
+    steps have the same sources.  Returns the top node and every node newly
+    created by the wrapping.
     """
     created: list[Node] = []
     current = node
-    for src, att, pol in reversed(steps):
+    for (_, att, pol), link in zip(reversed(steps), reversed(chain)):
         before = len(g.nodes)
-        current = g.private_state(src, att, pol, current)
+        current = g.private_state(link.source, att, pol, current)
         if len(g.nodes) != before:
             created.append(current)
     if current.is_chain_node() and current.source_name == WRITER:
@@ -373,22 +378,26 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
 
     outcome = ExtensionOutcome(fired=False)
     ordered = sorted(base, key=lambda s: _order_key(s, index)) if len(base) > 1 else base
-    candidates: list[tuple[tuple[Step, ...], bool]] = []
-    variants: list[tuple[Step, ...]] = []
+    # (steps, the chain place takes the sources from, is a belief variant)
+    candidates: list[tuple[tuple[Step, ...], tuple[Node, ...], bool]] = []
+    variants: list[tuple[tuple[Step, ...], tuple[Node, ...], bool]] = []
     for steps in ordered:
-        inst = index.spaces.get(steps)  # None for the writer level
-        if inst is not None and inst.negative_belief:
+        inst = index.spaces.get(steps)
+        if inst is None:  # the writer level
+            candidates.append((steps, (), False))
+            continue
+        if inst.negative_belief:
             outcome.blocked.append((steps, "negative-belief-path", format_space(steps)))
             continue
-        candidates.append((steps, False))
-        if inst is not None and inst.variant is not None:
-            variants.append(inst.variant)
+        candidates.append((steps, inst.paths[0], False))
+        if inst.variant is not None:
+            variants.append((inst.variant, inst.paths[0], True))
     if variants:
-        taken = [steps for steps, _ in candidates]
+        taken = [steps for steps, _, _ in candidates]
         for variant in variants:
-            if variant not in taken:
-                taken.append(variant)
-                candidates.append((variant, True))
+            if variant[0] not in taken:
+                taken.append(variant[0])
+                candidates.append(variant)
 
     additions = [*assumptions, *conclusions]
     # A belief variant also receives the preconditions, so they must fit too.
@@ -397,8 +406,11 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     seen: set[Node] = set()  # the nodes in created or existing
     bare: list[Node] = []
     placed: list[Node] = []
-    for steps, is_variant in candidates:
-        props = (additions + variant_ps) if is_variant else additions
+    for steps, chain, is_variant in candidates:
+        # Once interned, the additions are checked as their nodes, which a
+        # check finds without resolving them again.
+        adding = bare if outcome.fired else additions
+        props = (adding + variant_ps) if is_variant else adding
         clash = None
         for prop in props:
             clash = would_contradict(steps, prop, g, index)
@@ -425,7 +437,7 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
                     existing.append(node)
                 bare.append(node)
         for node in (bare + variant_ps) if is_variant else bare:
-            top, wrappers = place(g, node, steps)
+            top, wrappers = place(g, node, steps, chain)
             created += wrappers
             seen.update(wrappers)
             if top not in seen:

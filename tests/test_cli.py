@@ -270,6 +270,22 @@ def test_influencer_of_the_other_lexicon_kind_is_an_input_error(tmp_path, capsys
     assert code == 0 and err == ""
 
 
+def test_input_nesting_too_deeply_is_an_error(tmp_path, capsys):
+    # Nested lines are walked recursively, so a chain deeper than the
+    # recursion limit fails at parse, before any inference.
+    depth = sys.getrecursionlimit() + 200
+    lines = ['"Deep."', "E1 gfbf <bob, goodFor (x1), carol>",
+             "S1 subjectivity <alice, positive sentiment (w), E1>"]
+    lines += [f"S{i} subjectivity <alice, positive sentiment (w), S{i - 1}>"
+              for i in range(2, depth + 1)]
+    lines.append(f"B1 privateState <writer, positive believesTrue (w), S{depth}>")
+    doc = tmp_path / "deep.ann"
+    doc.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -4,9 +4,11 @@
 for what the fire places: each space stores its kind (negative belief, belief
 variant) when the index creates it, a fire's created/existing bookkeeping is
 a set, block reports are built only for a blocked fire, and the trace's
-dedup signature only for a fire that created nothing.  The copies below do
-all of that work on every fire, as the engine did before; the tests swap
-them in and compare every output byte for byte.
+dedup signature only for a fire that created nothing.  Once a fire has
+interned its additions, later spaces check the nodes instead of the facts,
+and ``place`` takes each level's source from a chain of the space.  The
+copies below do all of that work on every fire, as the engine did before;
+the tests swap them in and compare every output byte for byte.
 """
 
 import random
@@ -16,11 +18,12 @@ import pytest
 from opine import Config, parse_document, process_document
 from opine import rules, spaces
 from opine.errors import InputError, NoCommonSpace
-from opine.graph import BELIEVES_TRUE, NEGATIVE, SENTIMENT, BlockReport, TraceEvent
+from opine.graph import BELIEVES_TRUE, NEGATIVE, SENTIMENT, WRITER, BlockReport, TraceEvent
 from opine.render import dumps, render_by_spaces, render_graph, render_trace
 from opine.spaces import EPSILON
 
 from test_properties import deep_document
+from test_space_index import belief_variant
 
 DEEP_DOCUMENTS = 100  # the first deep documents of seed 2
 
@@ -39,8 +42,25 @@ def has_negative_belief(steps):
     return any(att == BELIEVES_TRUE and pol == NEGATIVE for _, att, pol in steps)
 
 
+def reference_place(g, node, steps):
+    """place looking up each level's source entity by name."""
+    created = []
+    current = node
+    for src, att, pol in reversed(steps):
+        before = len(g.nodes)
+        current = g.private_state(src, att, pol, current)
+        if len(g.nodes) != before:
+            created.append(current)
+    if current.is_chain_node() and current.source_name == WRITER:
+        g.add_root(current)
+    elif not steps:
+        g.add_top_level(current)
+    return current, created
+
+
 def reference_extend_spaces(g, ps, assumptions, conclusions, *, extended_belief_spaces=False):
-    """extend_spaces recomputing each space's kind and scanning lists per fire."""
+    """extend_spaces recomputing each space's kind and scanning lists per fire,
+    checking every space's additions as facts, and placing by source name."""
     index = spaces.space_index(g)
     if ps:
         base = None
@@ -63,7 +83,7 @@ def reference_extend_spaces(g, ps, assumptions, conclusions, *, extended_belief_
         candidates.append((steps, False))
     for steps, _ in list(candidates):
         if any(att == SENTIMENT for _, att, _ in steps):
-            variant = spaces.belief_variant(steps)
+            variant = belief_variant(steps)
             if all(variant != s for s, _ in candidates):
                 candidates.append((variant, True))
 
@@ -96,7 +116,7 @@ def reference_extend_spaces(g, ps, assumptions, conclusions, *, extended_belief_
                 record(node, False)
                 bare.append(node)
         for node in (bare + variant_ps) if is_variant else bare:
-            top, wrappers = spaces.place(g, node, steps)
+            top, wrappers = reference_place(g, node, steps)
             for w in wrappers:
                 record(w, True)
             record(top, False)

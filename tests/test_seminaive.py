@@ -19,6 +19,7 @@ from opine.errors import InputError, IterationLimitExceeded
 from opine.render import dumps, render_trace
 
 from test_properties import deep_document, random_document, rule_orders
+from test_space_index import belief_variant
 
 DOCUMENTS = 100  # the first documents of the fixed-seed random suite
 DEEP_DOCUMENTS = 50  # the first deep documents of seed 2
@@ -152,9 +153,10 @@ def naive_expected_space_closure(g):
         changed = False
         # Snapshot the members: placing below adds to the (live) index.
         index = spaces.space_index(g)
-        snapshot = [(steps, list(inst.members.values())) for steps, inst in index.spaces.items()]
-        for steps, members in snapshot:
-            variant = spaces.belief_variant(steps)
+        snapshot = [(steps, inst.paths[0], list(inst.members.values()))
+                    for steps, inst in index.spaces.items()]
+        for steps, chain, members in snapshot:
+            variant = belief_variant(steps)
             if variant == steps:
                 continue
             for member in members:
@@ -162,7 +164,7 @@ def naive_expected_space_closure(g):
                     continue
                 if rules.would_contradict(variant, member, g, index) is not None:
                     continue
-                _, created = rules.place(g, member, variant)
+                _, created = rules.place(g, member, variant, chain)
                 index = spaces.space_index(g)  # take in the chain just placed
                 if created:
                     changed = True

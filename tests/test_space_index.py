@@ -14,23 +14,25 @@ import pytest
 
 from opine import Config, Graph, parse_document, process_document
 from opine import rules, spaces
-from opine.errors import InvariantViolation
+from opine.errors import InputError, InvariantViolation
 from opine.graph import (
     AGREEMENT,
     BELIEVES_TRUE,
     NEGATIVE,
+    POSITIVE,
     PRIVATE_STATE,
     SENTIMENT,
     Node,
     entity_fact,
     ps_fact,
 )
-from opine.spaces import EPSILON, belief_variant, space_index, step_of
+from opine.spaces import EPSILON, space_index
 
 from test_properties import deep_document, random_document, rule_orders
 
 DOCUMENTS = 100  # the first documents of the fixed-seed random suite
 DEEP_DOCUMENTS = 50  # of the fixed-seed deeper suite; two reach a clash below a placed chain
+KIND_DEEP_DOCUMENTS = 100  # the first deep documents of seed 2
 
 # A placement that clashes both in its space and below its own chain; the
 # clash in its space is the one reported.
@@ -50,6 +52,19 @@ V1 evidence <none, positive sentiment (e), E1>
 
 
 # -- reference implementations --------------------------------------------------
+
+def step_of(node):
+    """The step a chain node adds: (source name, attitude type, polarity)."""
+    return (node.source_name, node.att_type, node.polarity)
+
+
+def belief_variant(steps):
+    """Every sentiment step replaced by a positive belief of the same source."""
+    return tuple(
+        (src, BELIEVES_TRUE, POSITIVE) if att == SENTIMENT else (src, att, pol)
+        for src, att, pol in steps
+    )
+
 
 def reference_index(g):
     """(spaces, memberships) from walking every root, as the index once did."""
@@ -210,11 +225,19 @@ def test_incremental_index_matches_scans_on_deep_documents(lexicon, checked_engi
 @pytest.mark.parametrize("extended", [False, True], ids=["default", "extended"])
 def test_each_space_stores_its_kind(lexicon, corpus_files, extended):
     """The kind a space stores when the index creates it, read on every fire,
-    is what a scan of its steps gives."""
+    is what a scan of its steps gives.  The deep documents' longer chains
+    build variants from a parent's variant and from its non-sentiment steps."""
     kinds = set()
-    for path in corpus_files:
-        doc = parse_document(path.read_text(encoding="utf-8"))
-        for result in process_document(doc, lexicon, Config(extended_belief_spaces=extended)):
+    texts = [path.read_text(encoding="utf-8") for path in corpus_files]
+    rng = random.Random(2)
+    texts += [deep_document(rng) for _ in range(KIND_DEEP_DOCUMENTS)]
+    for text in texts:
+        try:
+            results = process_document(parse_document(text), lexicon,
+                                       Config(extended_belief_spaces=extended))
+        except InputError:
+            continue
+        for result in results:
             for steps, inst in space_index(result.graph).spaces.items():
                 negative = any(att == BELIEVES_TRUE and pol == NEGATIVE for _, att, pol in steps)
                 sentiment = any(att == SENTIMENT for _, att, _ in steps)

@@ -3,7 +3,6 @@ import pytest
 from opine import Graph, NoCommonSpace
 from opine.graph import entity_fact, ps_fact
 from opine.spaces import (
-    belief_variant,
     extend_spaces,
     format_space,
     space_index,
@@ -154,12 +153,17 @@ def test_would_contradict_rightmost_negative_belief():
 
 
 def test_belief_variant_replaces_all_sentiments():
+    g = Graph()
+    event = g.gfbf(g.entity("a"), "badFor", g.entity("b"))
+    obama = g.private_state("Obama", "sentiment", "positive", event)
+    moveon = g.private_state("MoveOn", "sentiment", "negative", obama)
+    g.add_root(g.private_state("writer", "believesTrue", "positive", moveon))
     steps = (
         ("writer", "believesTrue", "positive"),
         ("MoveOn", "sentiment", "negative"),
         ("Obama", "sentiment", "positive"),
     )
-    assert belief_variant(steps) == (
+    assert space_index(g).spaces[steps].variant == (
         ("writer", "believesTrue", "positive"),
         ("MoveOn", "believesTrue", "positive"),
         ("Obama", "believesTrue", "positive"),
