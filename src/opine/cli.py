@@ -48,8 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> Config:
     order = DEFAULT_RULE_ORDER
-    if args.rule_order:
+    if args.rule_order is not None:
         order = tuple(name.strip() for name in args.rule_order.split(",") if name.strip())
+        if not order:
+            raise ValueError("--rule-order names no rules")
         unknown = [name for name in order if name not in RULES]
         if unknown:
             raise ValueError(f"unknown rule names: {', '.join(unknown)}")
@@ -66,12 +68,14 @@ def _config_from_args(args) -> Config:
 def _run_whatif(doc, lex, cfg, spec: str, out) -> None:
     if "=" not in spec:
         raise ValueError("--what-if expects LINE=positive|negative")
-    line_id, _, polarity = spec.partition("=")
-    diffs = render.whatif_diff(doc, lex, line_id.strip(), polarity.strip(), cfg)
+    line_id, _, polarity = (part.strip() for part in spec.partition("="))
+    if all(ln.line_id != line_id for sent in doc.sentences for ln in sent.lines):
+        raise ValueError(f"no line {line_id} in {doc.source_name}")
+    diffs = render.whatif_diff(doc, lex, line_id, polarity, cfg)
     for i, (only_base, only_flip) in enumerate(diffs):
         if len(diffs) > 1:
             print(f"sentence {i + 1}:", file=out)
-        print(f"what-if {line_id.strip()}={polarity.strip()}", file=out)
+        print(f"what-if {line_id}={polarity}", file=out)
         print("only in original:", file=out)
         for key in only_base:
             print(f"  {key}", file=out)

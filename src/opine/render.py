@@ -247,7 +247,7 @@ def sentence_to_json(result: InferenceResult, text: str | None = None) -> dict:
 
 def document_to_json(results: list[InferenceResult]) -> dict:
     return {
-        "format_version": 1,
+        "format_version": 2,
         "sentences": [sentence_to_json(r) for r in results],
     }
 
@@ -260,7 +260,7 @@ def dumps(results: list[InferenceResult]) -> str:
     writer lays out the same text itself, encoding strings with the C routine
     that ``json`` uses.  Every piece goes into one list, joined once.
     """
-    out = ['{\n  "format_version": 1,\n  "sentences": ']
+    out = ['{\n  "format_version": 2,\n  "sentences": ']
     if results:
         sep = "[\n    "
         for result in results:

@@ -10,9 +10,9 @@ entire pass adds no new node.
 A matcher returns the bindings of one outer node, building each assumption
 and conclusion as a ``graph.Fact`` over the nodes it matched; firing looks
 the facts up and interns them.  ``match`` runs a matcher over the whole
-graph.  The fixpoint instead builds each binding once per run, matching only
-the nodes a pass added, and replays a productive fire's confirmation rather
-than firing the binding again (``run_to_fixpoint``).
+graph or over the nodes given; the fixpoint builds each binding once per run,
+matching only the nodes a pass added (``run_to_fixpoint``).  The trace logs a
+fire only for what is new to its binding (``_log``).
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class Binding:
     fire_key are; the fixpoint state is not compared.
     """
 
-    __slots__ = ("rule", "ps", "assumptions", "conclusions", "fire_key", "memo")
+    __slots__ = ("rule", "ps", "assumptions", "conclusions", "fire_key", "stamp")
 
     def __init__(self, rule: str, ps: list[Node], assumptions: list[Fact],
                  conclusions: list[Fact], fire_key: tuple = ()):
@@ -113,11 +113,9 @@ class Binding:
         self.assumptions = assumptions
         self.conclusions = conclusions
         self.fire_key = fire_key or (rule, tuple(p.node_id for p in ps))
-        # Fixpoint state (see run_to_fixpoint): (stamp, confirmation), the
-        # input stamp taken before the last fire and, when that fire was
-        # productive and reported no block, the (touched, assumption nodes)
-        # to replay; None as the confirmation when that fire settled it.
-        self.memo = None
+        # Fixpoint state (see run_to_fixpoint): the input stamp taken before
+        # the last fire, or None when the binding must fire again.
+        self.stamp = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -370,9 +368,11 @@ def _outers(rule: Rule, g: Graph, nodes):
     return live if rule.join is None else rule.join(g, live)
 
 
-def match(rule: Rule, g: Graph) -> list[Binding]:
-    """Every binding of a rule on the whole graph, outer node by outer node."""
-    nodes = g.nodes_by_type.get(rule.node_type, ())
+def match(rule: Rule, g: Graph, nodes=None) -> list[Binding]:
+    """Every binding of a rule, outer node by outer node, from the given nodes
+    of its type (by default every one in the graph)."""
+    if nodes is None:
+        nodes = g.nodes_by_type.get(rule.node_type, ())
     return [b for outer in _outers(rule, g, nodes) for b in rule.matcher(g, outer)]
 
 
@@ -436,25 +436,24 @@ def blocked_by_evidence(g: Graph, fact: Fact) -> EvidenceFact | None:
 # -- firing -------------------------------------------------------------------
 
 class FireOutcome:
-    __slots__ = ("fired", "created", "existing", "assumptions", "blocks", "touched")
+    __slots__ = ("fired", "created", "existing", "assumptions", "blocks")
 
     def __init__(self, fired: bool, created: list[Node] | None = None,
                  existing: list[Node] | None = None,
                  assumptions: list[Node] | None = None,
-                 blocks: list[BlockReport] | None = None,
-                 touched: list[Node] | None = None):
+                 blocks: list[BlockReport] | None = None):
         self.fired = fired
         self.created = [] if created is None else created
         self.existing = [] if existing is None else existing
         self.assumptions = [] if assumptions is None else assumptions
         self.blocks = [] if blocks is None else blocks
-        self.touched = [] if touched is None else touched  # ExtensionOutcome.touched
 
 
 class EngineState:
     def __init__(self):
         self.consumed: set[tuple] = set()
-        self.logged: set[tuple] = set()
+        # fire_key -> the nodes and (cause, detail, space) blocks it reported
+        self.reported: dict[tuple, set] = {}
 
 
 def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
@@ -486,7 +485,7 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
                   for space, cause, detail in extension.blocked]
     assumed = [g.lookup(fact) for fact in binding.assumptions]
     outcome = FireOutcome(extension.fired, extension.created, extension.existing,
-                          [n for n in assumed if n is not None], blocks, extension.touched)
+                          [n for n in assumed if n is not None], blocks)
     _log(g, state, rule, binding, iteration, outcome)
     return outcome
 
@@ -507,21 +506,22 @@ def _describe_assumption(fact: Fact) -> str:
 
 def _log(g: Graph, state: EngineState, rule: Rule, binding: Binding,
          iteration: int, outcome: FireOutcome) -> None:
-    existing_ids = tuple([n.node_id for n in outcome.existing])
+    """Log a fire that created a node or reports what its binding has not:
+    an existing node, or a block's (cause, detail, space)."""
+    reported = state.reported.setdefault(binding.fire_key, set())
+    known = len(reported)
+    reported.update(outcome.created)
+    reported.update(outcome.existing)
     blocks = outcome.blocks
-    if not outcome.created:
-        # (cause, detail, space) of each block
-        signature = (rule.name, binding.fire_key, existing_ids,
-                     tuple([b[2:] for b in blocks]))
-        if signature in state.logged:
-            return
-        state.logged.add(signature)
-        if not existing_ids and not blocks:
-            return
+    for block in blocks:
+        reported.add(block[2:])
+    if len(reported) == known:
+        return
     g.trace.append(
         TraceEvent("fire", rule.name, iteration, tuple([p.node_id for p in binding.ps]),
                    tuple([n.node_id for n in outcome.assumptions]),
-                   tuple([n.node_id for n in outcome.created]), existing_ids, blocks)
+                   tuple([n.node_id for n in outcome.created]),
+                   tuple([n.node_id for n in outcome.existing]), blocks)
     )
 
 
@@ -566,11 +566,12 @@ class _Bindings:
 
     Inside the fixpoint no node is retired, ``from_input`` and the layout do
     not move, and no gfbf is created, so the bindings of an outer node depend
-    on that node alone.  ``current`` matches only the nodes of the rule's type
-    added since its last call and appends their bindings, which keeps the
-    list in ``match``'s order.  A joining rule (rule8) pairs two growing sets
-    of nodes of its type, so it is re-matched on every call that follows an
-    addition, each pair reusing the bindings built for it.  With no node of
+    on that node alone.  ``current`` matches (``match``) only the nodes of the
+    rule's type added since its last call and appends their bindings, which
+    keeps the list in the order ``match`` gives on the whole graph.  A
+    joining rule (rule8) pairs two growing sets of nodes of its type, so it
+    is re-matched on every call that follows an addition, each pair reusing
+    the bindings built for it.  With no node of
     the rule's type added, either kind returns its last list.
     """
 
@@ -594,8 +595,7 @@ class _Bindings:
                 bindings += built
             self.bindings = bindings
         else:
-            for outer in _outers(rule, g, nodes[self.matched:]):
-                self.bindings += rule.matcher(g, outer)
+            self.bindings += match(rule, g, nodes[self.matched:])
         self.matched = len(nodes)
         return self.bindings
 
@@ -605,29 +605,19 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
 
     At each rule's turn the loop walks the bindings ``match`` would return,
     in its order, but builds each binding once per run (``_Bindings``).  A
-    binding is then fired, skipped, or has its last fire's confirmation
-    replayed, so the trace is the naive loop's, event for event.
+    binding is fired, or skipped while nothing its fire depends on changed.
 
-    Each binding keeps one memo, ``(stamp, confirmation)``: the input stamp
-    taken before its last fire, and what to replay of that fire or None.
+    Each binding keeps the input stamp taken before its last fire
+    (``_input_stamp``), or None after a fire reporting an unsettled block.
     The stamp is taken before the fire because a fire can make an existing
     chain node a root, and so change its own preconditions' spaces.  Every
     placement is checked against the index as it stands (``extend_spaces``),
     so no space ever holds both polarities of a member, and an addition
-    already placed in a space never clashes there.  So:
-
-    - Settled: a fire that created nothing and reported no unsettled block
-      leaves no confirmation.  While the stamp is unchanged the binding is
-      skipped: a fire would place nothing and log an event signature
-      already logged, and its accepted spaces stay accepted.
-    - Replayed: a fire that created nodes and reported no block placed into
-      every candidate space; its confirmation is its touched nodes and its
-      assumption nodes.  Stamps only grow, so if the stamp is unchanged at
-      the next visit, neither that fire nor a later one changed the
-      binding's candidate spaces or their order.  A fire would check every
-      addition where it is placed already, find no clash, create nothing
-      and log the touched nodes as existing.  The loop logs that event
-      itself and settles the binding.
+    already placed in a space never clashes there.  Stamps only grow, so
+    while a binding's stamp is unchanged its candidate spaces and their order
+    are too, and a fire would place nothing new: it would meet its additions
+    where it placed them and report the nodes and blocks it reported before,
+    which ``_log`` does not log again.
     """
     cfg = cfg or Config()
     state = EngineState()
@@ -643,23 +633,13 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
                 if once and binding.fire_key in state.consumed:
                     continue
                 stamp = _input_stamp(g, binding.ps)
-                memo = binding.memo
-                if memo is not None and memo[0] == stamp:
-                    if memo[1] is not None:
-                        touched, assumed = memo[1]
-                        _log(g, state, rule, binding, iteration,
-                             FireOutcome(True, existing=touched, assumptions=assumed))
-                        binding.memo = (stamp, None)
+                if binding.stamp == stamp:
                     continue
                 outcome = fire(rule, binding, g, cfg, state, iteration)
                 if outcome.fired and once:
                     state.consumed.add(binding.fire_key)
-                if outcome.created and not outcome.blocks:
-                    binding.memo = (stamp, (outcome.touched, outcome.assumptions))
-                elif outcome.created or any([b.cause in _UNSETTLED_CAUSES for b in outcome.blocks]):
-                    binding.memo = None
-                else:
-                    binding.memo = (stamp, None)
+                unsettled = any([b.cause in _UNSETTLED_CAUSES for b in outcome.blocks])
+                binding.stamp = None if unsettled else stamp
         if cfg.extended_belief_spaces:
             _expected_space_closure(g)
         if len(g.nodes) == before:

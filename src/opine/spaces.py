@@ -306,16 +306,13 @@ def first_clash(g: Graph) -> tuple[tuple[Step, ...], Node, Node] | None:
 
 
 class ExtensionOutcome:
-    __slots__ = ("fired", "created", "existing", "blocked", "touched")
+    __slots__ = ("fired", "created", "existing", "blocked")
 
     def __init__(self, fired: bool):
         self.fired = fired
         self.created: list[Node] = []
         self.existing: list[Node] = []
         self.blocked: list[tuple[tuple[Step, ...], str, str]] = []
-        # What a re-fire would record as existing: the bare additions, then
-        # each accepted space's tops, de-duplicated.
-        self.touched: list[Node] = []
 
 
 def _order_key(steps: tuple[Step, ...], index: SpaceIndex) -> tuple:
@@ -405,7 +402,6 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     created, existing = outcome.created, outcome.existing
     seen: set[Node] = set()  # the nodes in created or existing
     bare: list[Node] = []
-    placed: list[Node] = []
     for steps, chain, is_variant in candidates:
         # Once interned, the additions are checked as their nodes, which a
         # check finds without resolving them again.
@@ -443,7 +439,5 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             if top not in seen:
                 seen.add(top)
                 existing.append(top)
-            placed.append(top)
         index = space_index(g)  # take in what was just placed
-    outcome.touched = list(dict.fromkeys(bare + placed))
     return outcome

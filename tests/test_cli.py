@@ -71,7 +71,7 @@ def test_json_export_and_determinism(tmp_path, capsys):
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
     assert len(payload["sentences"]) == 1
 
 
@@ -105,6 +105,12 @@ def test_whatif_bad_spec(capsys):
     assert code == 1 and "what-if" in err
 
 
+def test_whatif_missing_line(capsys):
+    path = CORPUS / "moveon.ann"
+    code, out, err = run_cli(capsys, "--input", path, "--what-if", "S9=positive")
+    assert (code, out, err) == (1, "", f"error: no line S9 in {path}\n")
+
+
 def test_rule_order_flag(capsys):
     order = "rule5agent,rule5source,rule10,rule9,rule7,rule6,rule4,rule3.3,rule3.2,rule3.1,rule2,rule1,rule8"
     code, out, _ = run_cli(
@@ -119,6 +125,14 @@ def test_rule_order_unknown_name(capsys):
         capsys, "--input", CORPUS / "moveon.ann", "--rule-order", "ruleX"
     )
     assert code == 1 and "unknown rule names" in err
+
+
+@pytest.mark.parametrize("order", [",", ""], ids=["comma", "empty"])
+def test_rule_order_naming_no_rule(capsys, order):
+    code, out, err = run_cli(
+        capsys, "--input", CORPUS / "moveon.ann", "--rule-order", order
+    )
+    assert (code, out, err) == (1, "", "error: --rule-order names no rules\n")
 
 
 def test_fire_once_flag_parses(capsys):

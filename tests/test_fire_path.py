@@ -3,8 +3,7 @@
 ``rules.fire``, ``rules._log`` and ``spaces.extend_spaces`` pay per fire only
 for what the fire places: each space stores its kind (negative belief, belief
 variant) when the index creates it, a fire's created/existing bookkeeping is
-a set, block reports are built only for a blocked fire, and the trace's
-dedup signature only for a fire that created nothing.  Once a fire has
+a set, and block reports are built only for a blocked fire.  Once a fire has
 interned its additions, later spaces check the nodes instead of the facts,
 and ``place`` takes each level's source from a chain of the space.  The
 copies below do all of that work on every fire, as the engine did before;
@@ -95,7 +94,6 @@ def reference_extend_spaces(g, ps, assumptions, conclusions, *, extended_belief_
     additions = [*assumptions, *conclusions]
     variant_ps = [p for p in ps if p.is_proposition() or extended_belief_spaces]
     bare = []
-    placed = []
     for steps, is_variant in candidates:
         props = (additions + variant_ps) if is_variant else additions
         clash = None
@@ -120,9 +118,7 @@ def reference_extend_spaces(g, ps, assumptions, conclusions, *, extended_belief_
             for w in wrappers:
                 record(w, True)
             record(top, False)
-            placed.append(top)
         index = spaces.space_index(g)
-    outcome.touched = list(dict.fromkeys(bare + placed))
     return outcome
 
 
@@ -165,24 +161,22 @@ def reference_fire(rule, binding, g, cfg, state=None, iteration=0):
         existing=extension.existing,
         assumptions=[n for n in assumed if n is not None],
         blocks=blocks,
-        touched=extension.touched,
     )
     reference_log(g, state, rule, binding, iteration, outcome)
     return outcome
 
 
 def reference_log(g, state, rule, binding, iteration, outcome):
-    """_log building every id list and the block signature on every call."""
+    """_log building every id list and each block's (cause, detail, space) on
+    every call, and testing each reported item on its own."""
     created_ids = [n.node_id for n in outcome.created]
     existing_ids = [n.node_id for n in outcome.existing]
-    block_sig = tuple((b.cause, b.detail, b.space) for b in outcome.blocks)
-    if not created_ids:
-        signature = (rule.name, binding.fire_key, tuple(existing_ids), block_sig)
-        if signature in state.logged:
-            return
-        state.logged.add(signature)
-        if not existing_ids and not outcome.blocks:
-            return
+    block_sigs = [(b.cause, b.detail, b.space) for b in outcome.blocks]
+    reported = state.reported.setdefault(binding.fire_key, set())
+    new = [item for item in outcome.existing + block_sigs if item not in reported]
+    reported.update(outcome.created, outcome.existing, block_sigs)
+    if not created_ids and not new:
+        return
     g.trace.append(
         TraceEvent(
             kind="fire",

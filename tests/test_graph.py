@@ -308,7 +308,10 @@ def load_workloads() -> types.ModuleType:
 
 def test_tracked_objects_per_node(lexicon):
     # The cyclic collector scans every tracked object, so the objects a
-    # derived node leaves behind set the fixpoint's collection cost.
+    # derived node leaves behind set the fixpoint's collection cost.  Counted
+    # with the collector off, and again after one collection, which stops
+    # tracking the tuples that hold only untracked objects (a list would stay).
+    # Measured on Python 3.11: 10.46 and 9.37.
     doc = parse_document(load_workloads().wide_document(random.Random("sweep-12"), 12))
     gc.collect()
     gc.disable()
@@ -316,10 +319,13 @@ def test_tracked_objects_per_node(lexicon):
         before = len(gc.get_objects())
         results = process_document(doc, lexicon, Config())
         after = len(gc.get_objects())
+        gc.collect()
+        collected = len(gc.get_objects())
     finally:
         gc.enable()
     nodes = sum(len(result.graph.nodes) for result in results)
-    assert (after - before) / nodes <= 13.0, (after - before, nodes)
+    assert (after - before) / nodes <= 11.0, (after - before, nodes)
+    assert (collected - before) / nodes <= 9.8, (collected - before, nodes)
 
 
 def test_no_reference_cycles_per_document(lexicon, corpus_files):

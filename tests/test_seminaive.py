@@ -1,8 +1,7 @@
 """Differential checks of semi-naive firing and the closure.
 
-``run_to_fixpoint`` builds each binding once per run, skips a binding whose
-inputs have not changed since a fire that created nothing, and replays the
-confirmation of a productive fire instead of firing it again;
+``run_to_fixpoint`` builds each binding once per run and skips a binding
+whose inputs have not changed since its last fire settled it;
 ``_expected_space_closure`` visits each space member once.  Each is compared
 with what it replaces: ``rules.match`` on the same graph, and copies of the
 loop that fires every binding on every pass and of the closure that visits
@@ -239,16 +238,16 @@ def test_semi_naive_loop_matches_naive_loop(lexicon, monkeypatch, extended):
     texts = [random_document(rng) for _ in range(DOCUMENTS)] + STAMP_DOCUMENTS
     fires = compare_with_naive_loop(texts, lexicon, monkeypatch, extended)
     assert fires["semi-naive"] < 0.8 * fires["naive"], fires
-    # A replayed confirmation calls no fire.  Measured share of the naive
-    # loop's fires: 0.42 (default) and 0.43 (extended); 0.63 and 0.61 when
-    # each productive fire was fired again to confirm it.
+    # A binding whose stamp is unchanged calls no fire.  Measured share of
+    # the naive loop's fires: 0.44 (default) and 0.45 (extended); 0.63 and
+    # 0.61 when each productive fire was fired again to confirm it.
     assert fires["semi-naive"] < 0.5 * fires["naive"], fires
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["default", "extended"])
 def test_semi_naive_loop_matches_naive_loop_on_deep_documents(lexicon, monkeypatch, extended):
-    """Deeper nesting than the random suite, where replays meet chains placed
-    several levels down."""
+    """Deeper nesting than the random suite, where skipped bindings meet
+    chains placed several levels down."""
     rng = random.Random(2)
     texts = [deep_document(rng) for _ in range(DEEP_DOCUMENTS)]
     fires = compare_with_naive_loop(texts, lexicon, monkeypatch, extended)
