@@ -66,9 +66,9 @@ def _config_from_args(args) -> Config:
 
 
 def _run_whatif(doc, lex, cfg, spec: str, out) -> None:
-    if "=" not in spec:
+    line_id, eq, polarity = (part.strip() for part in spec.partition("="))
+    if not (eq and line_id and polarity):
         raise ValueError("--what-if expects LINE=positive|negative")
-    line_id, _, polarity = (part.strip() for part in spec.partition("="))
     if all(ln.line_id != line_id for sent in doc.sentences for ln in sent.lines):
         raise ValueError(f"no line {line_id} in {doc.source_name}")
     diffs = render.whatif_diff(doc, lex, line_id, polarity, cfg)
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         else:
             lex = Lexicon()
 
-        if args.what_if:
+        if args.what_if is not None:
             _run_whatif(doc, lex, cfg, args.what_if, out)
             return 0
 

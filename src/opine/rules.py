@@ -616,8 +616,9 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     already placed in a space never clashes there.  Stamps only grow, so
     while a binding's stamp is unchanged its candidate spaces and their order
     are too, and a fire would place nothing new: it would meet its additions
-    where it placed them and report the nodes and blocks it reported before,
-    which ``_log`` does not log again.
+    where it placed them, which the index records (``SpaceIndex.placed_top``)
+    so that they are neither checked nor placed again, and report the nodes
+    and blocks it reported before, which ``_log`` does not log again.
     """
     cfg = cfg or Config()
     state = EngineState()
@@ -661,7 +662,9 @@ def _expected_space_closure(g: Graph) -> None:
     Inside the fixpoint no member is retired and the layout does not move,
     while chains and clash tables only grow, so a visited member's outcome
     stays what it was: skipped, blocked, or placed (placing again creates
-    nothing).  A rebuilt index starts from zero again.
+    nothing).  A rebuilt index starts from zero again.  A member the index
+    already holds as placed in the variant (``SpaceIndex.placed_top``) is
+    skipped before its check, as placing it would create nothing.
     """
     changed = True
     while changed:
@@ -676,7 +679,7 @@ def _expected_space_closure(g: Graph) -> None:
                 inst.closure_seen = len(inst.members)
         for variant, chain, members in snapshot:
             for member in members:
-                if member.retired:
+                if member.retired or index.placed_top(member, variant) is not None:
                     continue
                 if would_contradict(variant, member, g, index) is not None:
                     continue

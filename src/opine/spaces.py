@@ -155,6 +155,24 @@ class SpaceIndex:
             _add_to_table(inst.clash, member)
             self.memberships.setdefault(node_id, {})[inst.steps] = path
 
+    def placed_top(self, node: Node, steps: tuple[Step, ...]) -> Node | None:
+        """The root of the chain ``place`` would build to put node into the
+        space, when the index already holds exactly that chain; else None.
+
+        The chain recorded for the membership must end in node itself, not
+        in a gfbf holding node as its role2, and carry no substantial link,
+        since ``place`` builds none.  Memberships only grow, so an index
+        behind the graph may miss a chain but never gives a wrong one.
+        """
+        by_space = self.memberships.get(node.node_id)
+        path = by_space.get(steps) if by_space else None
+        if path is None or path[-1].target is not node:
+            return None
+        for link in path:
+            if link.property is not None:
+                return None
+        return path[0]
+
     def clash_table(self, steps: tuple[Step, ...]) -> dict | None:
         """The clash table of a space's members, or None for an unknown space."""
         if steps == EPSILON:
@@ -359,6 +377,11 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     made into the spaces before it: the space is blocked if any addition
     would contradict, and placed into at once otherwise.  So one fire cannot
     put both polarities of a member into a space through two of its spaces.
+
+    An addition the index already holds as placed (``SpaceIndex.placed_top``)
+    is neither checked nor placed again, and its chain's root is reported as
+    ``place`` would report it.  It cannot clash: no clash table holds both
+    polarities, and no candidate is a negative-belief space.
     """
     index = space_index(g)
     # The spaces every precondition occupies, the writer level included.
@@ -409,6 +432,9 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
         props = (adding + variant_ps) if is_variant else adding
         clash = None
         for prop in props:
+            node = g.lookup(prop)
+            if node is not None and index.placed_top(node, steps) is not None:
+                continue
             clash = would_contradict(steps, prop, g, index)
             if clash is not None:
                 break
@@ -433,9 +459,11 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
                     existing.append(node)
                 bare.append(node)
         for node in (bare + variant_ps) if is_variant else bare:
-            top, wrappers = place(g, node, steps, chain)
-            created += wrappers
-            seen.update(wrappers)
+            top = index.placed_top(node, steps)
+            if top is None:
+                top, wrappers = place(g, node, steps, chain)
+                created += wrappers
+                seen.update(wrappers)
             if top not in seen:
                 seen.add(top)
                 existing.append(top)

@@ -105,6 +105,13 @@ def test_whatif_bad_spec(capsys):
     assert code == 1 and "what-if" in err
 
 
+@pytest.mark.parametrize("spec", ["=positive", "S1=", " = ", "=", ""],
+                         ids=["no-line", "no-polarity", "blank", "bare", "empty"])
+def test_whatif_empty_part(capsys, spec):
+    code, out, err = run_cli(capsys, "--input", CORPUS / "moveon.ann", "--what-if", spec)
+    assert (code, out, err) == (1, "", "error: --what-if expects LINE=positive|negative\n")
+
+
 def test_whatif_missing_line(capsys):
     path = CORPUS / "moveon.ann"
     code, out, err = run_cli(capsys, "--input", path, "--what-if", "S9=positive")

@@ -1,0 +1,175 @@
+"""Differential and invariant checks of the placement shortcut.
+
+``extend_spaces`` neither checks nor places an addition the space index
+already holds as placed in a space, and the ``--extended-belief-spaces``
+closure skips such a member before its check (``SpaceIndex.placed_top``).
+With ``placed_top`` patched to find nothing, every addition is checked and
+placed as before; the tests compare both paths byte for byte, show that each
+of ``placed_top``'s two guards is needed, and check in a live run that what
+the shortcut skips would have been a clash-free placement creating nothing.
+"""
+
+import random
+
+import pytest
+
+from opine import Config, parse_document, process_document
+from opine import rules, spaces
+from opine.errors import InputError
+from opine.render import dumps, render_by_spaces, render_graph, render_trace
+
+from test_properties import deep_document, random_document, rule_orders
+from test_seminaive import STAMP_DOCUMENTS
+
+DOCUMENTS = 100  # the first documents of the fixed-seed random suite
+DEEP_DOCUMENTS = 100  # the first deep documents of seed 2
+
+CONFIGS = [
+    Config(fire_once=fire_once, extended_belief_spaces=extended)
+    for extended in (False, True)
+    for fire_once in (True, False)
+]
+CONFIG_IDS = [
+    f"{'extended' if cfg.extended_belief_spaces else 'default'}-"
+    f"{'fire-once' if cfg.fire_once else 'refire'}"
+    for cfg in CONFIGS
+]
+
+
+def outputs(text, lexicon, cfg):
+    """The export, each sentence's text views and passes, or the input error raised."""
+    try:
+        results = process_document(parse_document(text), lexicon, cfg)
+    except InputError as exc:
+        return type(exc), str(exc)
+    views = [(render_graph(r.graph), render_by_spaces(r), render_trace(r), r.iterations)
+             for r in results]
+    return dumps(results), views
+
+
+def finds_nothing(self, node, steps):
+    return None
+
+
+def without_guard(guard):
+    """placed_top without its substantial-link guard or its direct-target guard."""
+
+    def placed_top(self, node, steps):
+        by_space = self.memberships.get(node.node_id)
+        path = by_space.get(steps) if by_space else None
+        if path is None:
+            return None
+        if guard != "role2" and path[-1].target is not node:
+            return None
+        if guard != "substantial" and any(link.property is not None for link in path):
+            return None
+        return path[0]
+
+    return placed_top
+
+
+def reference_outputs(text, lexicon, cfg, monkeypatch, placed_top=finds_nothing):
+    with monkeypatch.context() as m:
+        m.setattr(spaces.SpaceIndex, "placed_top", placed_top)
+        return outputs(text, lexicon, cfg)
+
+
+def compare_with_reference(texts, lexicon, monkeypatch, cfg):
+    for text in texts:
+        expected = reference_outputs(text, lexicon, cfg, monkeypatch)
+        assert outputs(text, lexicon, cfg) == expected, (cfg, text)
+
+
+def corpus_texts(corpus_files):
+    return [path.read_text(encoding="utf-8") for path in corpus_files]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_shortcut_matches_reference_on_corpus_and_stamp_documents(
+        lexicon, corpus_files, monkeypatch, cfg):
+    texts = corpus_texts(corpus_files) + STAMP_DOCUMENTS
+    for order in rule_orders(2):
+        compare_with_reference(texts, lexicon, monkeypatch, cfg._replace(rule_order=order))
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_shortcut_matches_reference_on_random_documents(lexicon, monkeypatch, cfg):
+    rng = random.Random(20240214)
+    texts = [random_document(rng) for _ in range(DOCUMENTS)]
+    compare_with_reference(texts, lexicon, monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_shortcut_matches_reference_on_deep_documents(lexicon, monkeypatch, cfg):
+    rng = random.Random(2)
+    texts = [deep_document(rng) for _ in range(DEEP_DOCUMENTS)]
+    compare_with_reference(texts, lexicon, monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("guard, name", [
+    # A member of [writer +S republicans +B] reached only through
+    # republicans +B substantial, which place would not build.
+    ("substantial", "accusing"),
+    # A gfbf's role2 node is a member through the gfbf's chain, which does
+    # not end in it.
+    ("role2", "deprive"),
+])
+def test_each_guard_is_needed(lexicon, corpus_files, monkeypatch, guard, name):
+    (path,) = [p for p in corpus_files if p.stem == name]
+    text = path.read_text(encoding="utf-8")
+    cfg = Config(extended_belief_spaces=True)
+    expected = reference_outputs(text, lexicon, cfg, monkeypatch)
+    assert outputs(text, lexicon, cfg) == expected
+    mutant = reference_outputs(text, lexicon, cfg, monkeypatch, without_guard(guard))
+    assert mutant != expected
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["default", "extended"])
+def test_a_placed_top_is_a_placement_creating_nothing(lexicon, corpus_files,
+                                                      monkeypatch, extended):
+    """Whenever placed_top finds a top outside a negative-belief space, a
+    fresh index finds no clash for the node there, and placing it creates
+    nothing and returns that top."""
+    placed_top = spaces.SpaceIndex.placed_top
+    run_to_fixpoint = rules.run_to_fixpoint
+    current = {}
+    counts = {"tops": 0, "negative_belief": 0}
+
+    def recording_run_to_fixpoint(g, cfg=None):
+        current["graph"], current["index"] = g, None
+        return run_to_fixpoint(g, cfg)
+
+    def fresh_index(g):
+        """An index built from scratch, kept until a root or top-level fact is added."""
+        size = (len(g.roots), len(g.top_level))
+        if current["index"] is None or current["size"] != size:
+            current["index"], current["size"] = spaces.SpaceIndex(g), size
+        return current["index"]
+
+    def checked_placed_top(self, node, steps):
+        top = placed_top(self, node, steps)
+        if top is None:
+            return None
+        if self.spaces[steps].negative_belief:
+            counts["negative_belief"] += 1
+            return top
+        g = current["graph"]
+        assert spaces.would_contradict(steps, node, g, fresh_index(g)) is None
+        before = len(g.nodes)
+        assert spaces.place(g, node, steps, self.memberships[node.node_id][steps]) == (top, [])
+        assert len(g.nodes) == before
+        counts["tops"] += 1
+        return top
+
+    monkeypatch.setattr(rules, "run_to_fixpoint", recording_run_to_fixpoint)
+    monkeypatch.setattr(spaces.SpaceIndex, "placed_top", checked_placed_top)
+    rng = random.Random(2)
+    texts = corpus_texts(corpus_files) + STAMP_DOCUMENTS
+    texts += [deep_document(rng) for _ in range(20)]
+    for fire_once in (True, False):
+        cfg = Config(fire_once=fire_once, extended_belief_spaces=extended)
+        for text in texts:
+            outputs(text, lexicon, cfg)
+    assert counts["tops"] > 500, counts
+    # Only the closure asks about a negative-belief space's variant.
+    assert (counts["negative_belief"] > 0) == extended, counts
