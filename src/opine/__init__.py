@@ -4,11 +4,12 @@ Pipeline: parse annotations and a lexicon, build the per-sentence node graph,
 compose influencer chains and lexical second roles, then run the default rules
 to fixpoint inside private-state spaces.
 
-Each record type is a class written out in the source: a ``NamedTuple`` for
-a value nothing mutates, a ``__slots__`` class with its own ``__init__``
-otherwise.  Their methods are compiled with the module, where ``@dataclass``
-would write them as source text and compile them at every import; importing
-the package loads neither ``dataclasses`` nor ``inspect``.
+Each record type is a class written out in the source: a ``tuple`` subclass
+of ``records.Record`` for a value nothing mutates, a ``__slots__`` class with
+its own ``__init__`` otherwise.  Their methods come from the bytecode cache,
+where ``namedtuple`` and ``@dataclass`` would write them as source text and
+compile them at every import; importing the package loads neither
+``typing``, ``dataclasses`` nor ``inspect``.
 """
 
 from .annotations import (

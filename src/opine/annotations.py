@@ -21,8 +21,6 @@ name are ASCII, and digits in an id are any Unicode decimal digits.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import (
     DanglingReference,
     DuplicateId,
@@ -31,6 +29,7 @@ from .errors import (
     MalformedRecord,
     RootConstraintViolation,
 )
+from .records import Record
 
 KINDS = ("gfbf", "influencer", "subjectivity", "privateState", "evidence", "prop")
 ATT_TYPES = ("sentiment", "believesTrue", "intends", "believesShould")
@@ -127,25 +126,32 @@ def _is_id_like(token: str) -> bool:
     return token[:1] in ("E", "S", "B", "I", "V") and token[1:].isdecimal()
 
 
-class EntityRef(NamedTuple):
+class EntityRef(Record):
     """A surface-string entity mention, with inanimacy and lexicon-key flags."""
 
-    name: str
-    thing: bool = False
-    lex_key: str | None = None
+    __slots__ = ()
+    _fields = ("name", "thing", "lex_key")
+
+    def __new__(cls, name: str, thing: bool = False, lex_key: str | None = None):
+        return tuple.__new__(cls, (name, thing, lex_key))
 
 
-class AnnotationLine(NamedTuple):
-    line_id: str
-    kind: str
-    source: EntityRef | None  # agent for gfbf/influencer; None for evidence "none" and prop
-    attitude: str  # goodFor/badFor, retain/reverse, an attitude type, or "substantial"
-    polarity: str | None
-    anchor: str
-    lex_key: str | None
-    target: EntityRef | str  # EntityRef, or a line id defined earlier in the block
-    role2: EntityRef | None = None
-    lineno: int = 0
+class AnnotationLine(Record):
+    __slots__ = ()
+    _fields = ("line_id", "kind", "source", "attitude", "polarity", "anchor", "lex_key",
+               "target", "role2", "lineno")
+
+    def __new__(cls, line_id: str, kind: str,
+                # agent for gfbf/influencer; None for evidence "none" and prop
+                source: EntityRef | None,
+                # goodFor/badFor, retain/reverse, an attitude type, or "substantial"
+                attitude: str,
+                polarity: str | None, anchor: str, lex_key: str | None,
+                # EntityRef, or a line id defined earlier in the block
+                target: EntityRef | str,
+                role2: EntityRef | None = None, lineno: int = 0):
+        return tuple.__new__(cls, (line_id, kind, source, attitude, polarity, anchor, lex_key,
+                                   target, role2, lineno))
 
 
 class SentenceAnnotation:
@@ -458,9 +464,12 @@ def render_document(doc: AnnotationDoc) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-class GfbfEntry(NamedTuple):
-    effect: str
-    role2_effect: str | None = None
+class GfbfEntry(Record):
+    __slots__ = ()
+    _fields = ("effect", "role2_effect")
+
+    def __new__(cls, effect: str, role2_effect: str | None = None):
+        return tuple.__new__(cls, (effect, role2_effect))
 
 
 class Lexicon:

@@ -84,14 +84,27 @@ def _run_whatif(doc, lex, cfg, spec: str, out) -> None:
             print(f"  {key}", file=out)
 
 
+def _check_whatif_flags(args) -> None:
+    """A what-if run prints only its diff, so an output flag would be ignored."""
+    given = [flag for flag, value in (("--json", args.json is not None),
+                                      ("--trace", args.trace),
+                                      ("--by-spaces", args.by_spaces)) if value]
+    if given:
+        raise ValueError(f"--what-if prints only the diff; drop {', '.join(given)}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
+        if args.what_if is not None:
+            _check_whatif_flags(args)
         cfg = _config_from_args(args)
-        doc = parse_document(Path(args.input).read_text(encoding="utf-8"), args.input)
+        # utf-8-sig: a byte-order mark, as some editors save one, is not text
+        doc = parse_document(Path(args.input).read_text(encoding="utf-8-sig"), args.input)
         if args.lexicon:
-            lex = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"), args.lexicon)
+            lex = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8-sig"),
+                                args.lexicon)
         else:
             lex = Lexicon()
 

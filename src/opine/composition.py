@@ -9,8 +9,6 @@ nodes stay in the graph for display but no rule matches them afterwards.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .annotations import Lexicon
 from .errors import CyclicChain
 from .graph import (
@@ -24,11 +22,16 @@ from .graph import (
     TraceEvent,
     opposite_polarity,
 )
+from .records import Record
 
 
-class InfluencerChain(NamedTuple):
-    links: list[Node]  # outermost influencer first
-    terminal: Node     # the gfbf the chain bottoms out in
+class InfluencerChain(Record):
+    __slots__ = ()
+    _fields = ("links", "terminal")
+
+    def __new__(cls, links: list[Node], terminal: Node):
+        # links: outermost influencer first; terminal: the gfbf the chain bottoms out in
+        return tuple.__new__(cls, (links, terminal))
 
     @property
     def reversals(self) -> int:

@@ -15,11 +15,14 @@ identity; structurally equal nodes are the same object.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import NamedTuple
+try:
+    from _functools import partial
+except ImportError:
+    from functools import partial
 
 from .annotations import AnnotationLine, Lexicon, SentenceAnnotation, WRITER
 from .errors import IllFormedNode
+from .records import Record
 
 ANIM = "anim"
 THING = "thing"
@@ -170,7 +173,7 @@ class Node:
         return f"<Node {self.node_id} {self.structural_key()}>"
 
 
-class Fact(NamedTuple):
+class Fact(Record):
     """A fact's structure: the hashable key its node is interned under.
 
     ``children`` holds (label, part) pairs in the node type's fixed label
@@ -180,12 +183,12 @@ class Fact(NamedTuple):
     are not part of it, so two derivations of one fact meet in one node.
     """
 
-    node_type: str
-    att_type: str | None
-    polarity: str | None
-    property: str | None
-    name: str | None
-    children: tuple
+    __slots__ = ()
+    _fields = ("node_type", "att_type", "polarity", "property", "name", "children")
+
+    def __new__(cls, node_type: str, att_type: str | None, polarity: str | None,
+                property: str | None, name: str | None, children: tuple):
+        return tuple.__new__(cls, (node_type, att_type, polarity, property, name, children))
 
     @property
     def source(self):
@@ -248,12 +251,15 @@ class EvidenceFact:
         self.retired = retired
 
 
-class BlockReport(NamedTuple):
-    rule: str
-    binding: tuple[int, ...]
-    cause: str  # evidence | space-contradiction | negative-belief-path | no-assumption-basis
-    detail: str
-    space: tuple | None = None
+class BlockReport(Record):
+    __slots__ = ()
+    _fields = ("rule", "binding", "cause", "detail", "space")
+
+    def __new__(cls, rule: str, binding: tuple[int, ...],
+                # evidence | space-contradiction | negative-belief-path | no-assumption-basis
+                cause: str,
+                detail: str, space: tuple | None = None):
+        return tuple.__new__(cls, (rule, binding, cause, detail, space))
 
 
 class TraceEvent:

@@ -18,7 +18,6 @@ fire only for what is new to its binding (``_log``).
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, NamedTuple
 
 from .annotations import AnnotationDoc, Lexicon, SentenceAnnotation, WRITER
 from .composition import run_composition
@@ -60,6 +59,7 @@ from .graph import (
     ps_fact,
     sign,
 )
+from .records import Record
 from .spaces import (
     extend_spaces,
     first_clash,
@@ -90,11 +90,14 @@ DEFAULT_RULE_ORDER = (
 _JUDGEABLE = (ANIM, THING, IDEA_OF, AGREEMENT, PRIVATE_STATE)
 
 
-class Config(NamedTuple):
-    rule_order: tuple[str, ...] = DEFAULT_RULE_ORDER
-    fire_once: bool = True
-    extended_belief_spaces: bool = False
-    max_iterations: int = 50
+class Config(Record):
+    __slots__ = ()
+    _fields = ("rule_order", "fire_once", "extended_belief_spaces", "max_iterations")
+
+    def __new__(cls, rule_order: tuple[str, ...] = DEFAULT_RULE_ORDER, fire_once: bool = True,
+                extended_belief_spaces: bool = False, max_iterations: int = 50):
+        return tuple.__new__(cls, (rule_order, fire_once, extended_belief_spaces,
+                                   max_iterations))
 
 
 class Binding:
@@ -130,13 +133,18 @@ class Binding:
                 f" conclusions={self.conclusions!r}, fire_key={self.fire_key!r})")
 
 
-class Rule(NamedTuple):
-    name: str
-    matcher: Callable  # (g, outer) -> the bindings of one outer node
-    node_type: str = PRIVATE_STATE  # the outer nodes' type
-    att_type: str | None = None  # and their attitude type, when the rule fixes one
-    fire_once: bool = False
-    join: Callable | None = None  # (g, live outer-type nodes) -> outer pairs
+class Rule(Record):
+    """A rule's matcher, ``(g, outer) -> the bindings of one outer node``, and
+    the type of its outer nodes: their node type and, when the rule fixes one,
+    their attitude type.  A joining rule's ``join`` takes ``(g, live outer-type
+    nodes)`` to its outer pairs."""
+
+    __slots__ = ()
+    _fields = ("name", "matcher", "node_type", "att_type", "fire_once", "join")
+
+    def __new__(cls, name: str, matcher, node_type: str = PRIVATE_STATE,
+                att_type: str | None = None, fire_once: bool = False, join=None):
+        return tuple.__new__(cls, (name, matcher, node_type, att_type, fire_once, join))
 
 
 def _mul(p1: str, p2: str) -> str:
@@ -527,9 +535,12 @@ def _log(g: Graph, state: EngineState, rule: Rule, binding: Binding,
 
 # -- control ------------------------------------------------------------------
 
-class InferenceResult(NamedTuple):
-    graph: Graph
-    iterations: int
+class InferenceResult(Record):
+    __slots__ = ()
+    _fields = ("graph", "iterations")
+
+    def __new__(cls, graph: Graph, iterations: int):
+        return tuple.__new__(cls, (graph, iterations))
 
     @property
     def trace(self):

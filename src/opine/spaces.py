@@ -100,8 +100,9 @@ class SpaceIndex:
     ``space_index`` then builds a new one from scratch.
 
     Each space has one clash table of its members; the writer level's
-    (EPSILON) holds the roots and the top-level facts.  Their keys do not
-    meet, since a root is a writer chain node and a top-level fact is not.
+    (EPSILON) holds the roots and the top-level facts, which ``writer_level``
+    also holds.  Their keys do not meet, since a root is a writer chain node
+    and a top-level fact is not.
     ``first_root_moves`` counts the times a known space's first_root went
     down, which changes the order ``extend_spaces`` visits spaces in.
     """
@@ -110,6 +111,7 @@ class SpaceIndex:
         self.spaces: dict[tuple[Step, ...], SpaceInstance] = {}
         self.memberships: dict[int, dict[tuple[Step, ...], tuple[Node, ...]]] = {}
         self.writer_clash: dict[ClashKey, dict[str, Node]] = {}
+        self.writer_level: set[Node] = set()
         self.roots_seen = 0
         self.top_seen = 0
         self.first_root_moves = 0
@@ -121,10 +123,12 @@ class SpaceIndex:
             for root in g.roots[self.roots_seen:]:
                 _add_to_table(self.writer_clash, root)
                 self._add_chains(root)
+            self.writer_level.update(g.roots[self.roots_seen:])
             self.roots_seen = len(g.roots)
         if len(g.top_level) > self.top_seen:
             for node in g.top_level[self.top_seen:]:
                 _add_to_table(self.writer_clash, node)
+            self.writer_level.update(g.top_level[self.top_seen:])
             self.top_seen = len(g.top_level)
 
     def _add_chains(self, root: Node) -> None:
@@ -159,11 +163,15 @@ class SpaceIndex:
         """The root of the chain ``place`` would build to put node into the
         space, when the index already holds exactly that chain; else None.
 
-        The chain recorded for the membership must end in node itself, not
-        in a gfbf holding node as its role2, and carry no substantial link,
-        since ``place`` builds none.  Memberships only grow, so an index
+        At the writer level (EPSILON) ``place`` builds no chain and returns
+        the node itself, so a root or top-level fact is its own top.  In a
+        space, the chain recorded for the membership must end in node itself,
+        not in a gfbf holding node as its role2, and carry no substantial
+        link, since ``place`` builds none.  Memberships only grow, so an index
         behind the graph may miss a chain but never gives a wrong one.
         """
+        if not steps:
+            return node if node in self.writer_level else None
         by_space = self.memberships.get(node.node_id)
         path = by_space.get(steps) if by_space else None
         if path is None or path[-1].target is not node:
@@ -379,8 +387,9 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     put both polarities of a member into a space through two of its spaces.
 
     An addition the index already holds as placed (``SpaceIndex.placed_top``)
-    is neither checked nor placed again, and its chain's root is reported as
-    ``place`` would report it.  It cannot clash: no clash table holds both
+    is neither checked nor placed again, and its top (its chain's root, or
+    the node itself at the writer level) is reported as ``place`` would
+    report it.  It cannot clash: no clash table holds both
     polarities, and no candidate is a negative-belief space.
     """
     index = space_index(g)

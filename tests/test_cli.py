@@ -112,6 +112,18 @@ def test_whatif_empty_part(capsys, spec):
     assert (code, out, err) == (1, "", "error: --what-if expects LINE=positive|negative\n")
 
 
+@pytest.mark.parametrize("flags", [["--json", "out.json"], ["--trace"], ["--by-spaces"],
+                                   ["--json", "out.json", "--trace", "--by-spaces"]],
+                         ids=["json", "trace", "by-spaces", "all"])
+def test_whatif_rejects_the_output_flags(tmp_path, capsys, flags):
+    argv = [str(tmp_path / a) if a == "out.json" else a for a in flags]
+    code, out, err = run_cli(capsys, "--input", CORPUS / "moveon.ann",
+                             "--what-if", "S1=negative", *argv)
+    given = ", ".join(a for a in flags if a.startswith("--"))
+    assert (code, out, err) == (1, "", f"error: --what-if prints only the diff; drop {given}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_whatif_missing_line(capsys):
     path = CORPUS / "moveon.ann"
     code, out, err = run_cli(capsys, "--input", path, "--what-if", "S9=positive")
@@ -305,6 +317,25 @@ def test_input_nesting_too_deeply_is_an_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex")
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def with_bom(path, tmp_path):
+    """A copy of the file saved with a UTF-8 byte-order mark."""
+    copy = tmp_path / path.name
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+@pytest.mark.parametrize("bom_in", ["input", "lexicon"])
+def test_a_byte_order_mark_is_not_part_of_the_file(tmp_path, capsys, bom_in):
+    files = {"input": CORPUS / "moveon.ann", "lexicon": CORPUS / "base.lex"}
+    expected = run_cli(capsys, "--input", files["input"], "--lexicon", files["lexicon"],
+                       "--trace", "--by-spaces")
+    files[bom_in] = with_bom(files[bom_in], tmp_path)
+    got = run_cli(capsys, "--input", files["input"], "--lexicon", files["lexicon"],
+                  "--trace", "--by-spaces")
+    assert expected[0] == 0 and expected[2] == ""
+    assert got == expected
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,5 +1,6 @@
 """The engine has no runtime dependencies beyond the standard library, and
-importing it loads neither dataclasses, inspect nor the json package."""
+importing it loads neither dataclasses, inspect nor the json package; in an
+interpreter without ``site``, it loads neither typing, re nor enum."""
 
 import ast
 import json.encoder
@@ -40,6 +41,23 @@ with open(corpus + "/base.lex", encoding="utf-8") as f:
     lexicon = parse_lexicon(f.read())
 results = process_document(parse_document(text, "moveon.ann"), lexicon)
 sys.stdout.buffer.write(render.dumps(results).encode("utf-8"))
+"""
+
+# Runs the CLI on one corpus file with every output flag, the JSON export
+# written to argv[4]; with "fallback", neither _collections nor _functools
+# can be imported.
+_CLI_CHILD = """\
+import sys
+fallback = sys.argv[2] == "fallback"
+if fallback:
+    sys.modules["_collections"] = sys.modules["_functools"] = None
+sys.path.insert(0, sys.argv[1])
+from opine import records
+from opine.cli import main
+assert (records._tuplegetter.__module__ == "opine.records") == fallback
+corpus = sys.argv[3]
+sys.exit(main(["--input", corpus + "/moveon.ann", "--lexicon", corpus + "/base.lex",
+               "--trace", "--by-spaces", "--json", sys.argv[4]]))
 """
 
 
@@ -101,10 +119,22 @@ def test_importing_opine_loads_no_json_package():
     assert not [name for name in added if name == "json" or name.startswith("json.")], added
 
 
+def test_a_bare_import_loads_no_typing_re_or_enum():
+    """Without ``site`` nothing is loaded before the engine: the record types
+    are tuple classes, not ``typing.NamedTuple``s, and ``typing`` would load
+    ``re``, ``enum`` and ``contextlib``."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _IMPORT_CHILD, str(SRC)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = ast.literal_eval(proc.stdout)
+    assert "opine.rules" in added
+    assert not {"typing", "re", "enum"} & set(added), added
+
+
 def test_engine_sources_import_neither_re_nor_json():
-    """Read from the source: without ``site``, ``typing`` itself loads ``re``.
-    Only ``render``'s fallback for an interpreter without ``_json`` imports
-    ``json.encoder``."""
+    """Only ``render``'s fallback for an interpreter without ``_json``
+    imports ``json.encoder``."""
     found = {path.name: sorted(imported_modules(path, fallbacks=False) & {"re", "json"})
              for path in SOURCES}
     assert not {name: mods for name, mods in found.items() if mods}
@@ -126,3 +156,20 @@ def test_export_without_the_json_accelerator_is_byte_identical():
     normal = export("normal")
     assert 'Mc\\"Cäin\\tñ'.encode("utf-8") in normal
     assert export("fallback") == normal
+
+
+def test_cli_without_the_collections_and_functools_accelerators_is_byte_identical(tmp_path):
+    """``records`` takes its field getter from ``_collections`` and ``graph``
+    its ``partial`` from ``_functools``, each with a fallback."""
+    def run(mode):
+        export = tmp_path / f"{mode}.json"
+        stdout = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", _CLI_CHILD, str(SRC), mode,
+             str(ROOT / "tests" / "corpus"), str(export)],
+            capture_output=True, timeout=60, check=True,
+        ).stdout
+        return stdout, export.read_bytes()
+
+    normal = run("normal")
+    assert b"-- trace --" in normal[0] and b"-- by spaces --" in normal[0]
+    assert run("fallback") == normal

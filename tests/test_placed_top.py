@@ -1,11 +1,12 @@
 """Differential and invariant checks of the placement shortcut.
 
 ``extend_spaces`` neither checks nor places an addition the space index
-already holds as placed in a space, and the ``--extended-belief-spaces``
-closure skips such a member before its check (``SpaceIndex.placed_top``).
+already holds as placed (``SpaceIndex.placed_top``): in a space, through a
+chain it recorded, and at the writer level, as a root or top-level fact.  The
+``--extended-belief-spaces`` closure skips such a member before its check.
 With ``placed_top`` patched to find nothing, every addition is checked and
 placed as before; the tests compare both paths byte for byte, show that each
-of ``placed_top``'s two guards is needed, and check in a live run that what
+of ``placed_top``'s three guards is needed, and check in a live run that what
 the shortcut skips would have been a clash-free placement creating nothing.
 """
 
@@ -52,9 +53,12 @@ def finds_nothing(self, node, steps):
 
 
 def without_guard(guard):
-    """placed_top without its substantial-link guard or its direct-target guard."""
+    """placed_top without its writer-level guard, its substantial-link guard
+    or its direct-target guard."""
 
     def placed_top(self, node, steps):
+        if not steps:
+            return node if guard == "writer-level" or node in self.writer_level else None
         by_space = self.memberships.get(node.node_id)
         path = by_space.get(steps) if by_space else None
         if path is None:
@@ -113,6 +117,9 @@ def test_shortcut_matches_reference_on_deep_documents(lexicon, monkeypatch, cfg)
     # A gfbf's role2 node is a member through the gfbf's chain, which does
     # not end in it.
     ("role2", "deprive"),
+    # A conclusion the writer holds is put at the writer level by its first
+    # placement, which the shortcut must not skip.
+    ("writer-level", "moveon"),
 ])
 def test_each_guard_is_needed(lexicon, corpus_files, monkeypatch, guard, name):
     (path,) = [p for p in corpus_files if p.stem == name]
@@ -133,7 +140,7 @@ def test_a_placed_top_is_a_placement_creating_nothing(lexicon, corpus_files,
     placed_top = spaces.SpaceIndex.placed_top
     run_to_fixpoint = rules.run_to_fixpoint
     current = {}
-    counts = {"tops": 0, "negative_belief": 0}
+    counts = {"tops": 0, "negative_belief": 0, "writer_level": 0}
 
     def recording_run_to_fixpoint(g, cfg=None):
         current["graph"], current["index"] = g, None
@@ -150,15 +157,17 @@ def test_a_placed_top_is_a_placement_creating_nothing(lexicon, corpus_files,
         top = placed_top(self, node, steps)
         if top is None:
             return None
-        if self.spaces[steps].negative_belief:
+        if steps and self.spaces[steps].negative_belief:
             counts["negative_belief"] += 1
             return top
         g = current["graph"]
         assert spaces.would_contradict(steps, node, g, fresh_index(g)) is None
-        before = len(g.nodes)
-        assert spaces.place(g, node, steps, self.memberships[node.node_id][steps]) == (top, [])
-        assert len(g.nodes) == before
+        before = (len(g.nodes), len(g.roots), len(g.top_level))
+        chain = self.memberships[node.node_id][steps] if steps else ()
+        assert spaces.place(g, node, steps, chain) == (top, [])
+        assert (len(g.nodes), len(g.roots), len(g.top_level)) == before
         counts["tops"] += 1
+        counts["writer_level"] += not steps
         return top
 
     monkeypatch.setattr(rules, "run_to_fixpoint", recording_run_to_fixpoint)
@@ -171,5 +180,6 @@ def test_a_placed_top_is_a_placement_creating_nothing(lexicon, corpus_files,
         for text in texts:
             outputs(text, lexicon, cfg)
     assert counts["tops"] > 500, counts
+    assert counts["writer_level"] > 500, counts
     # Only the closure asks about a negative-belief space's variant.
     assert (counts["negative_belief"] > 0) == extended, counts
