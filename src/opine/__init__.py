@@ -20,7 +20,6 @@ from .annotations import (
     SentenceAnnotation,
     parse_document,
     parse_lexicon,
-    render_document,
 )
 from .composition import expand_extra_roles, resolve_chains, run_composition
 from .errors import (
@@ -50,12 +49,9 @@ from .graph import (
 )
 from .render import (
     dumps,
-    graph_from_json,
     render_by_spaces,
     render_graph,
-    render_node,
     render_trace,
-    sentence_to_json,
     whatif_diff,
 )
 from .rules import (
@@ -72,6 +68,6 @@ from .rules import (
     process_sentence,
     run_to_fixpoint,
 )
-from .spaces import extend_spaces, spaces_of, would_contradict
+from .spaces import extend_spaces, would_contradict
 
 __all__ = [name for name in dir() if not name.startswith("_")]

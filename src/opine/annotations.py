@@ -161,20 +161,6 @@ class SentenceAnnotation:
         self.text = text
         self.lines = [] if lines is None else lines
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.text == other.text and self.lines == other.lines
-
-    def __repr__(self):
-        return f"SentenceAnnotation(text={self.text!r}, lines={self.lines!r})"
-
-    def line(self, line_id: str) -> AnnotationLine:
-        for ln in self.lines:
-            if ln.line_id == line_id:
-                return ln
-        raise KeyError(line_id)
-
 
 class AnnotationDoc:
     __slots__ = ("sentences", "source_name")
@@ -183,14 +169,6 @@ class AnnotationDoc:
                  source_name: str = "<input>"):
         self.sentences = [] if sentences is None else sentences
         self.source_name = source_name
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sentences == other.sentences and self.source_name == other.source_name
-
-    def __repr__(self):
-        return f"AnnotationDoc(sentences={self.sentences!r}, source_name={self.source_name!r})"
 
     def with_polarity(self, line_id: str, polarity: str) -> "AnnotationDoc":
         """Return a copy of the document with one line's polarity replaced."""
@@ -428,40 +406,6 @@ def parse_document(text: str, filename: str = "<input>") -> AnnotationDoc:
             block = []
     flush(block)
     return doc
-
-
-def render_entity(ref: EntityRef) -> str:
-    out = ref.name
-    if ref.thing:
-        out += ":thing"
-    if ref.lex_key:
-        out += f" ({ref.lex_key}:lexEntry)"
-    return out
-
-
-def render_document(doc: AnnotationDoc) -> str:
-    """Render a document back into parseable text (round-trip safe)."""
-    blocks = []
-    for sent in doc.sentences:
-        lines = [f'"{sent.text}"']
-        for ln in sent.lines:
-            if ln.kind == "prop":
-                lines.append(f"{ln.line_id} p({ln.target},substantial)")
-                continue
-            att = ln.attitude if ln.polarity is None else f"{ln.polarity} {ln.attitude}"
-            anchor = ln.anchor
-            if ln.lex_key:
-                anchor = f"{anchor},{ln.lex_key}:lexEntry" if anchor else f"{ln.lex_key}:lexEntry"
-            if anchor:
-                att = f"{att} ({anchor})"
-            source = "none" if ln.source is None else render_entity(ln.source)
-            target = ln.target if isinstance(ln.target, str) else render_entity(ln.target)
-            fields = [source, att, target]
-            if ln.role2 is not None:
-                fields.append(render_entity(ln.role2))
-            lines.append(f"{ln.line_id} {ln.kind} <{', '.join(fields)}>")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
 class GfbfEntry(Record):

@@ -171,6 +171,8 @@ def expand_extra_roles(g: Graph, lex: Lexicon) -> list[Node]:
             continue
         start = len(g.nodes)
         relation = g.gfbf(g.entity(filler_name), entry.role2_effect, event.object)
+        if relation is event:  # the relation restates the event: nothing new
+            continue
         relation.from_input = True
         g.attach_role2(event, relation)
         derived.append(relation)

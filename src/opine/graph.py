@@ -417,6 +417,8 @@ class Graph:
             raise IllFormedNode("role2 expansion applies to gfbf nodes")
         if event.role2 is not None:
             raise IllFormedNode("gfbf already carries a second-role relation")
+        if derived is event:  # the event would be a part of its own key
+            raise IllFormedNode("a gfbf cannot be its own second-role relation")
         old_key = event.key
         new_key = _fact((*old_key[:5], old_key.children + (("role2", derived),)))
         if new_key in self._interned:

@@ -26,11 +26,9 @@ from .graph import (
     P_X,
     POSITIVE,
     PRIVATE_STATE,
-    SUBSTANTIAL,
     THING,
     EvidenceFact,
     Graph,
-    IdAllocator,
     Node,
 )
 from .rules import Config, InferenceResult, process_document
@@ -79,15 +77,6 @@ def _display(node: Node, memo: dict[Node, str]) -> str:
         text = head + _NEST + _display(child, memo).replace("\n", _NEST)
     memo[node] = text
     return text
-
-
-def render_node(node: Node, indent: int = 0) -> str:
-    pad = _INDENT * indent
-    return pad + _display(node, {}).replace("\n", "\n" + pad)
-
-
-def render_evidence(fact: EvidenceFact) -> str:
-    return _evidence_display(fact, {})
 
 
 def _evidence_display(fact: EvidenceFact, memo: dict[Node, str]) -> str:
@@ -170,95 +159,16 @@ def render_trace(result: InferenceResult) -> str:
 
 # -- JSON ---------------------------------------------------------------------
 
-def _node_to_json(node: Node) -> dict:
-    return {
-        "id": node.node_id,
-        "type": node.node_type,
-        "attType": node.att_type,
-        "polarity": node.polarity,
-        "property": node.property,
-        "name": node.name,
-        "anchor": node.anchor,
-        "fromInput": node.from_input,
-        "retired": node.retired,
-        "children": {label: child.node_id for label, child in sorted(node.key.children)},
-    }
-
-
-def _block_to_json(block) -> dict:
-    return {
-        "rule": block.rule,
-        "binding": list(block.binding),
-        "cause": block.cause,
-        "detail": block.detail,
-        "space": [list(step) for step in block.space] if block.space else None,
-    }
-
-
-def sentence_to_json(result: InferenceResult, text: str | None = None) -> dict:
-    g = result.graph
-    index = space_index(g)
-    spaces = []
-    for steps in sorted(index.spaces, key=lambda s: (len(s), s)):
-        inst = index.spaces[steps]
-        spaces.append(
-            {
-                "steps": [list(step) for step in steps],
-                "members": sorted(inst.members),
-            }
-        )
-    trace = []
-    for event in g.trace:
-        trace.append(
-            {
-                "kind": event.kind,
-                "rule": event.rule,
-                "iteration": event.iteration,
-                "preconditions": list(event.preconditions),
-                "assumptions": list(event.assumptions),
-                "created": list(event.created),
-                "existing": list(event.existing),
-                "blocks": [_block_to_json(b) for b in event.blocks],
-            }
-        )
-    return {
-        "text": text if text is not None else g.text,
-        "nodes": [_node_to_json(n) for n in g.nodes],
-        "roots": [n.node_id for n in g.roots],
-        "topLevel": [n.node_id for n in g.top_level],
-        "evidence": [
-            {
-                "id": f.fact_id,
-                "holder": f.holder,
-                "attType": f.att_type,
-                "polarity": f.polarity,
-                "property": f.property,
-                "target": f.target.node_id,
-                "fromInput": f.from_input,
-                "retired": f.retired,
-            }
-            for f in g.evidence
-        ],
-        "spaces": spaces,
-        "trace": trace,
-        "blocks": [_block_to_json(b) for b in result.block_reports()],
-    }
-
-
-def document_to_json(results: list[InferenceResult]) -> dict:
-    return {
-        "format_version": 2,
-        "sentences": [sentence_to_json(r) for r in results],
-    }
-
-
 def dumps(results: list[InferenceResult]) -> str:
-    """The export: exactly ``json.dumps(document_to_json(results), indent=2,
-    ensure_ascii=False) + "\\n"``, written in one pass without the dicts.
+    """The JSON export: ``format_version`` 2 and one object per sentence,
+    with the keys text, nodes, roots, topLevel, evidence, spaces, trace and
+    blocks, as text ending in a newline.
 
-    With an indent, ``json`` falls back to its pure-Python encoder; this
-    writer lays out the same text itself, encoding strings with the C routine
-    that ``json`` uses.  Every piece goes into one list, joined once.
+    The layout is ``json.dumps``'s with ``indent=2`` and
+    ``ensure_ascii=False``, byte for byte.  With an indent, ``json`` falls
+    back to its pure-Python encoder; this writer lays out the text itself,
+    encoding strings with the C routine that ``json`` uses.  Every piece goes
+    into one list, joined once.
     """
     out = ['{\n  "format_version": 2,\n  "sentences": ']
     if results:
@@ -307,7 +217,8 @@ def _steps(steps, level: int) -> str:
 
 
 def _blocks(blocks, level: int) -> str:
-    """The _block_to_json list whose brackets sit at the given level."""
+    """A list of block reports (rule, binding, cause, detail, and the space or
+    null), its brackets at the given level."""
     if not blocks:
         return "[]"
     pad, key = _PAD[level + 1], _PAD[level + 2]
@@ -395,7 +306,7 @@ def _write_objects(out: list[str], items, text) -> None:
 
 
 def _write_sentence(out: list[str], result: InferenceResult) -> None:
-    """sentence_to_json(result) as text, its braces at level 2."""
+    """One sentence's object, its braces at level 2."""
     g = result.graph
     index = space_index(g)
     out.append(f'{{\n      "text": {_str(g.text)},\n      "nodes": ')
@@ -410,62 +321,6 @@ def _write_sentence(out: list[str], result: InferenceResult) -> None:
     out.append(',\n      "trace": ')
     _write_objects(out, g.trace, _event_text)
     out.append(f',\n      "blocks": {_blocks(result.block_reports(), 3)}\n    }}')
-
-
-def graph_from_json(sentence: dict) -> Graph:
-    """Rebuild a graph from its JSON form (ids are reassigned)."""
-    g = Graph(IdAllocator(), text=sentence.get("text", ""))
-    by_old_id: dict[int, Node] = {}
-    # Second-role relations are attached to an earlier node, so defer them.
-    pending_role2: list[tuple[int, int]] = []
-    for obj in sorted(sentence["nodes"], key=lambda o: o["id"]):
-        children = {
-            label: by_old_id[cid]
-            for label, cid in obj["children"].items()
-            if not (label == "role2" and cid not in by_old_id)
-        }
-        t = obj["type"]
-        if t in (ANIM, THING):
-            node = g.entity(obj["name"], thing=t == THING)
-        elif t == GFBF:
-            effect = "goodFor" if "goodFor" in children else "badFor"
-            node = g.gfbf(children["agent"], effect, children["object"], anchor=obj["anchor"])
-            if "role2" in children:
-                node = g.attach_role2(node, children["role2"])
-            elif "role2" in obj["children"]:
-                pending_role2.append((obj["id"], obj["children"]["role2"]))
-        elif t == IDEA_OF:
-            node = g.idea_of(children["ideaObject"])
-        elif t == P_X:
-            node = g.p_x(obj["property"], children["x"])
-        elif t == AGREEMENT:
-            node = g.agreement(children["source"], obj["polarity"], children["withWhom"],
-                               children["target"])
-        elif t == PRIVATE_STATE:
-            node = g.private_state(
-                children["source"], obj["attType"], obj["polarity"], children["target"],
-                substantial=obj["property"] == SUBSTANTIAL, anchor=obj["anchor"],
-            )
-        elif t == INFLUENCER:
-            node = g.influencer(children["agent"], obj["property"], children["target"],
-                                anchor=obj["anchor"])
-        else:
-            raise ValueError(f"unknown node type in JSON: {t!r}")
-        node.from_input = obj["fromInput"]
-        node.retired = obj["retired"]
-        by_old_id[obj["id"]] = node
-    for event_id, derived_id in pending_role2:
-        g.attach_role2(by_old_id[event_id], by_old_id[derived_id])
-    for old_id in sentence["roots"]:
-        g.add_root(by_old_id[old_id])
-    for old_id in sentence["topLevel"]:
-        g.add_top_level(by_old_id[old_id])
-    for ev in sentence["evidence"]:
-        g.add_evidence(
-            ev["attType"], ev["polarity"], by_old_id[ev["target"]],
-            holder=ev["holder"], property=ev["property"], from_input=ev["fromInput"],
-        ).retired = ev["retired"]
-    return g
 
 
 def structural_inventory(g: Graph) -> list[str]:

@@ -101,11 +101,7 @@ class Config(Record):
 
 
 class Binding:
-    """One match of a rule: its preconditions, assumptions and conclusions.
-
-    Two bindings are equal when their rule, ps, assumptions, conclusions and
-    fire_key are; the fixpoint state is not compared.
-    """
+    """One match of a rule: its preconditions, assumptions and conclusions."""
 
     __slots__ = ("rule", "ps", "assumptions", "conclusions", "fire_key", "stamp")
 
@@ -119,18 +115,6 @@ class Binding:
         # Fixpoint state (see run_to_fixpoint): the input stamp taken before
         # the last fire, or None when the binding must fire again.
         self.stamp = None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rule == other.rule and self.ps == other.ps
-                and self.assumptions == other.assumptions
-                and self.conclusions == other.conclusions
-                and self.fire_key == other.fire_key)
-
-    def __repr__(self):
-        return (f"Binding(rule={self.rule!r}, ps={self.ps!r}, assumptions={self.assumptions!r},"
-                f" conclusions={self.conclusions!r}, fire_key={self.fire_key!r})")
 
 
 class Rule(Record):

@@ -198,11 +198,6 @@ def space_index(g: Graph) -> SpaceIndex:
     return index
 
 
-def spaces_of(node: Node, g: Graph) -> set[tuple[Step, ...]]:
-    """Spaces containing the node.  A root defines spaces but is in none."""
-    return set(space_index(g).memberships.get(node.node_id, ()))
-
-
 def rightmost_nodes(steps: tuple[Step, ...], index: SpaceIndex) -> list[Node]:
     inst = index.spaces.get(steps)
     if inst is None:
@@ -444,7 +439,7 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             node = g.lookup(prop)
             if node is not None and index.placed_top(node, steps) is not None:
                 continue
-            clash = would_contradict(steps, prop, g, index)
+            clash = would_contradict(steps, prop if node is None else node, g, index)
             if clash is not None:
                 break
         if clash is not None:

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from opine import Config, parse_document, parse_lexicon, process_document
+from opine.spaces import space_index
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -35,3 +36,8 @@ def run_sentence(lexicon):
 
 def load_doc(name):
     return parse_document((CORPUS / f"{name}.ann").read_text(), f"{name}.ann")
+
+
+def spaces_of(node, g):
+    """Spaces containing the node.  A root defines spaces but is in none."""
+    return set(space_index(g).memberships.get(node.node_id, ()))

@@ -6,10 +6,10 @@ to see the per-criterion lines.
 """
 
 from opine import check_consistency
-from opine.spaces import format_space, spaces_of
+from opine.spaces import format_space
 
 import test_properties
-from conftest import load_doc
+from conftest import load_doc, spaces_of
 
 
 def keys_of(g):

@@ -319,6 +319,25 @@ def test_input_nesting_too_deeply_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_a_second_role_that_is_the_event_itself_is_not_attached(tmp_path, capsys):
+    # The lexicon makes A, E1's second-role filler, badFor B: that is E1
+    # itself, which keyed on itself would make the graph cyclic.
+    lex = tmp_path / "rob.lex"
+    lex.write_text("gfbf rob badFor role2=badFor\n")
+    doc = tmp_path / "rob.ann"
+    doc.write_text('"A robs B."\n'
+                   "E1 gfbf <A, badFor (rob,rob:lexEntry), B, A>\n"
+                   "S1 subjectivity <writer, negative sentiment (x), E1>\n")
+    code, out, err = run_cli(capsys, "--input", doc, "--lexicon", lex, "--trace")
+    assert code == 0 and err == ""
+    assert "A rob B" in out and "which is" not in out and "extra-role" not in out
+    code, out, err = run_cli(capsys, "--input", doc, "--lexicon", lex,
+                             "--what-if", "S1=positive")
+    assert code == 0 and err == ""
+    assert "only in original:\n  (agree writer A negative (px isBad B))" in out
+    assert "(ps writer sentiment positive (gfbf A badFor B))" in out
+
+
 def with_bom(path, tmp_path):
     """A copy of the file saved with a UTF-8 byte-order mark."""
     copy = tmp_path / path.name

@@ -14,7 +14,6 @@ from opine import (
     process_document,
 )
 from opine.render import (
-    document_to_json,
     dumps,
     render_by_spaces,
     render_graph,
@@ -282,6 +281,9 @@ def test_attach_role2_guards():
     derived = g.gfbf(c, "goodFor", b)
     with pytest.raises(IllFormedNode):  # role2 joins gfbf nodes only
         g.attach_role2(g.idea_of(event), derived)
+    with pytest.raises(IllFormedNode):  # an event keyed on itself
+        g.attach_role2(event, event)
+    assert event.role2 is None and g.lookup(event.key) is event
     g.attach_role2(event, derived)
     with pytest.raises(IllFormedNode):  # a second role2 on one event
         g.attach_role2(event, g.gfbf(c, "badFor", b))
@@ -341,7 +343,6 @@ def test_no_reference_cycles_per_document(lexicon, corpus_files):
             for text in texts:
                 results = process_document(parse_document(text), lexicon, cfg)
                 dumps(results)
-                document_to_json(results)
                 for result in results:
                     render_graph(result.graph)
                     render_by_spaces(result)

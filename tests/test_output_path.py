@@ -132,7 +132,13 @@ def reference_input_stamp(g, ps):
 
 # -- the checks -----------------------------------------------------------------
 
-def outputs(text, lexicon, cfg):
+def render_node(node, indent=0):
+    """The engine's display of one node, every line indented."""
+    pad = INDENT * indent
+    return pad + render._display(node, {}).replace("\n", "\n" + pad)
+
+
+def outputs(text, lexicon, cfg, node_view=render_node):
     """The export and each sentence's text views, or the input error raised."""
     try:
         results = process_document(parse_document(text), lexicon, cfg)
@@ -140,7 +146,7 @@ def outputs(text, lexicon, cfg):
         return type(exc), str(exc)
     views = [
         (render.render_graph(r.graph), render.render_by_spaces(r), render.render_trace(r),
-         [render.render_node(n, 2) for n in r.graph.nodes])
+         [node_view(n, 2) for n in r.graph.nodes])
         for r in results
     ]
     return render.dumps(results), views
@@ -159,11 +165,10 @@ def compare_with_reference(texts, lexicon, monkeypatch, cfg):
     for text in texts:
         got = outputs(text, lexicon, cfg)
         with monkeypatch.context() as m:
-            m.setattr(render, "render_node", reference_render_node)
             m.setattr(render, "render_graph", reference_render_graph)
             m.setattr(render, "render_by_spaces", reference_render_by_spaces)
             m.setattr(rules, "_input_stamp", counted_stamp)
-            expected = outputs(text, lexicon, cfg)
+            expected = outputs(text, lexicon, cfg, reference_render_node)
         assert got == expected, (cfg, text)
     return stamps
 

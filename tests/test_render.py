@@ -7,18 +7,38 @@ from opine import (
     Config,
     Graph,
     InputError,
-    graph_from_json,
     parse_document,
     process_document,
     render_by_spaces,
     render_graph,
-    render_node,
     render_trace,
-    sentence_to_json,
 )
-from opine.render import document_to_json, dumps, render_evidence, structural_inventory
+from opine.graph import (
+    AGREEMENT,
+    ANIM,
+    GFBF,
+    IDEA_OF,
+    INFLUENCER,
+    P_X,
+    PRIVATE_STATE,
+    SUBSTANTIAL,
+    THING,
+    IdAllocator,
+    Node,
+)
+from opine.render import _display, _evidence_display, dumps, structural_inventory
+from opine.rules import InferenceResult
+from opine.spaces import space_index
 
 from test_properties import random_document
+
+
+def render_node(node):
+    return _display(node, {})
+
+
+def render_evidence(fact):
+    return _evidence_display(fact, {})
 
 
 def test_render_private_state_chain():
@@ -112,19 +132,22 @@ def test_trace_render_mentions_blocks(run_sentence):
     assert "[composition] influencer-chain" in text
 
 
+def exported_sentence(result):
+    """The sentence's object in the export, read back with json."""
+    return json.loads(dumps([result]))["sentences"][0]
+
+
 def test_json_round_trip_corpus(run_sentence, corpus_files):
     for path in corpus_files:
         if path.stem == "empty":
             continue
         result = run_sentence(path.stem)
-        payload = sentence_to_json(result)
-        json.dumps(payload)  # serializable
-        rebuilt = graph_from_json(json.loads(json.dumps(payload)))
+        rebuilt = graph_from_json(exported_sentence(result))
         assert structural_inventory(rebuilt) == structural_inventory(result.graph), path.stem
 
 
 def test_json_shape(run_sentence):
-    payload = sentence_to_json(run_sentence("moveon"))
+    payload = exported_sentence(run_sentence("moveon"))
     assert set(payload) == {
         "text", "nodes", "roots", "topLevel", "evidence", "spaces", "trace", "blocks",
     }
@@ -142,10 +165,148 @@ def test_render_graph_lists_roots_in_id_order(run_sentence):
     assert ids == sorted(ids)
 
 
-# -- the export writer against json.dumps ---------------------------------------
+# -- the export writer against json.dumps of the export as dicts ----------------
+
+def _node_to_json(node: Node) -> dict:
+    return {
+        "id": node.node_id,
+        "type": node.node_type,
+        "attType": node.att_type,
+        "polarity": node.polarity,
+        "property": node.property,
+        "name": node.name,
+        "anchor": node.anchor,
+        "fromInput": node.from_input,
+        "retired": node.retired,
+        "children": {label: child.node_id for label, child in sorted(node.key.children)},
+    }
+
+
+def _block_to_json(block) -> dict:
+    return {
+        "rule": block.rule,
+        "binding": list(block.binding),
+        "cause": block.cause,
+        "detail": block.detail,
+        "space": [list(step) for step in block.space] if block.space else None,
+    }
+
+
+def sentence_to_json(result: InferenceResult) -> dict:
+    g = result.graph
+    index = space_index(g)
+    spaces = []
+    for steps in sorted(index.spaces, key=lambda s: (len(s), s)):
+        inst = index.spaces[steps]
+        spaces.append(
+            {
+                "steps": [list(step) for step in steps],
+                "members": sorted(inst.members),
+            }
+        )
+    trace = []
+    for event in g.trace:
+        trace.append(
+            {
+                "kind": event.kind,
+                "rule": event.rule,
+                "iteration": event.iteration,
+                "preconditions": list(event.preconditions),
+                "assumptions": list(event.assumptions),
+                "created": list(event.created),
+                "existing": list(event.existing),
+                "blocks": [_block_to_json(b) for b in event.blocks],
+            }
+        )
+    return {
+        "text": g.text,
+        "nodes": [_node_to_json(n) for n in g.nodes],
+        "roots": [n.node_id for n in g.roots],
+        "topLevel": [n.node_id for n in g.top_level],
+        "evidence": [
+            {
+                "id": f.fact_id,
+                "holder": f.holder,
+                "attType": f.att_type,
+                "polarity": f.polarity,
+                "property": f.property,
+                "target": f.target.node_id,
+                "fromInput": f.from_input,
+                "retired": f.retired,
+            }
+            for f in g.evidence
+        ],
+        "spaces": spaces,
+        "trace": trace,
+        "blocks": [_block_to_json(b) for b in result.block_reports()],
+    }
+
+
+def document_to_json(results: list[InferenceResult]) -> dict:
+    return {
+        "format_version": 2,
+        "sentences": [sentence_to_json(r) for r in results],
+    }
+
+
+def graph_from_json(sentence: dict) -> Graph:
+    """Rebuild a graph from its JSON form (ids are reassigned)."""
+    g = Graph(IdAllocator(), text=sentence.get("text", ""))
+    by_old_id: dict[int, Node] = {}
+    # Second-role relations are attached to an earlier node, so defer them.
+    pending_role2: list[tuple[int, int]] = []
+    for obj in sorted(sentence["nodes"], key=lambda o: o["id"]):
+        children = {
+            label: by_old_id[cid]
+            for label, cid in obj["children"].items()
+            if not (label == "role2" and cid not in by_old_id)
+        }
+        t = obj["type"]
+        if t in (ANIM, THING):
+            node = g.entity(obj["name"], thing=t == THING)
+        elif t == GFBF:
+            effect = "goodFor" if "goodFor" in children else "badFor"
+            node = g.gfbf(children["agent"], effect, children["object"], anchor=obj["anchor"])
+            if "role2" in children:
+                node = g.attach_role2(node, children["role2"])
+            elif "role2" in obj["children"]:
+                pending_role2.append((obj["id"], obj["children"]["role2"]))
+        elif t == IDEA_OF:
+            node = g.idea_of(children["ideaObject"])
+        elif t == P_X:
+            node = g.p_x(obj["property"], children["x"])
+        elif t == AGREEMENT:
+            node = g.agreement(children["source"], obj["polarity"], children["withWhom"],
+                               children["target"])
+        elif t == PRIVATE_STATE:
+            node = g.private_state(
+                children["source"], obj["attType"], obj["polarity"], children["target"],
+                substantial=obj["property"] == SUBSTANTIAL, anchor=obj["anchor"],
+            )
+        elif t == INFLUENCER:
+            node = g.influencer(children["agent"], obj["property"], children["target"],
+                                anchor=obj["anchor"])
+        else:
+            raise ValueError(f"unknown node type in JSON: {t!r}")
+        node.from_input = obj["fromInput"]
+        node.retired = obj["retired"]
+        by_old_id[obj["id"]] = node
+    for event_id, derived_id in pending_role2:
+        g.attach_role2(by_old_id[event_id], by_old_id[derived_id])
+    for old_id in sentence["roots"]:
+        g.add_root(by_old_id[old_id])
+    for old_id in sentence["topLevel"]:
+        g.add_top_level(by_old_id[old_id])
+    for ev in sentence["evidence"]:
+        g.add_evidence(
+            ev["attType"], ev["polarity"], by_old_id[ev["target"]],
+            holder=ev["holder"], property=ev["property"], from_input=ev["fromInput"],
+        ).retired = ev["retired"]
+    return g
+
 
 def reference_dumps(results):
-    """What dumps must write: json's own indent=2 layout of the dict API."""
+    """What dumps must write: json's own indent=2 layout of the dicts above."""
     return json.dumps(document_to_json(results), indent=2, ensure_ascii=False) + "\n"
 
 

@@ -266,15 +266,19 @@ def test_fixpoint_walks_the_bindings_match_returns(lexicon, corpus_files, monkey
     run = {"graph": None, "first": {}}
     counts = {"walked": 0, "met_again": 0}
 
+    def binding_key(binding):
+        return (binding.rule, tuple(binding.ps), tuple(binding.assumptions),
+                tuple(binding.conclusions), binding.fire_key)
+
     def checked_current(self, g):
         walked = current(self, g)
-        # Binding equality is rule, ps, assumptions, conclusions and fire_key.
-        assert walked == rules.match(self.rule, g), self.rule.name
+        # Bindings compare by rule, ps, assumptions, conclusions and fire_key.
+        assert ([binding_key(b) for b in walked]
+                == [binding_key(b) for b in rules.match(self.rule, g)]), self.rule.name
         if g is not run["graph"]:
             run["graph"], run["first"] = g, {}
         for binding in walked:
-            key = (binding.rule, tuple(binding.ps), tuple(binding.assumptions),
-                   tuple(binding.conclusions), binding.fire_key)
+            key = binding_key(binding)
             first = run["first"].get(key)
             if first is None:
                 run["first"][key] = binding

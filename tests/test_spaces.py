@@ -6,9 +6,10 @@ from opine.spaces import (
     extend_spaces,
     format_space,
     space_index,
-    spaces_of,
     would_contradict,
 )
+
+from conftest import spaces_of
 
 
 def named_ps(source, att_type, polarity, target, **kwargs):
