@@ -35,7 +35,6 @@ from .errors import (
     LexiconMismatch,
     MalformedLine,
     MalformedRecord,
-    NoCommonSpace,
     OpineError,
     RootConstraintViolation,
 )

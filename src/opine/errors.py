@@ -67,10 +67,6 @@ class CyclicChain(OpineError):
     """An influencer chain loops back on itself."""
 
 
-class NoCommonSpace(OpineError):
-    """Preconditions share no private-state space; the rule does not fire."""
-
-
 class IterationLimitExceeded(OpineError):
     """The inference loop hit the configured iteration cap."""
 

@@ -262,6 +262,23 @@ class BlockReport(Record):
         return tuple.__new__(cls, (rule, binding, cause, detail, space))
 
 
+class FireOutcome:
+    """What one rule fire did.  ``spaces.extend_spaces`` builds it with its
+    blocks as (space, cause, detail) triples; ``rules.fire`` makes them
+    ``BlockReport``s."""
+
+    __slots__ = ("fired", "created", "existing", "assumptions", "blocks")
+
+    def __init__(self, fired: bool, created: list[Node] | None = None,
+                 existing: list[Node] | None = None, assumptions: list[Node] | None = None,
+                 blocks: list | None = None):
+        self.fired = fired
+        self.created = [] if created is None else created
+        self.existing = [] if existing is None else existing
+        self.assumptions = [] if assumptions is None else assumptions
+        self.blocks = [] if blocks is None else blocks
+
+
 class TraceEvent:
     __slots__ = ("kind", "rule", "iteration", "preconditions", "assumptions", "created",
                  "existing", "blocks")

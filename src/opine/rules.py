@@ -26,7 +26,6 @@ from .errors import (
     InvariantViolation,
     IterationLimitExceeded,
     LexiconMismatch,
-    NoCommonSpace,
 )
 from .graph import (
     AGREEMENT,
@@ -45,6 +44,7 @@ from .graph import (
     BlockReport,
     EvidenceFact,
     Fact,
+    FireOutcome,
     Graph,
     IdAllocator,
     Node,
@@ -314,10 +314,7 @@ def _match_rule5source(g: Graph, outer: Node):
             continue
         assumption = ps_fact(outer.source, BELIEVES_TRUE, POSITIVE, inner)
         q = ps_fact(outer.source, SENTIMENT, outer.polarity, inner)
-        bindings.append(
-            Binding("rule5source", [outer], [assumption], [q],
-                    fire_key=("rule5source", outer.node_id))
-        )
+        bindings.append(Binding("rule5source", [outer], [assumption], [q]))
     return bindings
 
 
@@ -330,10 +327,7 @@ def _match_rule5agent(g: Graph, outer: Node):
         if not event.from_input or event.agent is not agent:
             continue
         q = ps_fact(outer.source, SENTIMENT, outer.polarity, event)
-        bindings.append(
-            Binding("rule5agent", [outer], [q], [q],
-                    fire_key=("rule5agent", outer.node_id))
-        )
+        bindings.append(Binding("rule5agent", [outer], [q], [q]))
     return bindings
 
 
@@ -427,20 +421,6 @@ def blocked_by_evidence(g: Graph, fact: Fact) -> EvidenceFact | None:
 
 # -- firing -------------------------------------------------------------------
 
-class FireOutcome:
-    __slots__ = ("fired", "created", "existing", "assumptions", "blocks")
-
-    def __init__(self, fired: bool, created: list[Node] | None = None,
-                 existing: list[Node] | None = None,
-                 assumptions: list[Node] | None = None,
-                 blocks: list[BlockReport] | None = None):
-        self.fired = fired
-        self.created = [] if created is None else created
-        self.existing = [] if existing is None else existing
-        self.assumptions = [] if assumptions is None else assumptions
-        self.blocks = [] if blocks is None else blocks
-
-
 class EngineState:
     def __init__(self):
         self.consumed: set[tuple] = set()
@@ -451,42 +431,28 @@ class EngineState:
 def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
          state: EngineState | None = None, iteration: int = 0) -> FireOutcome:
     state = state or EngineState()
-    for facts in (binding.assumptions, binding.conclusions):
-        for fact in facts:
-            evidence = blocked_by_evidence(g, fact)
-            if evidence is not None:
-                return _blocked(g, state, rule, binding, iteration,
-                                "evidence", f"evidence {evidence.fact_id}")
-    for fact in binding.assumptions:
-        if assumption_basis(g, fact) is None:
-            return _blocked(g, state, rule, binding, iteration,
-                            "no-assumption-basis", _describe_assumption(fact))
-
-    try:
-        extension = extend_spaces(
-            g, binding.ps, binding.assumptions, binding.conclusions,
-            extended_belief_spaces=cfg.extended_belief_spaces,
-        )
-    except NoCommonSpace:
-        return FireOutcome(False)
-
-    blocks = []
-    if extension.blocked:
+    block = None  # a (space, cause, detail) found before space extension
+    for fact in (*binding.assumptions, *binding.conclusions):
+        evidence = blocked_by_evidence(g, fact)
+        if evidence is not None:
+            block = (None, "evidence", f"evidence {evidence.fact_id}")
+            break
+    if block is None:
+        for fact in binding.assumptions:
+            if assumption_basis(g, fact) is None:
+                block = (None, "no-assumption-basis", _describe_assumption(fact))
+                break
+    if block is None:
+        outcome = extend_spaces(g, binding.ps, binding.assumptions, binding.conclusions,
+                                extended_belief_spaces=cfg.extended_belief_spaces)
+        assumed = [g.lookup(fact) for fact in binding.assumptions]
+        outcome.assumptions = [n for n in assumed if n is not None]
+    else:
+        outcome = FireOutcome(False, blocks=[block])
+    if outcome.blocks:
         binding_ids = tuple([p.node_id for p in binding.ps])
-        blocks = [BlockReport(rule.name, binding_ids, cause, detail, space)
-                  for space, cause, detail in extension.blocked]
-    assumed = [g.lookup(fact) for fact in binding.assumptions]
-    outcome = FireOutcome(extension.fired, extension.created, extension.existing,
-                          [n for n in assumed if n is not None], blocks)
-    _log(g, state, rule, binding, iteration, outcome)
-    return outcome
-
-
-def _blocked(g: Graph, state: EngineState, rule: Rule, binding: Binding, iteration: int,
-             cause: str, detail: str) -> FireOutcome:
-    """The outcome of a fire blocked before space extension, logged."""
-    binding_ids = tuple([p.node_id for p in binding.ps])
-    outcome = FireOutcome(False, blocks=[BlockReport(rule.name, binding_ids, cause, detail)])
+        outcome.blocks = [BlockReport(rule.name, binding_ids, cause, detail, space)
+                          for space, cause, detail in outcome.blocks]
     _log(g, state, rule, binding, iteration, outcome)
     return outcome
 
@@ -653,7 +619,9 @@ def _expected_space_closure(g: Graph) -> None:
     believed, i.e. placed into the space's positive-belief variant.
 
     Semi-naive: each sentiment-bearing space's ``closure_seen`` counts the
-    members already visited, and a pass visits only the members after it.
+    members already visited, and a call visits only the members after it, in
+    one pass.  A member its own placements add waits for the next call, which
+    ``run_to_fixpoint`` makes after any pass that creates a node.
     Inside the fixpoint no member is retired and the layout does not move,
     while chains and clash tables only grow, so a visited member's outcome
     stays what it was: skipped, blocked, or placed (placing again creates
@@ -661,27 +629,22 @@ def _expected_space_closure(g: Graph) -> None:
     already holds as placed in the variant (``SpaceIndex.placed_top``) is
     skipped before its check, as placing it would create nothing.
     """
-    changed = True
-    while changed:
-        changed = False
-        # Snapshot the new members: placing below adds to the (live) index.
-        index = space_index(g)
-        snapshot = []
-        for inst in index.spaces.values():
-            if inst.variant is not None and len(inst.members) > inst.closure_seen:
-                new = list(islice(inst.members.values(), inst.closure_seen, None))
-                snapshot.append((inst.variant, inst.paths[0], new))
-                inst.closure_seen = len(inst.members)
-        for variant, chain, members in snapshot:
-            for member in members:
-                if member.retired or index.placed_top(member, variant) is not None:
-                    continue
-                if would_contradict(variant, member, g, index) is not None:
-                    continue
-                _, created = place(g, member, variant, chain)
-                index = space_index(g)  # take in the chain just placed
-                if created:
-                    changed = True
+    # Snapshot the new members: placing below adds to the (live) index.
+    index = space_index(g)
+    snapshot = []
+    for inst in index.spaces.values():
+        if inst.variant is not None and len(inst.members) > inst.closure_seen:
+            new = list(islice(inst.members.values(), inst.closure_seen, None))
+            snapshot.append((inst.variant, inst.paths[0], new))
+            inst.closure_seen = len(inst.members)
+    for variant, chain, members in snapshot:
+        for member in members:
+            if member.retired or index.placed_top(member, variant) is not None:
+                continue
+            if would_contradict(variant, member, g, index) is not None:
+                continue
+            place(g, member, variant, chain)
+            index = space_index(g)  # take in the chain just placed
 
 
 def check_consistency(g: Graph) -> None:

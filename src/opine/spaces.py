@@ -8,7 +8,6 @@ those steps.  Two chains with the same step list are the same space.
 
 from __future__ import annotations
 
-from .errors import NoCommonSpace
 from .graph import (
     AGREEMENT,
     BELIEVES_TRUE,
@@ -19,6 +18,7 @@ from .graph import (
     SENTIMENT,
     WRITER,
     Fact,
+    FireOutcome,
     Graph,
     Node,
     entity_fact,
@@ -326,16 +326,6 @@ def first_clash(g: Graph) -> tuple[tuple[Step, ...], Node, Node] | None:
     return None
 
 
-class ExtensionOutcome:
-    __slots__ = ("fired", "created", "existing", "blocked")
-
-    def __init__(self, fired: bool):
-        self.fired = fired
-        self.created: list[Node] = []
-        self.existing: list[Node] = []
-        self.blocked: list[tuple[tuple[Step, ...], str, str]] = []
-
-
 def _order_key(steps: tuple[Step, ...], index: SpaceIndex) -> tuple:
     inst = index.spaces.get(steps)
     return (inst.first_root if inst else 0, len(steps), steps)
@@ -365,12 +355,14 @@ def place(g: Graph, node: Node, steps: tuple[Step, ...],
 
 
 def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list,
-                  *, extended_belief_spaces: bool = False) -> ExtensionOutcome:
+                  *, extended_belief_spaces: bool = False) -> FireOutcome:
     """Place assumptions and conclusions into every space holding all the ps.
 
     Spaces whose defining path carries a negative believesTrue are skipped and
     reported; spaces where any addition (or, in a belief variant, any
     precondition placed there) would contradict are skipped and reported.
+    Each report is a (space, cause, detail) triple in the outcome's blocks.
+    When the ps share no space, the outcome is unfired and reports nothing.
     Spaces with sentiment steps propagate additions into their positive-belief
     variants, where only propositions are placed unless extended_belief_spaces
     is set.
@@ -397,10 +389,9 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
         base = ours if base is None else base & ours
     if base is None:
         base = {EPSILON}
+    outcome = FireOutcome(False)
     if not base:
-        raise NoCommonSpace("preconditions share no private-state space")
-
-    outcome = ExtensionOutcome(fired=False)
+        return outcome
     ordered = sorted(base, key=lambda s: _order_key(s, index)) if len(base) > 1 else base
     # (steps, the chain place takes the sources from, is a belief variant)
     candidates: list[tuple[tuple[Step, ...], tuple[Node, ...], bool]] = []
@@ -411,7 +402,7 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             candidates.append((steps, (), False))
             continue
         if inst.negative_belief:
-            outcome.blocked.append((steps, "negative-belief-path", format_space(steps)))
+            outcome.blocks.append((steps, "negative-belief-path", format_space(steps)))
             continue
         candidates.append((steps, inst.paths[0], False))
         if inst.variant is not None:
@@ -443,9 +434,7 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             if clash is not None:
                 break
         if clash is not None:
-            outcome.blocked.append(
-                (steps, "space-contradiction", f"node {clash.node_id}")
-            )
+            outcome.blocks.append((steps, "space-contradiction", f"node {clash.node_id}"))
             continue
         if not outcome.fired:
             outcome.fired = True

@@ -6,8 +6,10 @@ variant) when the index creates it, a fire's created/existing bookkeeping is
 a set, and block reports are built only for a blocked fire.  Once a fire has
 interned its additions, later spaces check the nodes instead of the facts,
 and ``place`` takes each level's source from a chain of the space.  The
-copies below do all of that work on every fire, as the engine did before;
-the tests swap them in and compare every output byte for byte.
+copies below do all of that work on every fire, as the engine did before,
+and keep its separate extension and fire outcomes and its exception for
+preconditions that share no space; the tests swap them in and compare every
+output byte for byte.
 """
 
 import random
@@ -16,7 +18,7 @@ import pytest
 
 from opine import Config, parse_document, process_document
 from opine import rules, spaces
-from opine.errors import InputError, NoCommonSpace
+from opine.errors import InputError
 from opine.graph import BELIEVES_TRUE, NEGATIVE, SENTIMENT, WRITER, BlockReport, TraceEvent
 from opine.render import dumps, render_by_spaces, render_graph, render_trace
 from opine.spaces import EPSILON
@@ -28,6 +30,31 @@ DEEP_DOCUMENTS = 100  # the first deep documents of seed 2
 
 
 # -- reference copies -----------------------------------------------------------
+
+class NoCommonSpace(Exception):
+    """Preconditions share no private-state space; the rule does not fire."""
+
+
+class ExtensionOutcome:
+    __slots__ = ("fired", "created", "existing", "blocked")
+
+    def __init__(self, fired):
+        self.fired = fired
+        self.created = []
+        self.existing = []
+        self.blocked = []
+
+
+class FireOutcome:
+    __slots__ = ("fired", "created", "existing", "assumptions", "blocks")
+
+    def __init__(self, fired, created=None, existing=None, assumptions=None, blocks=None):
+        self.fired = fired
+        self.created = [] if created is None else created
+        self.existing = [] if existing is None else existing
+        self.assumptions = [] if assumptions is None else assumptions
+        self.blocks = [] if blocks is None else blocks
+
 
 def placement_spaces(node, g, index):
     """Spaces a precondition counts as occupying, including the writer level."""
@@ -72,7 +99,7 @@ def reference_extend_spaces(g, ps, assumptions, conclusions, *, extended_belief_
     if not base:
         raise NoCommonSpace("preconditions share no private-state space")
 
-    outcome = spaces.ExtensionOutcome(fired=False)
+    outcome = ExtensionOutcome(fired=False)
     ordered = sorted(base, key=lambda s: spaces._order_key(s, index))
     candidates = []
     for steps in ordered:
@@ -129,7 +156,7 @@ def reference_fire(rule, binding, g, cfg, state=None, iteration=0):
 
     def report(cause, detail, space=None):
         block = BlockReport(rule.name, binding_ids, cause, detail, space)
-        outcome = rules.FireOutcome(False, blocks=[block])
+        outcome = FireOutcome(False, blocks=[block])
         reference_log(g, state, rule, binding, iteration, outcome)
         return outcome
 
@@ -148,14 +175,14 @@ def reference_fire(rule, binding, g, cfg, state=None, iteration=0):
             extended_belief_spaces=cfg.extended_belief_spaces,
         )
     except NoCommonSpace:
-        return rules.FireOutcome(False)
+        return FireOutcome(False)
 
     blocks = [
         BlockReport(rule.name, binding_ids, cause, detail, space)
         for space, cause, detail in extension.blocked
     ]
     assumed = [g.lookup(fact) for fact in binding.assumptions]
-    outcome = rules.FireOutcome(
+    outcome = FireOutcome(
         fired=extension.fired,
         created=extension.created,
         existing=extension.existing,

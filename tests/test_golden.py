@@ -3,7 +3,8 @@
 Every corpus document is run under the default config and under
 ``extended_belief_spaces``; the digest covers the JSON export and the three
 text renderers byte for byte.  The first ``RANDOM_DOCUMENTS`` documents of the
-fixed-seed random suite get one digest per config, covering the same outputs.
+fixed-seed random suite, and the first ``DEEP_DOCUMENTS`` deep documents of
+seed 2, get one digest per config each, covering the same outputs.
 Regenerate ``golden/digests.json`` only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --update
@@ -18,12 +19,16 @@ from pathlib import Path
 from opine import Config, parse_document, parse_lexicon, process_document
 from opine.render import dumps, render_by_spaces, render_graph, render_trace
 
-from test_properties import random_document
+from test_properties import deep_document, random_document
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 CONFIGS = {"default": Config(), "extended": Config(extended_belief_spaces=True)}
 RANDOM_DOCUMENTS = 200  # the first documents of the fixed-seed random suite
+DEEP_DOCUMENTS = 400  # the first deep documents of seed 2
+# suite name -> (document generator, seed, documents)
+SUITES = {"random": (random_document, 20240214, RANDOM_DOCUMENTS),
+          "deep": (deep_document, 2, DEEP_DOCUMENTS)}
 
 
 def update_with_outputs(h, results) -> None:
@@ -42,13 +47,14 @@ def output_digest(path: Path, lex, cfg: Config) -> str:
     return h.hexdigest()
 
 
-def random_set_digest(lex, cfg: Config) -> str:
-    """One digest over all the random documents, in order."""
-    rng = random.Random(20240214)
+def suite_digest(suite: str, lex, cfg: Config) -> str:
+    """One digest over all the documents of a generated suite, in order."""
+    generate, seed, count = SUITES[suite]
+    rng = random.Random(seed)
     h = hashlib.sha256()
-    for _ in range(RANDOM_DOCUMENTS):
+    for _ in range(count):
         h.update(b"\x1d")
-        update_with_outputs(h, process_document(parse_document(random_document(rng)), lex, cfg))
+        update_with_outputs(h, process_document(parse_document(generate(rng)), lex, cfg))
     return h.hexdigest()
 
 
@@ -65,9 +71,9 @@ def current_digests() -> dict[str, dict[str, str]]:
     }
 
 
-def current_random_digests() -> dict[str, str]:
+def current_suite_digests(suite: str) -> dict[str, str]:
     lex = load_lexicon()
-    return {name: random_set_digest(lex, cfg) for name, cfg in CONFIGS.items()}
+    return {name: suite_digest(suite, lex, cfg) for name, cfg in CONFIGS.items()}
 
 
 def test_corpus_outputs_match_golden_digests():
@@ -81,15 +87,22 @@ def test_corpus_outputs_match_golden_digests():
 
 def test_random_outputs_match_golden_digests():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["random"]
-    got = current_random_digests()
+    got = current_suite_digests("random")
     changed = [config for config in CONFIGS if got[config] != expected[config]]
     assert not changed, f"random documents: outputs changed under {changed}"
+
+
+def test_deep_outputs_match_golden_digests():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["deep"]
+    got = current_suite_digests("deep")
+    changed = [config for config in CONFIGS if got[config] != expected[config]]
+    assert not changed, f"deep documents: outputs changed under {changed}"
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: test_golden.py --update")
     GOLDEN.parent.mkdir(exist_ok=True)
-    digests = {**current_digests(), "random": current_random_digests()}
+    digests = {**current_digests(), **{suite: current_suite_digests(suite) for suite in SUITES}}
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")

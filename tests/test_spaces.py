@@ -1,7 +1,6 @@
-import pytest
-
-from opine import Graph, NoCommonSpace
+from opine import Config, Graph
 from opine.graph import entity_fact, ps_fact
+from opine.rules import RULES, Binding, fire
 from opine.spaces import (
     extend_spaces,
     format_space,
@@ -102,7 +101,7 @@ def test_extension_skips_negative_belief_space():
     q = named_ps("obama", "intends", "positive", event)
     outcome = extend_spaces(g, [event], [], [q])
     assert not outcome.fired
-    assert outcome.blocked[0][1] == "negative-belief-path"
+    assert outcome.blocks[0][1] == "negative-belief-path"
 
 
 def test_extension_at_writer_level_makes_roots():
@@ -116,7 +115,8 @@ def test_extension_at_writer_level_makes_roots():
     assert len(g.roots) == 2
 
 
-def test_extension_requires_common_space():
+def no_common_space_graph():
+    """Two events in two spaces: writer +B, and writer +B (mother -S)."""
     g = Graph()
     e1 = g.gfbf(g.entity("a"), "goodFor", g.entity("b"))
     e2 = g.gfbf(g.entity("c"), "goodFor", g.entity("d"))
@@ -125,8 +125,24 @@ def test_extension_requires_common_space():
     r2 = g.private_state("writer", "believesTrue", "positive", inner)
     g.add_root(r1)
     g.add_root(r2)
-    with pytest.raises(NoCommonSpace):
-        extend_spaces(g, [e1, e2], [], [named_ps("writer", "sentiment", "positive", e1)])
+    return g, e1, e2
+
+
+def test_extension_requires_common_space():
+    g, e1, e2 = no_common_space_graph()
+    nodes, roots = list(g.nodes), list(g.roots)
+    outcome = extend_spaces(g, [e1, e2], [], [named_ps("writer", "sentiment", "positive", e1)])
+    assert not outcome.fired
+    assert outcome.created == outcome.existing == outcome.blocks == []
+    assert g.nodes == nodes and g.roots == roots
+
+
+def test_fire_without_a_common_space_logs_nothing():
+    g, e1, e2 = no_common_space_graph()
+    q = named_ps("writer", "sentiment", "positive", e1)
+    outcome = fire(RULES["rule1"], Binding("rule1", [e1, e2], [], [q]), g, Config())
+    assert not outcome.fired and outcome.blocks == []
+    assert g.trace == []
 
 
 def test_would_contradict_opposite_polarity():
