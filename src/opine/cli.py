@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import render
 from .annotations import Lexicon, parse_document, parse_lexicon
@@ -101,10 +100,11 @@ def main(argv=None) -> int:
             _check_whatif_flags(args)
         cfg = _config_from_args(args)
         # utf-8-sig: a byte-order mark, as some editors save one, is not text
-        doc = parse_document(Path(args.input).read_text(encoding="utf-8-sig"), args.input)
+        with open(args.input, encoding="utf-8-sig") as f:
+            doc = parse_document(f.read(), args.input)
         if args.lexicon:
-            lex = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8-sig"),
-                                args.lexicon)
+            with open(args.lexicon, encoding="utf-8-sig") as f:
+                lex = parse_lexicon(f.read(), args.lexicon)
         else:
             lex = Lexicon()
 
@@ -124,7 +124,8 @@ def main(argv=None) -> int:
                 print(render.render_trace(result), end="", file=out)
             print(file=out)
         if args.json:
-            Path(args.json).write_text(render.dumps(results), encoding="utf-8")
+            with open(args.json, "w", encoding="utf-8") as f:
+                f.write(render.dumps(results))
         return 0
     except InputError as exc:
         print(str(exc), file=sys.stderr)

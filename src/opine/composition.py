@@ -10,7 +10,7 @@ nodes stay in the graph for display but no rule matches them afterwards.
 from __future__ import annotations
 
 from .annotations import Lexicon
-from .errors import CyclicChain
+from .errors import CyclicChain, MalformedLine
 from .graph import (
     BAD_FOR,
     GOOD_FOR,
@@ -156,23 +156,27 @@ def resolve_chains(g: Graph) -> CompositionResult:
     return result
 
 
-def expand_extra_roles(g: Graph, lex: Lexicon) -> list[Node]:
+def expand_extra_roles(g: Graph, lex: Lexicon, filename: str = "<input>") -> list[Node]:
     """Attach second-role derived relations from the gfbf lexicon.
 
     A lexicon entry like ``gfbf deprive badFor role2=goodFor`` states that the
     filler of the event's second role is goodFor the event's object; the
     derived relation is attached to the event and matches rules like any gfbf.
+    A line restating the event with another second role is a MalformedLine.
     """
     derived = []
-    for event, filler_name in list(g.pending_role2):
+    for event, ln in list(g.pending_role2):
         key = g.gfbf_lex_keys.get(event.node_id)
         entry = lex.gfbf_entries.get(key) if key else None
         if entry is None or entry.role2_effect is None:
             continue
         start = len(g.nodes)
-        relation = g.gfbf(g.entity(filler_name), entry.role2_effect, event.object)
-        if relation is event:  # the relation restates the event: nothing new
+        relation = g.gfbf(g.entity(ln.role2.name), entry.role2_effect, event.object)
+        if relation is event or relation is event.role2:  # nothing new
             continue
+        if event.role2 is not None:
+            raise MalformedLine(f"{ln.line_id}: restates its event with another second role",
+                                filename, ln.lineno)
         relation.from_input = True
         g.attach_role2(event, relation)
         derived.append(relation)
@@ -188,7 +192,7 @@ def expand_extra_roles(g: Graph, lex: Lexicon) -> list[Node]:
     return derived
 
 
-def run_composition(g: Graph) -> CompositionResult:
+def run_composition(g: Graph, filename: str = "<input>") -> CompositionResult:
     result = resolve_chains(g)
-    expand_extra_roles(g, g.lexicon)
+    expand_extra_roles(g, g.lexicon, filename)
     return result

@@ -21,7 +21,7 @@ except ImportError:
     from functools import partial
 
 from .annotations import AnnotationLine, Lexicon, SentenceAnnotation, WRITER
-from .errors import IllFormedNode
+from .errors import IllFormedNode, MalformedLine
 from .records import Record
 
 ANIM = "anim"
@@ -327,12 +327,11 @@ class Graph:
         self.trace: list[TraceEvent] = []
         self.entity_meta: dict[str, dict] = {}
         self.gfbf_lex_keys: dict[int, str] = {}
-        self.pending_role2: list[tuple[Node, str]] = []
+        self.pending_role2: list[tuple[Node, AnnotationLine]] = []  # gfbf, its line
         self.input_lines: dict[int, AnnotationLine] = {}  # node id -> line it stands for
-        self._space_index = None  # spaces.space_index's cache; dropped when a node changes
+        self.writer_level: set[Node] = set()  # the roots and the top-level facts
+        self._space_index = None  # spaces.space_index's cache, fed by add_root/add_top_level
         self._interned: dict[Fact, Node] = {}
-        self._root_set: set[Node] = set()
-        self._top_set: set[Node] = set()
 
     # -- interning -------------------------------------------------------
     def _intern(self, key: Fact, anchor=None) -> Node:
@@ -505,19 +504,23 @@ class Graph:
             raise IllFormedNode(
                 f"roots must be writer-sourced sentiment/believesTrue nodes: {node!r}"
             )
-        if node not in self._root_set:
-            self._root_set.add(node)
+        if node not in self.writer_level:
+            self.writer_level.add(node)
             self.roots.append(node)
+            if self._space_index is not None:
+                self._space_index.add_root(node)
 
     def add_top_level(self, node: Node) -> None:
         if node.source_name != WRITER:
             raise IllFormedNode("top-level facts must be the writer's")
-        if node not in self._top_set:
-            self._top_set.add(node)
+        if node not in self.writer_level:
+            self.writer_level.add(node)
             self.top_level.append(node)
+            if self._space_index is not None:
+                self._space_index.add_top_level(node)
 
     def is_writer_level(self, node: Node) -> bool:
-        return node in self._root_set or node in self._top_set
+        return node in self.writer_level
 
     def add_evidence(self, att_type, polarity, target, *, holder=None,
                      property=None, from_input=False) -> EvidenceFact:
@@ -533,37 +536,18 @@ class Graph:
         self.evidence.append(fact)
         return fact
 
-    # -- invariants -------------------------------------------------------
-    def assert_acyclic(self) -> None:
-        seen: set[int] = set()
-        stack: set[int] = set()
-        for node in self.nodes:
-            _visit(node, seen, stack)
-
-
-def _visit(node: Node, seen: set[int], stack: set[int]) -> None:
-    """Graph.assert_acyclic's depth-first walk.  Not a closure: a recursive
-    closure refers to itself, a reference cycle left by every graph."""
-    if node.node_id in seen:
-        return
-    if node.node_id in stack:
-        raise IllFormedNode(f"cycle through node {node.node_id}")
-    stack.add(node.node_id)
-    for _, child in node.key.children:
-        _visit(child, seen, stack)
-    stack.discard(node.node_id)
-    seen.add(node.node_id)
-
 
 # -- building the input graph ----------------------------------------------
 
 def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
-                      ids: IdAllocator | None = None) -> Graph:
+                      ids: IdAllocator | None = None, filename: str = "<input>") -> Graph:
     """Build the graph for one validated sentence annotation.
 
     Every line becomes a node (entities interned on the way); ``prop`` lines
     fold into the believesTrue node they name; evidence lines become
-    evidence facts, with sentiment-evidence targets wrapped in ideaOf.
+    evidence facts, with sentiment-evidence targets wrapped in ideaOf.  A
+    line the node constructors reject (an ill-typed source or target, or a
+    ``prop`` on a line that cannot be substantial) is a MalformedLine there.
     """
     g = Graph(ids=ids, text=sent.text, lexicon=lex)
     g.declare_entity(WRITER)
@@ -579,67 +563,69 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
     def resolve(ln) -> Node:
         if isinstance(ln.target, str):
             targeted.add(ln.target)
+            if ln.target not in by_id:
+                raise IllFormedNode(f"{ln.target} is an evidence or prop line, not a node")
             return by_id[ln.target]
         return g.entity(ln.target.name)
 
-    for ln in sent.lines:
-        if ln.kind == "prop":
-            continue
-        if ln.kind == "gfbf":
-            node = g.gfbf(
-                g.entity(ln.source.name), ln.attitude, resolve(ln),
-                anchor=ln.anchor or None,
-            )
-            if ln.lex_key:
-                if node.anchor is None:
-                    node.anchor = ln.lex_key
-                g.gfbf_lex_keys[node.node_id] = ln.lex_key
-            if ln.role2 is not None:
-                g.pending_role2.append((node, ln.role2.name))
-        elif ln.kind == "influencer":
-            node = g.influencer(
-                g.entity(ln.source.name), ln.attitude, resolve(ln), anchor=ln.anchor or None
-            )
-        elif ln.kind in ("subjectivity", "privateState"):
-            node = g.private_state(
-                ln.source.name,
-                ln.attitude,
-                ln.polarity,
-                resolve(ln),
-                substantial=ln.line_id in substantial_ids,
-                anchor=ln.anchor or None,
-            )
-        elif ln.kind == "evidence":
-            target = resolve(ln)
-            if target.node_type != GFBF:
-                raise IllFormedNode(
-                    f"evidence target must be a gfbf line: {ln.line_id}"
+    try:
+        for ln in sent.lines:
+            if ln.kind == "prop":
+                continue
+            if ln.kind == "gfbf":
+                node = g.gfbf(
+                    g.entity(ln.source.name), ln.attitude, resolve(ln),
+                    anchor=ln.anchor or None,
                 )
-            target.from_input = True
-            if ln.attitude == SENTIMENT:
-                target = g.idea_of(target)
+                if ln.lex_key:
+                    if node.anchor is None:
+                        node.anchor = ln.lex_key
+                    g.gfbf_lex_keys[node.node_id] = ln.lex_key
+                if ln.role2 is not None:
+                    g.pending_role2.append((node, ln))
+            elif ln.kind == "influencer":
+                node = g.influencer(
+                    g.entity(ln.source.name), ln.attitude, resolve(ln), anchor=ln.anchor or None
+                )
+            elif ln.kind in ("subjectivity", "privateState"):
+                node = g.private_state(
+                    ln.source.name,
+                    ln.attitude,
+                    ln.polarity,
+                    resolve(ln),
+                    substantial=ln.line_id in substantial_ids,
+                    anchor=ln.anchor or None,
+                )
+            elif ln.kind == "evidence":
+                target = resolve(ln)
+                if target.node_type != GFBF:
+                    raise IllFormedNode("evidence target must be a gfbf line")
                 target.from_input = True
-            g.add_evidence(
-                ln.attitude,
-                ln.polarity,
-                target,
-                holder=ln.source.name if ln.source else None,
-                property=SUBSTANTIAL if ln.attitude == BELIEVES_TRUE else None,
-                from_input=True,
-            )
-            continue
-        else:  # pragma: no cover - parser enforces the kind set
-            raise IllFormedNode(f"unknown line kind {ln.kind!r}")
-        node.from_input = True
-        for _, child in node.key.children:
-            child.from_input = True
-        by_id[ln.line_id] = node
-        g.input_lines.setdefault(node.node_id, ln)
+                if ln.attitude == SENTIMENT:
+                    target = g.idea_of(target)
+                    target.from_input = True
+                g.add_evidence(
+                    ln.attitude,
+                    ln.polarity,
+                    target,
+                    holder=ln.source.name if ln.source else None,
+                    property=SUBSTANTIAL if ln.attitude == BELIEVES_TRUE else None,
+                    from_input=True,
+                )
+                continue
+            else:  # pragma: no cover - parser enforces the kind set
+                raise IllFormedNode(f"unknown line kind {ln.kind!r}")
+            node.from_input = True
+            for _, child in node.key.children:
+                child.from_input = True
+            by_id[ln.line_id] = node
+            g.input_lines.setdefault(node.node_id, ln)
+    except IllFormedNode as exc:  # ln is the line being built
+        raise MalformedLine(f"{ln.line_id}: {exc}", filename, ln.lineno) from exc
 
     for ln in sent.lines:
         if ln.kind in ("subjectivity", "privateState") and ln.line_id not in targeted:
             node = by_id[ln.line_id]
             if node.is_chain_node() and node.source_name == WRITER:
                 g.add_root(node)
-    g.assert_acyclic()
     return g

@@ -644,7 +644,6 @@ def _expected_space_closure(g: Graph) -> None:
             if would_contradict(variant, member, g, index) is not None:
                 continue
             place(g, member, variant, chain)
-            index = space_index(g)  # take in the chain just placed
 
 
 def check_consistency(g: Graph) -> None:
@@ -697,8 +696,8 @@ def process_sentence(sent: SentenceAnnotation, lex: Lexicon,
                      cfg: Config | None = None,
                      filename: str = "<input>") -> InferenceResult:
     check_lexicon(sent, lex, filename)
-    g = build_input_graph(sent, lex, ids)
-    run_composition(g)
+    g = build_input_graph(sent, lex, ids, filename)
+    run_composition(g, filename)
     check_input(g, filename)
     return run_to_fixpoint(g, cfg)
 

@@ -92,12 +92,14 @@ class SpaceInstance:
 class SpaceIndex:
     """All chains of the graph, grouped by step list, plus clash tables.
 
-    The index is append-only.  Nodes are hash-consed and never change, so a
-    chain below a root is fixed once the root exists: only ``Graph.add_root``
-    adds chains, and ``update`` walks just the roots (and top-level facts)
-    added since the last call.  ``Graph.attach_role2`` changes a node that
-    may already be a member, so it drops the graph's cached index and
-    ``space_index`` then builds a new one from scratch.
+    The index is append-only and follows the graph: ``Graph.add_root`` and
+    ``Graph.add_top_level`` pass each new node to the graph's cached index
+    (``space_index``).  Nodes are hash-consed and never change, so a chain
+    below a root is fixed once the root exists.  ``Graph.attach_role2``
+    changes a node that may already be a member, so it drops the cached index
+    and ``space_index`` then builds a new one from scratch.  An index built
+    directly, ``SpaceIndex(g)``, is a snapshot: only its ``writer_level``, the
+    graph's own set, stays current.
 
     Each space has one clash table of its members; the writer level's
     (EPSILON) holds the roots and the top-level facts, which ``writer_level``
@@ -111,25 +113,21 @@ class SpaceIndex:
         self.spaces: dict[tuple[Step, ...], SpaceInstance] = {}
         self.memberships: dict[int, dict[tuple[Step, ...], tuple[Node, ...]]] = {}
         self.writer_clash: dict[ClashKey, dict[str, Node]] = {}
-        self.writer_level: set[Node] = set()
-        self.roots_seen = 0
-        self.top_seen = 0
+        self.writer_level = g.writer_level
         self.first_root_moves = 0
-        self.update(g)
+        for root in g.roots:
+            self.add_root(root)
+        for node in g.top_level:
+            self.add_top_level(node)
 
-    def update(self, g: Graph) -> None:
-        """Add the chains of the roots and the top-level facts added since the last call."""
-        if len(g.roots) > self.roots_seen:
-            for root in g.roots[self.roots_seen:]:
-                _add_to_table(self.writer_clash, root)
-                self._add_chains(root)
-            self.writer_level.update(g.roots[self.roots_seen:])
-            self.roots_seen = len(g.roots)
-        if len(g.top_level) > self.top_seen:
-            for node in g.top_level[self.top_seen:]:
-                _add_to_table(self.writer_clash, node)
-            self.writer_level.update(g.top_level[self.top_seen:])
-            self.top_seen = len(g.top_level)
+    def add_root(self, root: Node) -> None:
+        """Take in a new root and its chains."""
+        _add_to_table(self.writer_clash, root)
+        self._add_chains(root)
+
+    def add_top_level(self, node: Node) -> None:
+        """Take in a new top-level fact."""
+        _add_to_table(self.writer_clash, node)
 
     def _add_chains(self, root: Node) -> None:
         path: tuple[Node, ...] = ()
@@ -167,8 +165,7 @@ class SpaceIndex:
         the node itself, so a root or top-level fact is its own top.  In a
         space, the chain recorded for the membership must end in node itself,
         not in a gfbf holding node as its role2, and carry no substantial
-        link, since ``place`` builds none.  Memberships only grow, so an index
-        behind the graph may miss a chain but never gives a wrong one.
+        link, since ``place`` builds none.
         """
         if not steps:
             return node if node in self.writer_level else None
@@ -193,8 +190,6 @@ def space_index(g: Graph) -> SpaceIndex:
     index = g._space_index
     if index is None:
         index = g._space_index = SpaceIndex(g)
-    else:
-        index.update(g)
     return index
 
 
@@ -257,8 +252,7 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
     level) already holds the same source/attitude/target with the opposite
     polarity.  Returns the first such node in path or member order; failing
     that, the first clash in the spaces the prop's own chain defines below
-    (``_chain_clash``).  A caller holding an index that is up to date with
-    ``g`` may pass it.
+    (``_chain_clash``).  A caller holding the graph's index may pass it.
     """
     if index is None:
         index = space_index(g)
@@ -460,5 +454,4 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             if top not in seen:
                 seen.add(top)
                 existing.append(top)
-        index = space_index(g)  # take in what was just placed
     return outcome

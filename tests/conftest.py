@@ -41,3 +41,23 @@ def load_doc(name):
 def spaces_of(node, g):
     """Spaces containing the node.  A root defines spaces but is in none."""
     return set(space_index(g).memberships.get(node.node_id, ()))
+
+
+def assert_acyclic(g):
+    """No node is a part of itself, at any depth.  A part is interned before
+    the key holding it, and a second-role relation joins two entities, so
+    the engine builds no cycle; this walk checks that it does not."""
+    seen, stack = set(), set()
+
+    def visit(node):
+        if node in seen:
+            return
+        assert node not in stack, f"cycle through node {node.node_id}"
+        stack.add(node)
+        for _, child in node.key.children:
+            visit(child)
+        stack.discard(node)
+        seen.add(node)
+
+    for node in g.nodes:
+        visit(node)

@@ -338,6 +338,62 @@ def test_a_second_role_that_is_the_event_itself_is_not_attached(tmp_path, capsys
     assert "(ps writer sentiment positive (gfbf A badFor B))" in out
 
 
+_ONE_EVENT = ('"A sentence."\n'
+              "E1 gfbf <a, badFor (x), b>\n"
+              "S1 subjectivity <c, negative sentiment (w), E1>\n"
+              "B1 privateState <writer, positive believesTrue (w), S1>\n")
+_EVENT_STATED_ONCE = ('"A sentence."\n'
+                      "E1 gfbf <the leader, badFor (deprived,deprive:lexEntry), the children,"
+                      " food:thing>\n"
+                      "S1 subjectivity <writer, negative sentiment (w), E1>\n")
+_RESTATED_EVENT = (_EVENT_STATED_ONCE
+                   + "E2 gfbf <the leader, badFor (deprived,deprive:lexEntry), the children,"
+                   " {filler}:thing>\n"
+                   "S2 subjectivity <writer, negative sentiment (w), E2>\n")
+
+# Lines the node constructors reject, with the line the error names; None
+# marks the one document that is well formed.  Each ended in an internal error.
+ILL_TYPED_INPUTS = {
+    "prop-on-a-sentiment": (_ONE_EVENT + "P1 p(S1,substantial)\n", 3),
+    "prop-on-a-belief-off-gfbf": (_ONE_EVENT + "P1 p(B1,substantial)\n", 4),
+    "intends-off-gfbf": (_ONE_EVENT + "I1 privateState <c, positive intends (w), S1>\n"
+                         "B2 privateState <writer, positive believesTrue (w), I1>\n", 5),
+    "believes-should-off-gfbf": (
+        _ONE_EVENT + "I1 privateState <c, positive believesShould (w), S1>\n"
+        "B2 privateState <writer, positive believesTrue (w), I1>\n", 5),
+    "evidence-on-a-private-state": (
+        _ONE_EVENT + 'V1 evidence <none, positive intends (""), S1>\n', 5),
+    "evidence-on-an-entity": (_ONE_EVENT + 'V1 evidence <none, positive intends (""), b>\n', 5),
+    "gfbf-on-a-line": (_ONE_EVENT + "E2 gfbf <d, goodFor (y), E1>\n"
+                       "B2 privateState <writer, positive believesTrue (w), E2>\n", 5),
+    "private-state-on-an-evidence-line": (
+        _ONE_EVENT + 'V1 evidence <none, positive intends (""), E1>\n'
+        "S2 subjectivity <c, positive sentiment (w), V1>\n"
+        "B2 privateState <writer, positive believesTrue (w), S2>\n", 6),
+    "thing-as-a-source": (_ONE_EVENT.replace("<c,", "<rock:thing,"), 3),
+    "influencer-on-a-private-state": (
+        _ONE_EVENT + "I1 influencer <d, retain (x), S1>\n"
+        "B2 privateState <writer, positive sentiment (w), I1>\n", 5),
+    "second-role-restated-with-another-filler": (_RESTATED_EVENT.format(filler="water"), 4),
+    "second-role-restated-with-the-same-filler": (_RESTATED_EVENT.format(filler="food"), None),
+}
+
+
+@pytest.mark.parametrize("text, lineno", ILL_TYPED_INPUTS.values(), ids=ILL_TYPED_INPUTS)
+def test_an_ill_typed_line_is_an_input_error_at_its_line(tmp_path, capsys, text, lineno):
+    doc = tmp_path / "ill.ann"
+    argv = ("--input", doc, "--lexicon", CORPUS / "base.lex", "--trace")
+    doc.write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    if lineno is None:  # the restatement adds nothing
+        doc.write_text(_EVENT_STATED_ONCE)
+        assert (code, out, err) == run_cli(capsys, *argv)
+        assert code == 0 and "food; which is goodFor the children" in out
+    else:
+        assert code == 1, err
+        assert err.startswith(f"{doc}:{lineno}: MalformedLine: "), err
+
+
 def with_bom(path, tmp_path):
     """A copy of the file saved with a UTF-8 byte-order mark."""
     copy = tmp_path / path.name

@@ -1,6 +1,7 @@
 """The engine has no runtime dependencies beyond the standard library, and
 importing it loads neither dataclasses, inspect nor the json package; in an
-interpreter without ``site``, it loads neither typing, re nor enum."""
+interpreter without ``site``, it loads neither typing, re nor enum, and the
+CLI loads no pathlib."""
 
 import ast
 import json.encoder
@@ -14,11 +15,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SOURCES = sorted((SRC / "opine").glob("*.py"))
 
+# Prints the modules that importing argv[2] (default: opine) loads.
 _IMPORT_CHILD = """\
 import sys
 before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
-import opine
+__import__(sys.argv[2] if len(sys.argv) > 2 else "opine")
 print(sorted(set(sys.modules) - before))
 """
 
@@ -130,6 +132,18 @@ def test_a_bare_import_loads_no_typing_re_or_enum():
     added = ast.literal_eval(proc.stdout)
     assert "opine.rules" in added
     assert not {"typing", "re", "enum"} & set(added), added
+
+
+def test_a_bare_cli_import_loads_no_pathlib():
+    """The CLI reads and writes its files with ``open``; ``pathlib`` would
+    load ``urllib.parse`` and ``ipaddress`` too, at every start."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _IMPORT_CHILD, str(SRC), "opine.cli"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = ast.literal_eval(proc.stdout)
+    assert {"opine.cli", "argparse"} <= set(added)
+    assert "pathlib" not in added, added
 
 
 def test_engine_sources_import_neither_re_nor_json():

@@ -28,7 +28,7 @@ from opine.graph import (
     ps_fact,
 )
 
-from conftest import load_doc
+from conftest import assert_acyclic, load_doc
 
 
 def simple_graph():
@@ -157,7 +157,7 @@ def test_acyclicity_holds_after_build(lexicon, corpus_files):
 
         doc = parse_document(path.read_text(), path.name)
         for sent in doc.sentences:
-            build_input_graph(sent, lexicon).assert_acyclic()
+            assert_acyclic(build_input_graph(sent, lexicon))
 
 
 def test_negative_belief_single_form(lexicon):

@@ -15,6 +15,8 @@ from opine import (
 from opine.graph import polarity_of, sign
 from opine.rules import DEFAULT_RULE_ORDER, RULES
 
+from conftest import assert_acyclic
+
 POLS = ("positive", "negative")
 EFFECTS = ("goodFor", "badFor")
 
@@ -272,7 +274,7 @@ def test_fixpoint_on_random_inputs(lexicon):
             continue
         results = process_document(doc, lexicon, cfg)
         g = results[0].graph
-        g.assert_acyclic()
+        assert_acyclic(g)
         check_consistency(g)
 
 
@@ -325,3 +327,76 @@ def test_no_internal_error_on_deep_inputs(lexicon):
                 process_document(parse_document(text), lexicon, cfg)
             except InputError:
                 pass
+
+
+# -- mutated corpus documents ---------------------------------------------------
+
+ATTITUDES = ("sentiment", "believesTrue", "intends", "believesShould")
+SWAPS = {"positive": "negative", "negative": "positive", "goodFor": "badFor", "badFor": "goodFor"}
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """The document with one to three random edits to its annotation lines.
+
+    An edit flips a polarity or an effect, swaps an attitude type, retargets
+    a line to an earlier id, or adds an evidence, prop or influencer line (the
+    influencer under a writer line of its own).  Most results stay well
+    formed; the others must be input errors.
+    """
+    sentence, *lines = text.splitlines()
+    ids = [line.split()[0] for line in lines]
+    for n in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        words = line.replace("<", " ").replace(">", " ").replace(",", " ").split()
+        edit = rng.choice(("swap", "attitude", "retarget", "evidence", "prop", "influencer"))
+        if edit == "swap" and SWAPS.keys() & set(words):
+            word = rng.choice(sorted(SWAPS.keys() & set(words)))
+            lines[i] = line.replace(f" {word} ", f" {SWAPS[word]} ", 1)
+        elif edit == "attitude" and set(ATTITUDES) & set(words):
+            word = rng.choice(sorted(set(ATTITUDES) & set(words)))
+            lines[i] = line.replace(f" {word} ", f" {rng.choice(ATTITUDES)} ", 1)
+        elif edit == "retarget" and i > 0 and "<" in line:
+            head, _, body = line.partition("<")
+            fields = body.rstrip(">").split(", ")
+            if len(fields) >= 3:
+                fields[2] = rng.choice(ids[:i])
+                lines[i] = f"{head}<{', '.join(fields)}>"
+        elif edit == "evidence":
+            holder = rng.choice(("none", rng.choice(NAMES)))
+            lines.append(f"Z{n}V evidence <{holder}, {rng.choice(POLS)}"
+                         f" {rng.choice(('intends', 'believesTrue', 'sentiment'))} (\"\"),"
+                         f" {rng.choice(ids[:i + 1])}>")
+        elif edit == "prop":
+            lines.append(f"Z{n}P p({rng.choice(ids[:i + 1])},substantial)")
+        elif edit == "influencer":
+            lines.append(f"Z{n}I influencer <{rng.choice(NAMES)},"
+                         f" {rng.choice(('retain', 'reverse'))} (x), {rng.choice(ids[:i + 1])}>")
+            lines.append(f"Z{n}W privateState <writer, {rng.choice(POLS)} sentiment (w), Z{n}I>")
+    return "\n".join([sentence, *lines]) + "\n"
+
+
+MUTATED_DOCUMENTS = 300
+
+
+def test_no_internal_error_on_mutated_corpus_documents(tmp_path, capsys, corpus_files):
+    # Aim 3: whatever the edit, the CLI answers or reports an input error
+    # (exit 1); an internal error (exit 2) is a bug, under any flag.
+    from opine.cli import main
+
+    rng = random.Random(20261019)
+    texts = [path.read_text(encoding="utf-8") for path in corpus_files]
+    texts = [text for text in texts if text.strip()]
+    lexicon = str(corpus_files[0].parent / "base.lex")
+    doc = tmp_path / "mutated.ann"
+    codes = []
+    for _ in range(MUTATED_DOCUMENTS):
+        text = mutate(rng.choice(texts), rng)
+        doc.write_text(text, encoding="utf-8")
+        for flags in ([], ["--extended-belief-spaces"], ["--fire-once", "false"]):
+            code = main(["--input", str(doc), "--lexicon", lexicon, *flags])
+            err = capsys.readouterr().err
+            assert code != 2, (flags, text, err)
+            codes.append(code)
+    # Both outcomes occur, so the edits reach the engine and the checks.
+    assert codes.count(0) > len(codes) // 4 and codes.count(1) > len(codes) // 10
