@@ -462,7 +462,7 @@ class Graph:
         if isinstance(source, str):
             source = self.entity(source)
         if source.node_type != ANIM:
-            raise IllFormedNode(f"private-state source must be animate: {source!r}")
+            raise IllFormedNode(f"private-state source must be animate: {source.name}")
         if att_type not in (SENTIMENT, BELIEVES_TRUE, INTENDS, BELIEVES_SHOULD):
             raise IllFormedNode(f"bad attitude type {att_type!r}")
         if polarity not in (POSITIVE, NEGATIVE):
@@ -547,7 +547,8 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
     fold into the believesTrue node they name; evidence lines become
     evidence facts, with sentiment-evidence targets wrapped in ideaOf.  A
     line the node constructors reject (an ill-typed source or target, or a
-    ``prop`` on a line that cannot be substantial) is a MalformedLine there.
+    ``prop`` on a line that cannot be substantial) is a MalformedLine there;
+    a ``prop`` on a line that is no attitude is one at the ``prop`` line.
     """
     g = Graph(ids=ids, text=sent.text, lexicon=lex)
     g.declare_entity(WRITER)
@@ -557,6 +558,7 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
                 g.declare_entity(ref.name, thing=ref.thing, lex_key=ref.lex_key)
 
     substantial_ids = {ln.target for ln in sent.lines if ln.kind == "prop"}
+    kinds = {ln.line_id: ln.kind for ln in sent.lines}
     by_id: dict[str, Node] = {}
     targeted: set[str] = set()
 
@@ -571,6 +573,9 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
     try:
         for ln in sent.lines:
             if ln.kind == "prop":
+                if kinds[ln.target] not in ("subjectivity", "privateState"):
+                    raise IllFormedNode(f"p({ln.target},substantial) names a line of kind"
+                                        f" {kinds[ln.target]}, not a belief line")
                 continue
             if ln.kind == "gfbf":
                 node = g.gfbf(

@@ -17,8 +17,6 @@ fire only for what is new to its binding (``_log``).
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .annotations import AnnotationDoc, Lexicon, SentenceAnnotation, WRITER
 from .composition import run_composition
 from .errors import (
@@ -618,25 +616,17 @@ def _expected_space_closure(g: Graph) -> None:
     """Optional closure: every member of a sentiment-bearing space is also
     believed, i.e. placed into the space's positive-belief variant.
 
-    Semi-naive: each sentiment-bearing space's ``closure_seen`` counts the
-    members already visited, and a call visits only the members after it, in
-    one pass.  A member its own placements add waits for the next call, which
-    ``run_to_fixpoint`` makes after any pass that creates a node.
-    Inside the fixpoint no member is retired and the layout does not move,
-    while chains and clash tables only grow, so a visited member's outcome
-    stays what it was: skipped, blocked, or placed (placing again creates
-    nothing).  A rebuilt index starts from zero again.  A member the index
-    already holds as placed in the variant (``SpaceIndex.placed_top``) is
-    skipped before its check, as placing it would create nothing.
+    A call visits every member once, in one pass.  A member its own
+    placements add waits for the next call, which ``run_to_fixpoint`` makes
+    after any pass that creates a node.  A member the index already holds as
+    placed in the variant (``SpaceIndex.placed_top``) is skipped before its
+    check, as placing it would create nothing; inside the fixpoint clash
+    tables only grow, so a member blocked once stays blocked.
     """
-    # Snapshot the new members: placing below adds to the (live) index.
+    # Snapshot the members: placing below adds to the (live) index.
     index = space_index(g)
-    snapshot = []
-    for inst in index.spaces.values():
-        if inst.variant is not None and len(inst.members) > inst.closure_seen:
-            new = list(islice(inst.members.values(), inst.closure_seen, None))
-            snapshot.append((inst.variant, inst.paths[0], new))
-            inst.closure_seen = len(inst.members)
+    snapshot = [(inst.variant, inst.paths[0], list(inst.members.values()))
+                for inst in index.spaces.values() if inst.variant is not None]
     for variant, chain, members in snapshot:
         for member in members:
             if member.retired or index.placed_top(member, variant) is not None:

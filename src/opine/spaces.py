@@ -51,8 +51,8 @@ def _add_to_table(table: dict[ClashKey, dict[str, Node]], node: Node) -> None:
 
 
 class SpaceInstance:
-    __slots__ = ("steps", "paths", "members", "clash", "first_root", "closure_seen",
-                 "negative_belief", "variant")
+    __slots__ = ("steps", "paths", "members", "clash", "first_root", "negative_belief",
+                 "variant")
 
     def __init__(self, steps: tuple[Step, ...], parent: SpaceInstance | None):
         self.steps = steps
@@ -60,7 +60,6 @@ class SpaceInstance:
         self.members: dict[int, Node] = {}  # by node id, in insertion order
         self.clash: dict[ClashKey, dict[str, Node]] = {}  # {polarity: first}
         self.first_root = 0  # smallest root id among the paths
-        self.closure_seen = 0  # members the expected-space closure has visited
         # The space's kind, read on every fire: whether a step is a negative
         # belief, and the belief variant (None without a sentiment step).
         # Both extend those of the parent, the space one step up (None for a

@@ -352,7 +352,8 @@ _RESTATED_EVENT = (_EVENT_STATED_ONCE
                    "S2 subjectivity <writer, negative sentiment (w), E2>\n")
 
 # Lines the node constructors reject, with the line the error names; None
-# marks the one document that is well formed.  Each ended in an internal error.
+# marks the one document that is well formed.  Each ended in an internal error,
+# except a prop on a line that is no attitude, which was ignored.
 ILL_TYPED_INPUTS = {
     "prop-on-a-sentiment": (_ONE_EVENT + "P1 p(S1,substantial)\n", 3),
     "prop-on-a-belief-off-gfbf": (_ONE_EVENT + "P1 p(B1,substantial)\n", 4),
@@ -374,6 +375,12 @@ ILL_TYPED_INPUTS = {
     "influencer-on-a-private-state": (
         _ONE_EVENT + "I1 influencer <d, retain (x), S1>\n"
         "B2 privateState <writer, positive sentiment (w), I1>\n", 5),
+    "prop-on-a-gfbf-line": (_ONE_EVENT + "P1 p(E1,substantial)\n", 5),
+    "prop-on-an-evidence-line": (_ONE_EVENT + 'V1 evidence <none, positive intends (""), E1>\n'
+                                 "P1 p(V1,substantial)\n", 6),
+    "prop-on-a-prop-line": (
+        _ONE_EVENT + "B2 privateState <writer, positive believesTrue (w), E1>\n"
+        "P1 p(B2,substantial)\nP2 p(P1,substantial)\n", 7),
     "second-role-restated-with-another-filler": (_RESTATED_EVENT.format(filler="water"), 4),
     "second-role-restated-with-the-same-filler": (_RESTATED_EVENT.format(filler="food"), None),
 }
@@ -392,6 +399,15 @@ def test_an_ill_typed_line_is_an_input_error_at_its_line(tmp_path, capsys, text,
     else:
         assert code == 1, err
         assert err.startswith(f"{doc}:{lineno}: MalformedLine: "), err
+    assert "<Node" not in err  # an entity is named by its text
+
+
+def test_an_inanimate_source_is_named_by_its_text(tmp_path, capsys):
+    doc = tmp_path / "ill.ann"
+    doc.write_text(ILL_TYPED_INPUTS["thing-as-a-source"][0])
+    code, _, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex")
+    assert (code, err) == (1, f"{doc}:3: MalformedLine: S1: private-state source must be"
+                              " animate: rock\n")
 
 
 def with_bom(path, tmp_path):

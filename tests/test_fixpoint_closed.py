@@ -20,11 +20,31 @@ import pytest
 
 from opine import Config, InputError, parse_document, process_document
 from opine.rules import RULES, EngineState, _expected_space_closure, fire, match
-from opine.spaces import space_index
 
 from test_properties import deep_document, random_document, rule_orders
 
 DOCUMENTS = 200  # the first documents of each fixed-seed suite
+
+# deep_document no. 114 of seed 12.  rule3.1's first fire on S2 makes S2 a
+# root, which changes that binding's own input stamp.  Only a stamp taken
+# before the fire lets it fire again in the next pass, which makes S1 a root
+# and so puts E1 into [writer -S carol -B]; without that, rule6 on E1 has a
+# negative-belief-path block there that the trace does not hold.
+OWN_SPACES_DOCUMENT = """"A deeper sentence."
+E1 gfbf <dave, goodFor (x1), the storm:thing>
+E2 gfbf <bob, goodFor (x2), alice>
+E3 gfbf <the rock:thing, goodFor (x3), bob>
+S0 subjectivity <carol, negative believesTrue (w), E1>
+S1 subjectivity <writer, negative sentiment (w), S0>
+S2 subjectivity <writer, positive sentiment (w), S1>
+S3 subjectivity <alice, positive intends (w), E2>
+S4 subjectivity <writer, positive sentiment (w), S2>
+S5 subjectivity <bob, negative sentiment (w), E3>
+B1 privateState <writer, positive sentiment (w), S3>
+B2 privateState <writer, positive sentiment (w), S5>
+P0 p(S0,substantial)
+V1 evidence <none, negative intends (e), E2>
+"""
 
 
 def closure_violations(result, cfg):
@@ -41,8 +61,6 @@ def closure_violations(result, cfg):
             outcome = fire(rule, binding, g, cfg, state)
             missing += [block for block in outcome.blocks if block not in logged]
     if cfg.extended_belief_spaces:
-        for inst in space_index(g).spaces.values():
-            inst.closure_seen = 0  # visit every member again, not only new ones
         _expected_space_closure(g)
     return [n.structural_key() for n in g.nodes[before:]], missing
 
@@ -52,7 +70,7 @@ def texts(corpus_files):
     random_rng, deep_rng = random.Random(20240214), random.Random(2)
     return ([path.read_text(encoding="utf-8") for path in corpus_files]
             + [random_document(random_rng) for _ in range(DOCUMENTS)]
-            + [deep_document(deep_rng) for _ in range(DOCUMENTS)])
+            + [deep_document(deep_rng) for _ in range(DOCUMENTS)] + [OWN_SPACES_DOCUMENT])
 
 
 ORDERS = rule_orders(3)
