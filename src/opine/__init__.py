@@ -24,7 +24,6 @@ from .annotations import (
 from .composition import expand_extra_roles, resolve_chains, run_composition
 from .errors import (
     ContradictoryInput,
-    CyclicChain,
     DanglingReference,
     DuplicateId,
     DuplicateKey,

@@ -5,75 +5,34 @@ single effective gfbf whose polarity flips once per reverser.  Evidence on the
 chain's terminal event carries over to the new event, with intention and
 substantiality flipped when the reverser count is odd.  The original chain
 nodes stay in the graph for display but no rule matches them afterwards.
+
+The graph is the only record of what composition did: the new nodes and
+evidence facts, and one ``composition`` trace event per chain or second role
+naming them.  Chains cannot loop, since a node's parts are interned before it.
+For the same reason a private state's target has a smaller id than the state,
+so one pass over the private states in id order reaches every holder of the
+outermost influencer, nested ones included.
 """
 
 from __future__ import annotations
 
 from .annotations import Lexicon
-from .errors import CyclicChain, MalformedLine
+from .errors import MalformedLine
 from .graph import (
     BAD_FOR,
     GOOD_FOR,
+    IDEA_OF,
     INFLUENCER,
+    PRIVATE_STATE,
     SENTIMENT,
-    EvidenceFact,
     Graph,
     Node,
     TraceEvent,
     opposite_polarity,
 )
-from .records import Record
 
 
-class InfluencerChain(Record):
-    __slots__ = ()
-    _fields = ("links", "terminal")
-
-    def __new__(cls, links: list[Node], terminal: Node):
-        # links: outermost influencer first; terminal: the gfbf the chain bottoms out in
-        return tuple.__new__(cls, (links, terminal))
-
-    @property
-    def reversals(self) -> int:
-        return sum(1 for link in self.links if link.property == "reverse")
-
-    def effective_effect(self) -> str:
-        effect = self.terminal.effect
-        if self.reversals % 2:
-            effect = GOOD_FOR if effect == BAD_FOR else BAD_FOR
-        return effect
-
-
-class CompositionResult:
-    __slots__ = ("new_gfbfs", "new_evidence", "chains")
-
-    def __init__(self, chains: list[InfluencerChain]):
-        self.new_gfbfs: list[Node] = []
-        self.new_evidence: list[EvidenceFact] = []
-        self.chains = chains
-
-
-def _find_chains(g: Graph) -> list[InfluencerChain]:
-    influencers = [n for n in g.nodes if n.node_type == INFLUENCER]
-    inner = {n.target.node_id for n in influencers if n.target.node_type == INFLUENCER}
-    chains = []
-    for outer in influencers:
-        if outer.node_id in inner:
-            continue
-        links, seen = [], set()
-        node = outer
-        while node.node_type == INFLUENCER:
-            if node.node_id in seen:
-                raise CyclicChain(f"influencer chain loops at node {node.node_id}")
-            seen.add(node.node_id)
-            links.append(node)
-            node = node.target
-        chains.append(InfluencerChain(links=links, terminal=node))
-    chains.sort(key=lambda c: c.links[0].node_id)
-    return chains
-
-
-def resolve_chains(g: Graph) -> CompositionResult:
+def resolve_chains(g: Graph) -> None:
     """Collapse every influencer chain into a new effective gfbf.
 
     The new event takes the outermost influencer's agent and occupies every
@@ -81,79 +40,66 @@ def resolve_chains(g: Graph) -> CompositionResult:
     gets a counterpart targeting the new event).  Chain nodes are retired
     from rule matching.
     """
-    result = CompositionResult(chains=_find_chains(g))
-    for chain in result.chains:
-        outer = chain.links[0]
-        start = len(g.nodes)
-        new_gfbf = g.gfbf(outer.agent, chain.effective_effect(), chain.terminal.object)
+    influencers = g.nodes_by_type.get(INFLUENCER, [])
+    inner = {n.target for n in influencers}
+    for outer in influencers:
+        if outer in inner:
+            continue
+        links, terminal = [], outer
+        while terminal.node_type == INFLUENCER:
+            links.append(terminal)
+            terminal = terminal.target
+        flip = sum(link.property == "reverse" for link in links) % 2 == 1
+        effect = terminal.effect
+        if flip:
+            effect = GOOD_FOR if effect == BAD_FOR else BAD_FOR
+        start, known = len(g.nodes), len(g.evidence)
+        new_gfbf = g.gfbf(outer.agent, effect, terminal.object)
         new_gfbf.from_input = True
-        result.new_gfbfs.append(new_gfbf)
 
-        flip = chain.reversals % 2 == 1
-        new_evidence = []
-        for fact in list(g.evidence):
+        for fact in g.evidence[:known]:
             target = fact.target
-            wrapped = target.node_type == "ideaOf"
-            event = target.idea_object if wrapped else target
-            if event is not chain.terminal:
+            if (target.idea_object if target.node_type == IDEA_OF else target) is not terminal:
                 continue
             fact.retired = True
             if fact.att_type == SENTIMENT:
-                counterpart = g.add_evidence(
-                    SENTIMENT, fact.polarity, g.idea_of(new_gfbf), holder=fact.holder,
-                    from_input=True,
-                )
+                g.add_evidence(SENTIMENT, fact.polarity, g.idea_of(new_gfbf),
+                               holder=fact.holder, from_input=True)
             else:
                 polarity = opposite_polarity(fact.polarity) if flip else fact.polarity
-                counterpart = g.add_evidence(
-                    fact.att_type, polarity, new_gfbf, holder=fact.holder,
-                    property=fact.property, from_input=True,
-                )
-            new_evidence.append(counterpart)
-        result.new_evidence.extend(new_evidence)
+                g.add_evidence(fact.att_type, polarity, new_gfbf, holder=fact.holder,
+                               property=fact.property, from_input=True)
 
         # Rebuild every private-state chain that held the outermost influencer
         # so it holds the new event instead, roots included.
-        mapping: dict[int, Node] = {outer.node_id: new_gfbf}
-        changed = True
-        while changed:
-            changed = False
-            for holder in list(g.nodes):
-                if (
-                    holder.node_type != "privateState"
-                    or holder.node_id in mapping
-                    or holder.target is None
-                    or holder.target.node_id not in mapping
-                ):
-                    continue
-                counterpart = g.private_state(
-                    holder.source, holder.att_type, holder.polarity,
-                    mapping[holder.target.node_id],
-                    substantial=holder.property is not None,
-                )
-                counterpart.from_input = holder.from_input
-                if holder.node_id in g.input_lines:
-                    g.input_lines.setdefault(counterpart.node_id, g.input_lines[holder.node_id])
-                mapping[holder.node_id] = counterpart
-                if holder in g.roots:
-                    g.add_root(counterpart)
-                changed = True
+        mapping: dict[Node, Node] = {outer: new_gfbf}
+        for holder in list(g.nodes_by_type.get(PRIVATE_STATE, ())):
+            target = mapping.get(holder.target)
+            if target is None:
+                continue
+            counterpart = g.private_state(holder.source, holder.att_type, holder.polarity,
+                                          target, substantial=holder.property is not None)
+            counterpart.from_input = holder.from_input
+            if holder.node_id in g.input_lines:
+                g.input_lines.setdefault(counterpart.node_id, g.input_lines[holder.node_id])
+            mapping[holder] = counterpart
+            if holder in g.roots:
+                g.add_root(counterpart)
 
-        for node in chain.links:
+        for node in links:
             node.retired = True
-        if chain.terminal is not new_gfbf:
-            chain.terminal.retired = True
+        if terminal is not new_gfbf:
+            terminal.retired = True
         g.trace.append(
             TraceEvent(
                 kind="composition",
                 rule="influencer-chain",
                 iteration=0,
-                preconditions=tuple([n.node_id for n in chain.links + [chain.terminal]]),
+                preconditions=tuple([n.node_id for n in links + [terminal]]),
                 created=tuple([n.node_id for n in g.nodes[start:]]
-                              + [f.fact_id for f in new_evidence]),
+                              + [f.fact_id for f in g.evidence[known:]]),
             )
         )
-    return result
 
 
 def expand_extra_roles(g: Graph, lex: Lexicon, filename: str = "<input>") -> list[Node]:
@@ -192,7 +138,6 @@ def expand_extra_roles(g: Graph, lex: Lexicon, filename: str = "<input>") -> lis
     return derived
 
 
-def run_composition(g: Graph, filename: str = "<input>") -> CompositionResult:
-    result = resolve_chains(g)
+def run_composition(g: Graph, filename: str = "<input>") -> None:
+    resolve_chains(g)
     expand_extra_roles(g, g.lexicon, filename)
-    return result

@@ -63,10 +63,6 @@ class IllFormedNode(OpineError):
     """A node specification violates the knowledge-representation invariants."""
 
 
-class CyclicChain(OpineError):
-    """An influencer chain loops back on itself."""
-
-
 class IterationLimitExceeded(OpineError):
     """The inference loop hit the configured iteration cap."""
 

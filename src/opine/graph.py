@@ -546,9 +546,9 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
     Every line becomes a node (entities interned on the way); ``prop`` lines
     fold into the believesTrue node they name; evidence lines become
     evidence facts, with sentiment-evidence targets wrapped in ideaOf.  A
-    line the node constructors reject (an ill-typed source or target, or a
-    ``prop`` on a line that cannot be substantial) is a MalformedLine there;
-    a ``prop`` on a line that is no attitude is one at the ``prop`` line.
+    line the node constructors reject (an ill-typed source or target) is a
+    MalformedLine there; a ``prop`` on a line that is not a believesTrue of
+    a gfbf line is one at the ``prop`` line.
     """
     g = Graph(ids=ids, text=sent.text, lexicon=lex)
     g.declare_entity(WRITER)
@@ -576,6 +576,11 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
                 if kinds[ln.target] not in ("subjectivity", "privateState"):
                     raise IllFormedNode(f"p({ln.target},substantial) names a line of kind"
                                         f" {kinds[ln.target]}, not a belief line")
+                belief = by_id[ln.target]
+                if belief.property is None:
+                    raise IllFormedNode(f"p({ln.target},substantial) names a {belief.att_type}"
+                                        f" on a {belief.target.node_type}, not a believesTrue"
+                                        " on a gfbf line")
                 continue
             if ln.kind == "gfbf":
                 node = g.gfbf(
@@ -593,12 +598,15 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
                     g.entity(ln.source.name), ln.attitude, resolve(ln), anchor=ln.anchor or None
                 )
             elif ln.kind in ("subjectivity", "privateState"):
+                target = resolve(ln)
                 node = g.private_state(
                     ln.source.name,
                     ln.attitude,
                     ln.polarity,
-                    resolve(ln),
-                    substantial=ln.line_id in substantial_ids,
+                    target,
+                    # a prop on any other line is reported at the prop line
+                    substantial=(ln.line_id in substantial_ids and ln.attitude == BELIEVES_TRUE
+                                 and target.node_type == GFBF),
                     anchor=ln.anchor or None,
                 )
             elif ln.kind == "evidence":

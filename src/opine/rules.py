@@ -506,15 +506,19 @@ _UNSETTLED_CAUSES = ("space-contradiction", "no-assumption-basis")
 def _input_stamp(g: Graph, ps: list[Node]) -> int:
     """What a settled binding's next fire depends on that can still change.
 
-    One int, the sum of: the order of the spaces (first_root moves) and, for
-    each precondition, the number of its spaces (memberships only grow, so a
-    count tells) and whether it is writer-level (0 or 1).  Each term only
-    grows, so the sum is unchanged exactly when every term is.  Evidence and
-    the layout are fixed after composition.
+    One int, the sum over the preconditions of the number of its spaces
+    (memberships only grow, so a count tells) and whether it is writer-level
+    (0 or 1).  Each term only grows, so the sum is unchanged exactly when
+    every term is.  Evidence and the layout are fixed after composition.
+
+    The order the fire visits its spaces in (their first roots) is left
+    out.  A settled fire placed its additions into each of its candidate
+    spaces but the negative-belief ones, which stay blocked; with the
+    memberships unchanged the candidates are the same, so a fire in any
+    order meets each addition where it is placed and places nothing new.
     """
-    index = space_index(g)
-    memberships = index.memberships
-    stamp = index.first_root_moves
+    memberships = space_index(g).memberships
+    stamp = 0
     for p in ps:
         stamp += len(memberships.get(p.node_id, ())) + g.is_writer_level(p)
     return stamp
@@ -573,11 +577,12 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     placement is checked against the index as it stands (``extend_spaces``),
     so no space ever holds both polarities of a member, and an addition
     already placed in a space never clashes there.  Stamps only grow, so
-    while a binding's stamp is unchanged its candidate spaces and their order
-    are too, and a fire would place nothing new: it would meet its additions
-    where it placed them, which the index records (``SpaceIndex.placed_top``)
-    so that they are neither checked nor placed again, and report the nodes
-    and blocks it reported before, which ``_log`` does not log again.
+    while a binding's stamp is unchanged its candidate spaces are too, and a
+    fire would place nothing new, in whatever order it visits them: it would
+    meet its additions where it placed them, which the index records
+    (``SpaceIndex.placed_top``) so that they are neither checked nor placed
+    again, and report the nodes and blocks it reported before, which ``_log``
+    does not log again.
     """
     cfg = cfg or Config()
     state = EngineState()

@@ -76,16 +76,12 @@ class SpaceInstance:
         else:
             self.variant = None if variant is None else variant + (steps[-1],)
 
-    def add_path(self, path: tuple[Node, ...]) -> bool:
-        """Add a chain; True when it moves the first_root of a known space."""
+    def add_path(self, path: tuple[Node, ...]) -> None:
+        """Add a chain, keeping first_root the smallest root id."""
         self.paths.append(path)
         root_id = path[0].node_id
-        if len(self.paths) == 1:
+        if len(self.paths) == 1 or root_id < self.first_root:
             self.first_root = root_id
-        elif root_id < self.first_root:
-            self.first_root = root_id
-            return True
-        return False
 
 
 class SpaceIndex:
@@ -104,8 +100,6 @@ class SpaceIndex:
     (EPSILON) holds the roots and the top-level facts, which ``writer_level``
     also holds.  Their keys do not meet, since a root is a writer chain node
     and a top-level fact is not.
-    ``first_root_moves`` counts the times a known space's first_root went
-    down, which changes the order ``extend_spaces`` visits spaces in.
     """
 
     def __init__(self, g: Graph):
@@ -113,7 +107,6 @@ class SpaceIndex:
         self.memberships: dict[int, dict[tuple[Step, ...], tuple[Node, ...]]] = {}
         self.writer_clash: dict[ClashKey, dict[str, Node]] = {}
         self.writer_level = g.writer_level
-        self.first_root_moves = 0
         for root in g.roots:
             self.add_root(root)
         for node in g.top_level:
@@ -140,8 +133,7 @@ class SpaceIndex:
             inst = self.spaces.get(steps)
             if inst is None:
                 inst = self.spaces[steps] = SpaceInstance(steps, parent)
-            if inst.add_path(path):
-                self.first_root_moves += 1
+            inst.add_path(path)
             self._add_member(inst, member, path)
             if member.role2 is not None:
                 self._add_member(inst, member.role2, path)

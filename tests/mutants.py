@@ -72,15 +72,6 @@ MUTANTS = [
            "        stamp += len(memberships.get(p.node_id, ())) + g.is_writer_level(p)\n"
            "    return 0\n",
            "the input stamp is always 0, so a binding fires once per run"),
-    Mutant("stamp-without-first-root-moves", "rules.py",
-           "    stamp = index.first_root_moves\n",
-           "    stamp = 0\n",
-           "the stamp misses a space's first root moving (no first-root counter)",
-           "survives: besides the suite, no output differed on 300 deep_documents"
-           " each of seeds 2, 7 and 12 under both configs, fire_once on and off"
-           " and rule_orders(2); a moved first root reorders a binding's candidate"
-           " spaces, and a fire skips additions already placed (placed_top), so it"
-           " may be equivalent"),
     Mutant("stamp-without-membership-counts", "rules.py",
            "        stamp += len(memberships.get(p.node_id, ())) + g.is_writer_level(p)\n",
            "        stamp += g.is_writer_level(p)\n",
@@ -232,6 +223,32 @@ MUTANTS = [
            "        polarity = steps[depth - 1][2]\n",
            "",
            "would_contradict probes each wrapper with the prop's own polarity"),
+    # -- composition: influencer chains --------------------------------------
+    Mutant("no-flip-on-odd-reversers", "composition.py",
+           "        if flip:\n            effect = GOOD_FOR if effect == BAD_FOR else BAD_FOR\n",
+           "",
+           "a chain keeps its terminal's effect whatever its reversers"),
+    Mutant("evidence-carried-unflipped", "composition.py",
+           "                polarity = opposite_polarity(fact.polarity) if flip"
+           " else fact.polarity\n",
+           "                polarity = fact.polarity\n",
+           "evidence on the terminal keeps its polarity under an odd reverser count"),
+    Mutant("evidence-not-retired", "composition.py",
+           "            fact.retired = True\n",
+           "",
+           "evidence on the terminal stays live beside its carried counterpart"),
+    Mutant("counterpart-not-rooted", "composition.py",
+           "            if holder in g.roots:\n                g.add_root(counterpart)\n",
+           "",
+           "the counterpart of a root is not made a root"),
+    Mutant("nested-holders-not-reached", "composition.py",
+           "            mapping[holder] = counterpart\n",
+           "",
+           "only the direct holders of the outermost influencer get counterparts"),
+    Mutant("terminal-not-retired", "composition.py",
+           "        if terminal is not new_gfbf:\n            terminal.retired = True\n",
+           "",
+           "the chain's terminal gfbf stays matchable"),
     # -- the graph ------------------------------------------------------------
     Mutant("attach-role2-no-rekey", "graph.py",
            "        del self._interned[old_key]\n        self._interned[new_key] = event\n",

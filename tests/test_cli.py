@@ -355,8 +355,8 @@ _RESTATED_EVENT = (_EVENT_STATED_ONCE
 # marks the one document that is well formed.  Each ended in an internal error,
 # except a prop on a line that is no attitude, which was ignored.
 ILL_TYPED_INPUTS = {
-    "prop-on-a-sentiment": (_ONE_EVENT + "P1 p(S1,substantial)\n", 3),
-    "prop-on-a-belief-off-gfbf": (_ONE_EVENT + "P1 p(B1,substantial)\n", 4),
+    "prop-on-a-sentiment": (_ONE_EVENT + "P1 p(S1,substantial)\n", 5),
+    "prop-on-a-belief-off-gfbf": (_ONE_EVENT + "P1 p(B1,substantial)\n", 5),
     "intends-off-gfbf": (_ONE_EVENT + "I1 privateState <c, positive intends (w), S1>\n"
                          "B2 privateState <writer, positive believesTrue (w), I1>\n", 5),
     "believes-should-off-gfbf": (

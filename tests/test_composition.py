@@ -1,19 +1,27 @@
 from itertools import product
 
-from opine import Graph, build_input_graph, parse_lexicon, resolve_chains
+from opine import Graph, build_input_graph, parse_document, parse_lexicon, resolve_chains
 from opine.composition import expand_extra_roles
 
 from conftest import load_doc
 
 
+def composed(g):
+    """The new gfbf and the carried evidence of the graph's one influencer
+    chain, read from the chain's composition trace event."""
+    [event] = [e for e in g.trace if e.kind == "composition" and e.rule == "influencer-chain"]
+    created = set(event.created)
+    [new] = [n for n in g.nodes if n.node_id in created and n.node_type == "gfbf"]
+    return new, [f for f in g.evidence if f.fact_id in created]
+
+
 def test_virus_chain_flips_event_and_evidence(lexicon):
     doc = load_doc("virus")
     g = build_input_graph(doc.sentences[0], lexicon)
-    result = resolve_chains(g)
-    assert len(result.new_gfbfs) == 1
-    new = result.new_gfbfs[0]
+    resolve_chains(g)
+    new, evidence = composed(g)
     assert new.structural_key() == "(gfbf the tech staff goodFor the virus)"
-    flipped = {(f.att_type, f.polarity) for f in result.new_evidence}
+    flipped = {(f.att_type, f.polarity) for f in evidence}
     assert flipped == {("intends", "negative"), ("believesTrue", "positive")}
     # originals retired, originals' chain excluded from matching
     old = next(n for n in g.nodes if n.structural_key() == "(gfbf the tech staff badFor the virus)")
@@ -27,12 +35,37 @@ def test_virus_chain_flips_event_and_evidence(lexicon):
 def test_retainer_chain_keeps_effect(lexicon):
     doc = load_doc("orders")
     g = build_input_graph(doc.sentences[0], lexicon)
-    result = resolve_chains(g)
-    new = result.new_gfbfs[0]
+    resolve_chains(g)
+    new, evidence = composed(g)
     assert new.structural_key() == "(gfbf Obama badFor Osama bin Laden)"
-    assert result.new_evidence == []
+    assert evidence == []
     keys = {n.structural_key() for n in g.roots}
     assert "(ps writer believesTrue positive (gfbf Obama badFor Osama bin Laden))" in keys
+
+
+def test_nested_holders_get_a_rooted_counterpart_chain(lexicon):
+    text = (
+        '"The staff failed to stop the virus, Bob dreads, the writer believes."\n'
+        "E1 gfbf <the tech staff, badFor (stop), the virus>\n"
+        "I1 influencer <the tech staff, reverse (failed), E1>\n"
+        "S1 subjectivity <Bob, negative sentiment (dreads), I1>\n"
+        "B1 privateState <writer, positive believesTrue (believes), S1>\n"
+    )
+    g = build_input_graph(parse_document(text).sentences[0], lexicon)
+    resolve_chains(g)
+    new, _ = composed(g)
+    root = next(n for n in g.roots if n.target.target is new)
+    assert root.structural_key() == (
+        "(ps writer believesTrue positive"
+        " (ps Bob sentiment negative (gfbf the tech staff goodFor the virus)))"
+    )
+    [event] = [e for e in g.trace if e.rule == "influencer-chain"]
+    assert {root.node_id, root.target.node_id} <= set(event.created)
+    # each counterpart stands for the line its original stands for
+    assert [g.input_lines[n.node_id].line_id for n in (root.target, root)] == ["S1", "B1"]
+    assert root.from_input and root.target.from_input
+    # the original chain stays rooted, for display
+    assert any(r.target.target.node_type == "influencer" for r in g.roots)
 
 
 def build_chain(kinds, effect="badFor"):
@@ -49,24 +82,24 @@ def build_chain(kinds, effect="badFor"):
 
 def test_influencer_sign_law_exhaustive():
     # effective effect = terminal effect, flipped once per reverser, for every
-    # chain of length 1..4 over both terminal effects
+    # chain of length 1..3 over both terminal effects
     for effect in ("goodFor", "badFor"):
         for n in range(1, 4):
             for kinds in product(("retain", "reverse"), repeat=n):
                 g, terminal = build_chain(list(kinds), effect)
-                result = resolve_chains(g)
+                resolve_chains(g)
                 reversals = kinds.count("reverse")
                 expected = effect
                 if reversals % 2:
                     expected = "goodFor" if effect == "badFor" else "badFor"
-                assert result.new_gfbfs[0].effect == expected, (effect, kinds)
+                assert composed(g)[0].effect == expected, (effect, kinds)
 
 
 def test_stopped_trying_to_kill_bill():
     # reverse(stop) over retain(trying) over badFor(kill Bill) -> goodFor Bill
     g, _ = build_chain(["reverse", "retain"], "badFor")
-    result = resolve_chains(g)
-    assert result.new_gfbfs[0].structural_key() == "(gfbf He goodFor Bill)"
+    resolve_chains(g)
+    assert composed(g)[0].structural_key() == "(gfbf He goodFor Bill)"
 
 
 def test_evidence_flip_parity():
@@ -74,8 +107,8 @@ def test_evidence_flip_parity():
     for kinds in [["reverse"], ["retain"], ["reverse", "reverse"], ["reverse", "retain"]]:
         g, terminal = build_chain(kinds, "badFor")
         g.add_evidence("intends", "positive", terminal, from_input=True)
-        result = resolve_chains(g)
-        fact = result.new_evidence[0]
+        resolve_chains(g)
+        fact = composed(g)[1][0]
         expected = "negative" if kinds.count("reverse") % 2 else "positive"
         assert fact.polarity == expected, kinds
 
@@ -83,11 +116,11 @@ def test_evidence_flip_parity():
 def test_sentiment_evidence_carried_unflipped_and_wrapped():
     g, terminal = build_chain(["reverse"], "badFor")
     g.add_evidence("sentiment", "negative", g.idea_of(terminal), holder="He", from_input=True)
-    result = resolve_chains(g)
-    fact = result.new_evidence[0]
+    resolve_chains(g)
+    new, [fact] = composed(g)
     assert fact.polarity == "negative"
     assert fact.target.node_type == "ideaOf"
-    assert fact.target.idea_object is result.new_gfbfs[0]
+    assert fact.target.idea_object is new
 
 
 def test_deprive_second_role(lexicon):
@@ -106,8 +139,6 @@ def test_no_entry_no_expansion(lexicon):
         "E1 gfbf <a, badFor (robbed,rob:lexEntry), b, c>\n"
         "B1 privateState <writer, positive believesTrue (\"\"), E1>\n"
     )
-    from opine import parse_document
-
     doc = parse_document(text)
     g = build_input_graph(doc.sentences[0], lexicon)
     assert expand_extra_roles(g, lexicon) == []
@@ -121,8 +152,6 @@ def test_role2_effect_symmetry():
         "E1 gfbf <the leader, badFor (stripped,strip:lexEntry), the children, armor:thing>\n"
         "B1 privateState <writer, positive believesTrue (\"\"), E1>\n"
     )
-    from opine import parse_document
-
     doc = parse_document(text)
     g = build_input_graph(doc.sentences[0], lex)
     derived = expand_extra_roles(g, lex)

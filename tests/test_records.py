@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple
 import pytest
 
 from opine.annotations import AnnotationLine, EntityRef, GfbfEntry
-from opine.composition import InfluencerChain
 from opine.graph import PRIVATE_STATE, BlockReport, Fact
 from opine.rules import DEFAULT_RULE_ORDER, Config, InferenceResult, Rule
 
@@ -42,10 +41,6 @@ class Reference:
     class GfbfEntry(NamedTuple):
         effect: str
         role2_effect: str | None = None
-
-    class InfluencerChain(NamedTuple):
-        links: list
-        terminal: object
 
     class Fact(NamedTuple):
         node_type: str
@@ -87,7 +82,6 @@ ARGS = {
     AnnotationLine: ("E1", "gfbf", EntityRef("MoveOn"), "badFor", None, "attack", "attack",
                      EntityRef("McCain"), EntityRef("voters"), 3),
     GfbfEntry: ("badFor", "goodFor"),
-    InfluencerChain: (("I1", "I2"), "E1"),
     Fact: ("privateState", "sentiment", "negative", "substantial", None,
            (("source", "writer"), ("target", "E1"))),
     BlockReport: ("rule1", (4, 7), "evidence", "line 3", (("writer", "sentiment", "negative"),)),
@@ -162,11 +156,6 @@ def test_replace_copy_and_pickle(cls):
 def test_properties():
     fact = Fact(*ARGS[Fact])
     assert (fact.source, fact.target) == ("writer", "E1")
-    links = [SimpleNamespace(property="reverse"), SimpleNamespace(property="retain"),
-             SimpleNamespace(property="reverse")]
-    chain = InfluencerChain(links, SimpleNamespace(effect="badFor"))
-    assert chain.reversals == 2 and chain.effective_effect() == "badFor"
-    assert InfluencerChain(links[:1], chain.terminal).effective_effect() == "goodFor"
     block = BlockReport(*ARGS[BlockReport])
     graph = SimpleNamespace(trace=[SimpleNamespace(blocks=[block]), SimpleNamespace(blocks=[])])
     result = InferenceResult(graph, 1)

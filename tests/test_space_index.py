@@ -260,7 +260,7 @@ def test_attach_role2_forces_a_rebuild():
     assert_index_matches_reference(g)
 
 
-def test_first_root_moves_counts_spaces_whose_first_root_goes_down():
+def test_first_root_goes_down_when_an_older_root_arrives():
     g = Graph()
     older, newer = (
         g.private_state("writer", "sentiment", "positive",
@@ -268,11 +268,10 @@ def test_first_root_moves_counts_spaces_whose_first_root_goes_down():
         for name in ("x", "y")
     )
     g.add_root(newer)
-    assert space_index(g).first_root_moves == 0
-    g.add_root(older)  # the older node is the first root of both spaces now
     index = space_index(g)
+    assert [inst.first_root for inst in index.spaces.values()] == [newer.node_id] * 2
+    g.add_root(older)  # the older node is the first root of both spaces now
     assert [inst.first_root for inst in index.spaces.values()] == [older.node_id] * 2
-    assert index.first_root_moves == 2
 
 
 @pytest.mark.parametrize("top_level", [False, True], ids=["nested", "writer-level"])
