@@ -16,7 +16,6 @@ outermost influencer, nested ones included.
 
 from __future__ import annotations
 
-from .annotations import Lexicon
 from .errors import MalformedLine
 from .graph import (
     BAD_FOR,
@@ -102,18 +101,19 @@ def resolve_chains(g: Graph) -> None:
         )
 
 
-def expand_extra_roles(g: Graph, lex: Lexicon, filename: str = "<input>") -> list[Node]:
-    """Attach second-role derived relations from the gfbf lexicon.
+def expand_extra_roles(g: Graph, filename: str = "<input>") -> None:
+    """Attach second-role derived relations from the graph's gfbf lexicon.
 
     A lexicon entry like ``gfbf deprive badFor role2=goodFor`` states that the
     filler of the event's second role is goodFor the event's object; the
     derived relation is attached to the event and matches rules like any gfbf.
-    A line restating the event with another second role is a MalformedLine.
+    Each attachment's ``extra-role`` trace event names the event and the
+    nodes it created.  A line restating the event with another second role is
+    a MalformedLine.
     """
-    derived = []
     for event, ln in list(g.pending_role2):
         key = g.gfbf_lex_keys.get(event.node_id)
-        entry = lex.gfbf_entries.get(key) if key else None
+        entry = g.lexicon.gfbf_entries.get(key) if key else None
         if entry is None or entry.role2_effect is None:
             continue
         start = len(g.nodes)
@@ -125,7 +125,6 @@ def expand_extra_roles(g: Graph, lex: Lexicon, filename: str = "<input>") -> lis
                                 filename, ln.lineno)
         relation.from_input = True
         g.attach_role2(event, relation)
-        derived.append(relation)
         g.trace.append(
             TraceEvent(
                 kind="composition",
@@ -135,9 +134,8 @@ def expand_extra_roles(g: Graph, lex: Lexicon, filename: str = "<input>") -> lis
                 created=tuple([n.node_id for n in g.nodes[start:]]),
             )
         )
-    return derived
 
 
 def run_composition(g: Graph, filename: str = "<input>") -> None:
     resolve_chains(g)
-    expand_extra_roles(g, g.lexicon, filename)
+    expand_extra_roles(g, filename)

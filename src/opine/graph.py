@@ -1,10 +1,13 @@
 """Hash-consed directed node graph for one sentence.
 
 Every fact has one representation, its key: a ``Fact`` tuple of node type,
-attitude type, polarity, property, name and the (label, part) pairs of its
-children, in the node type's fixed label order.  The graph interns each node
-under its key, so re-deriving a fact yields the node that already represents
-it, and a node's parts are nodes that hash by identity.  A node holds the key
+attitude type, polarity, property, label and parts.  The label is an
+entity's name or a gfbf's effect.  The parts carry no labels; each node type
+keeps them in a fixed order: gfbf (agent, object[, role2]), private state
+(source, target), agreement (source, withWhom, target), ideaOf (ideaObject,),
+p(x) (x,) and influencer (agent, target).  The graph interns each node under
+its key, so re-deriving a fact yields the node that already represents it,
+and a node's parts are nodes that hash by identity.  A node holds the key
 it is interned under as its only structure and reads its parts from it;
 ``Graph.attach_role2`` re-keys a gfbf with a new key.  A fact not interned
 yet may hold further such facts as parts: ``Graph.lookup`` finds its node
@@ -70,57 +73,59 @@ def effect_sign(effect: str) -> int:
 class Node:
     """One interned fact; ``key`` is the Fact the graph interns it under.
 
-    The key is the node's only structure.  The accessors read its (label,
-    part) pairs by position, in each node type's fixed label order: gfbf
-    (agent, object, effect, [role2]), ideaOf (ideaObject), p(x) (x) and
-    influencer (agent, target).  The scalar slots copy the key's strings;
-    ``source`` and ``target`` are set once, as attach_role2 only appends role2.
+    The key is the node's only structure.  The accessors read its parts by
+    position, in the node type's fixed order (the module docstring), and a
+    gfbf's effect from the key's label; ``name`` is an entity's name only.
+    The scalar slots copy the key's strings; ``source``, ``target`` and
+    ``clash`` (``clash_key``) are set once, as attach_role2 only appends role2.
     """
 
     __slots__ = ("node_id", "node_type", "att_type", "polarity", "property", "name",
-                 "anchor", "key", "source", "target", "from_input", "retired")
+                 "anchor", "key", "source", "target", "clash", "from_input", "retired")
 
     def __init__(self, node_id, key: Fact, anchor=None):
         self.node_id = node_id
-        self.node_type, self.att_type, self.polarity, self.property, self.name, parts = key
+        t, self.att_type, self.polarity, self.property, label, parts = key
+        self.node_type = t
+        self.name = None if t == GFBF else label
         self.anchor = anchor
         self.key = key
-        t = self.node_type
-        self.source = parts[0][1] if t in (PRIVATE_STATE, AGREEMENT) else None
-        self.target = parts[-1][1] if t in (PRIVATE_STATE, AGREEMENT, INFLUENCER) else None
+        self.source = parts[0] if t in (PRIVATE_STATE, AGREEMENT) else None
+        self.target = parts[-1] if t in (PRIVATE_STATE, AGREEMENT, INFLUENCER) else None
+        self.clash = clash_key(key)
         self.from_input = False
         self.retired = False
 
     # -- structural accessors -------------------------------------------
     @property
     def agent(self) -> Node | None:
-        return self.key.children[0][1] if self.node_type in (GFBF, INFLUENCER) else None
+        return self.key.parts[0] if self.node_type in (GFBF, INFLUENCER) else None
 
     @property
     def object(self) -> Node | None:
-        return self.key.children[1][1] if self.node_type == GFBF else None
+        return self.key.parts[1] if self.node_type == GFBF else None
 
     @property
     def with_whom(self) -> Node | None:
-        return self.key.children[1][1] if self.node_type == AGREEMENT else None
+        return self.key.parts[1] if self.node_type == AGREEMENT else None
 
     @property
     def idea_object(self) -> Node | None:
-        return self.key.children[0][1] if self.node_type == IDEA_OF else None
+        return self.key.parts[0] if self.node_type == IDEA_OF else None
 
     @property
     def x(self) -> Node | None:
-        return self.key.children[0][1] if self.node_type == P_X else None
+        return self.key.parts[0] if self.node_type == P_X else None
 
     @property
     def effect(self) -> str | None:
-        return self.key.children[2][0] if self.node_type == GFBF else None
+        return self.key.name if self.node_type == GFBF else None
 
     @property
     def role2(self) -> Node | None:
         """The second-role relation attach_role2 gave a gfbf, if any."""
-        parts = self.key.children
-        return parts[3][1] if len(parts) == 4 and self.node_type == GFBF else None
+        parts = self.key.parts
+        return parts[2] if len(parts) == 3 and self.node_type == GFBF else None
 
     @property
     def source_name(self) -> str | None:
@@ -176,32 +181,47 @@ class Node:
 class Fact(Record):
     """A fact's structure: the hashable key its node is interned under.
 
-    ``children`` holds (label, part) pairs in the node type's fixed label
-    order.  A part is an interned Node, which hashes by identity, or a Fact
-    not interned yet.  A fact whose parts are all Nodes is exactly the intern
-    table's key of the node it describes; node ids, anchors and provenance
-    are not part of it, so two derivations of one fact meet in one node.
+    ``name`` is the fact's label: an entity's name or a gfbf's effect.
+    ``parts`` holds the parts alone, in the node type's fixed order (the
+    module docstring).  A part is an interned Node, which hashes by identity,
+    or a Fact not interned yet.  A fact whose parts are all Nodes is exactly
+    the intern table's key of the node it describes; node ids, anchors and
+    provenance are not part of it, so two derivations of one fact meet in
+    one node.
     """
 
     __slots__ = ()
-    _fields = ("node_type", "att_type", "polarity", "property", "name", "children")
+    _fields = ("node_type", "att_type", "polarity", "property", "name", "parts")
 
     def __new__(cls, node_type: str, att_type: str | None, polarity: str | None,
-                property: str | None, name: str | None, children: tuple):
-        return tuple.__new__(cls, (node_type, att_type, polarity, property, name, children))
+                property: str | None, name: str | None, parts: tuple):
+        return tuple.__new__(cls, (node_type, att_type, polarity, property, name, parts))
 
     @property
     def source(self):
         """The first part: the source of a private state or an agreement."""
-        return self.children[0][1]
+        return self.parts[0]
 
     @property
     def target(self):
         """The last part: the target of a private state or an agreement."""
-        return self.children[-1][1]
+        return self.parts[-1]
 
 
 _fact = partial(tuple.__new__, Fact)  # Fact(...) without the keyword handling
+
+
+def clash_key(fact: Fact) -> tuple | None:
+    """What two members of a space must share to clash; they clash when their
+    polarities differ.
+
+    The resolved fact (a node's key) of a private state or an agreement
+    without its polarity and its property (substantial is deliberately not
+    part of it); None for a fact nothing clashes with.
+    """
+    if fact.node_type in (PRIVATE_STATE, AGREEMENT):
+        return (fact.node_type, fact.att_type, fact.parts)
+    return None
 
 
 def entity_fact(name: str) -> Fact:
@@ -210,22 +230,21 @@ def entity_fact(name: str) -> Fact:
 
 
 def idea_of_fact(event) -> Fact:
-    return _fact((IDEA_OF, None, None, None, None, (("ideaObject", event),)))
+    return _fact((IDEA_OF, None, None, None, None, (event,)))
 
 
 def p_x_fact(property: str, x) -> Fact:
-    return _fact((P_X, None, None, property, None, (("x", x),)))
+    return _fact((P_X, None, None, property, None, (x,)))
 
 
 def ps_fact(source, att_type: str, polarity: str, target, *,
             substantial: bool = False) -> Fact:
     return _fact((PRIVATE_STATE, att_type, polarity, SUBSTANTIAL if substantial else None,
-                  None, (("source", source), ("target", target))))
+                  None, (source, target)))
 
 
 def agreement_fact(source, polarity: str, with_whom, target) -> Fact:
-    return _fact((AGREEMENT, None, polarity, None, None,
-                  (("source", source), ("withWhom", with_whom), ("target", target))))
+    return _fact((AGREEMENT, None, polarity, None, None, (source, with_whom, target)))
 
 
 class EvidenceFact:
@@ -354,7 +373,7 @@ class Graph:
             return fact
         hit = self._interned.get(fact)
         if hit is None:
-            for _, part in fact.children:
+            for part in fact.parts:
                 if type(part) is not Node:
                     resolved = self.resolve(fact)
                     return None if resolved is None else self._interned.get(resolved)
@@ -362,21 +381,21 @@ class Graph:
 
     def resolve(self, fact: Fact) -> Fact | None:
         """The fact with every part a Node, or None when a part is not interned."""
-        for _, part in fact.children:
+        for part in fact.parts:
             if type(part) is not Node:
                 break
         else:
             return fact
         parts = []
-        for label, part in fact.children:
+        for part in fact.parts:
             part = self.lookup(part)
             if part is None:
                 return None
-            parts.append((label, part))
+            parts.append(part)
         return _fact((*fact[:5], tuple(parts)))
 
     def intern(self, fact) -> Node:
-        """Get or create the node a fact describes, parts first, in label order.
+        """Get or create the node a fact describes, parts first, in order.
 
         Creation goes through the validated constructors, so an ill-formed
         fact raises IllFormedNode.
@@ -384,7 +403,7 @@ class Graph:
         node = self.lookup(fact)
         if node is not None:
             return node
-        parts = [self.intern(part) for _, part in fact.children]
+        parts = [self.intern(part) for part in fact.parts]
         t = fact.node_type
         if t == ANIM:
             return self.entity(fact.name)
@@ -424,8 +443,7 @@ class Graph:
             raise IllFormedNode(f"bad gfbf effect {effect!r}")
         if not agent.is_entity() or not obj.is_entity():
             raise IllFormedNode("gfbf agent and object must be entities")
-        parts = (("agent", agent), ("object", obj), (effect, obj))
-        return self._intern(_fact((GFBF, None, None, None, None, parts)), anchor)
+        return self._intern(_fact((GFBF, None, None, None, effect, (agent, obj))), anchor)
 
     def attach_role2(self, event: Node, derived: Node) -> Node:
         """Attach a second-role derived relation to a gfbf, re-keying the intern table."""
@@ -436,7 +454,7 @@ class Graph:
         if derived is event:  # the event would be a part of its own key
             raise IllFormedNode("a gfbf cannot be its own second-role relation")
         old_key = event.key
-        new_key = _fact((*old_key[:5], old_key.children + (("role2", derived),)))
+        new_key = _fact((*old_key[:5], old_key.parts + (derived,)))
         if new_key in self._interned:
             raise IllFormedNode("second-role expansion collides with an existing node")
         del self._interned[old_key]
@@ -493,10 +511,7 @@ class Graph:
             raise IllFormedNode(f"bad influencer kind {kind!r}")
         if target.node_type not in (GFBF, INFLUENCER):
             raise IllFormedNode("influencer target must be a gfbf or influencer")
-        return self._intern(
-            _fact((INFLUENCER, None, None, kind, None, (("agent", agent), ("target", target)))),
-            anchor,
-        )
+        return self._intern(_fact((INFLUENCER, None, None, kind, None, (agent, target))), anchor)
 
     # -- roots and evidence ----------------------------------------------
     def add_root(self, node: Node) -> None:
@@ -629,7 +644,7 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
             else:  # pragma: no cover - parser enforces the kind set
                 raise IllFormedNode(f"unknown line kind {ln.kind!r}")
             node.from_input = True
-            for _, child in node.key.children:
+            for child in node.key.parts:
                 child.from_input = True
             by_id[ln.line_id] = node
             g.input_lines.setdefault(node.node_id, ln)

@@ -236,12 +236,34 @@ def _blocks(blocks, level: int) -> str:
 
 # Objects of a sentence's lists: braces at level 4, keys at level 5.
 
+# A node's "children" object: each node type's keys, sorted, with the index in
+# the fact's parts of the part each names.  None stands for a gfbf's effect,
+# the fact's label, which names its object; role2 is there only when attached.
+_CHILD_KEYS = {
+    GFBF: (("agent", 0), (None, 1), ("object", 1), ("role2", 2)),
+    IDEA_OF: (("ideaObject", 0),),
+    P_X: (("x", 0),),
+    PRIVATE_STATE: (("source", 0), ("target", 1)),
+    AGREEMENT: (("source", 0), ("target", 2), ("withWhom", 1)),
+    INFLUENCER: (("agent", 0), ("target", 1)),
+}
+# The same, each key written out as its JSON text and the colon after it.
+_CHILD_PREFIXES = {
+    node_type: tuple((None if label is None else f"{_encode(label)}: ", index)
+                     for label, index in keys)
+    for node_type, keys in _CHILD_KEYS.items()
+}
+
+
 def _node_text(node: Node) -> str:
-    children = node.key.children
-    if children:
-        kids = "{\n            " + ",\n            ".join(
-            f"{_encode(label)}: {child.node_id}" for label, child in sorted(children)
-        ) + "\n          }"
+    key = node.key
+    parts = key.parts
+    if parts:
+        n = len(parts)
+        kids = "{\n            " + ",\n            ".join([
+            f"{_encode(key.name) + ': ' if prefix is None else prefix}{parts[index].node_id}"
+            for prefix, index in _CHILD_PREFIXES[node.node_type] if index < n
+        ]) + "\n          }"
     else:
         kids = "{}"
     return (

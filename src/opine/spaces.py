@@ -17,10 +17,10 @@ from .graph import (
     PRIVATE_STATE,
     SENTIMENT,
     WRITER,
-    Fact,
     FireOutcome,
     Graph,
     Node,
+    clash_key,
     entity_fact,
     opposite_polarity,
     ps_fact,
@@ -30,22 +30,11 @@ Step = tuple[str, str, str]  # (source name, attitude type, polarity)
 EPSILON: tuple[Step, ...] = ()
 
 
-ClashKey = tuple  # (node type, attitude type, (label, node) pairs)
-
-
-def clash_key(fact: Fact) -> ClashKey | None:
-    """What two members must share to clash; they clash when polarities differ.
-
-    It is the resolved fact (a node's key) without the polarity and the
-    property (substantial is deliberately not part of it).
-    """
-    if fact.node_type in (PRIVATE_STATE, AGREEMENT):
-        return (fact.node_type, fact.att_type, fact.children)
-    return None
+ClashKey = tuple  # what graph.clash_key returns
 
 
 def _add_to_table(table: dict[ClashKey, dict[str, Node]], node: Node) -> None:
-    key = clash_key(node.key)
+    key = node.clash
     if key is not None:
         table.setdefault(key, {}).setdefault(node.polarity, node)
 
@@ -208,7 +197,7 @@ def format_space(steps: tuple[Step, ...]) -> str:
 def _prop_key(g: Graph, prop) -> ClashKey | None:
     """The clash key of a node or fact, or None when nothing can clash with it."""
     if type(prop) is Node:
-        return clash_key(prop.key)
+        return prop.clash
     if prop.node_type in (PRIVATE_STATE, AGREEMENT):  # resolve only what can clash
         resolved = g.resolve(prop)
         return None if resolved is None else clash_key(resolved)

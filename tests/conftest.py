@@ -43,6 +43,28 @@ def spaces_of(node, g):
     return set(space_index(g).memberships.get(node.node_id, ()))
 
 
+def parts_of(node):
+    """A node's (label, part) pairs, read through its accessors, in the order
+    the graph module gives its fact's parts."""
+    t = node.node_type
+    if t == "gfbf":
+        pairs = [("agent", node.agent), ("object", node.object)]
+        if node.role2 is not None:
+            pairs.append(("role2", node.role2))
+        return pairs
+    if t == "ideaOf":
+        return [("ideaObject", node.idea_object)]
+    if t == "p_x":
+        return [("x", node.x)]
+    if t == "privateState":
+        return [("source", node.source), ("target", node.target)]
+    if t == "agreement":
+        return [("source", node.source), ("withWhom", node.with_whom), ("target", node.target)]
+    if t == "influencer":
+        return [("agent", node.agent), ("target", node.target)]
+    return []
+
+
 def assert_acyclic(g):
     """No node is a part of itself, at any depth.  A part is interned before
     the key holding it, and a second-role relation joins two entities, so
@@ -54,7 +76,7 @@ def assert_acyclic(g):
             return
         assert node not in stack, f"cycle through node {node.node_id}"
         stack.add(node)
-        for _, child in node.key.children:
+        for _, child in parts_of(node):
             visit(child)
         stack.discard(node)
         seen.add(node)

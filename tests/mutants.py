@@ -254,6 +254,10 @@ MUTANTS = [
            "        del self._interned[old_key]\n        self._interned[new_key] = event\n",
            "",
            "attach_role2 leaves the intern table keyed on the old key"),
+    Mutant("clash-key-without-attitude", "graph.py",
+           "        return (fact.node_type, fact.att_type, fact.parts)\n",
+           "        return (fact.node_type, fact.parts)\n",
+           "two attitudes of one source toward one target clash when their polarities differ"),
     Mutant("lookup-no-nested-resolve", "graph.py",
            "                    resolved = self.resolve(fact)\n"
            "                    return None if resolved is None"
@@ -320,10 +324,10 @@ MUTANTS = [
            'if block.space else "null"}',
            'if block.space else "[]"}',
            "a block with no space written with an empty list"),
-    Mutant("dumps-unsorted-children", "render.py",
-           "for label, child in sorted(children)",
-           "for label, child in children",
-           "a node's children written in key order, not sorted by label"),
+    Mutant("dumps-agreement-parts-swapped", "render.py",
+           '    AGREEMENT: (("source", 0), ("target", 2), ("withWhom", 1)),\n',
+           '    AGREEMENT: (("source", 0), ("target", 1), ("withWhom", 2)),\n',
+           "an agreement's target written under withWhom, and its withWhom under target"),
     Mutant("dumps-empty-lists", "render.py",
            '    if not values:\n        return "[]"\n    inner = _PAD[level + 1]\n',
            '    if not values:\n        return "[\\n]"\n    inner = _PAD[level + 1]\n',

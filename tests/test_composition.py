@@ -15,6 +15,14 @@ def composed(g):
     return new, [f for f in g.evidence if f.fact_id in created]
 
 
+def extra_roles(g):
+    """The gfbf relations created by the graph's second roles, read from the
+    ``extra-role`` composition trace events."""
+    created = {i for e in g.trace if e.kind == "composition" and e.rule == "extra-role"
+               for i in e.created}
+    return [n for n in g.nodes if n.node_id in created and n.node_type == "gfbf"]
+
+
 def test_virus_chain_flips_event_and_evidence(lexicon):
     doc = load_doc("virus")
     g = build_input_graph(doc.sentences[0], lexicon)
@@ -126,7 +134,8 @@ def test_sentiment_evidence_carried_unflipped_and_wrapped():
 def test_deprive_second_role(lexicon):
     doc = load_doc("deprive")
     g = build_input_graph(doc.sentences[0], lexicon)
-    derived = expand_extra_roles(g, lexicon)
+    expand_extra_roles(g)
+    derived = extra_roles(g)
     assert len(derived) == 1
     assert derived[0].structural_key() == "(gfbf food goodFor the children)"
     event = next(n for n in g.nodes if n.node_type == "gfbf" and n.agent.name == "the leader")
@@ -141,7 +150,9 @@ def test_no_entry_no_expansion(lexicon):
     )
     doc = parse_document(text)
     g = build_input_graph(doc.sentences[0], lexicon)
-    assert expand_extra_roles(g, lexicon) == []
+    expand_extra_roles(g)
+    assert extra_roles(g) == []
+    assert all(n.role2 is None for n in g.nodes if n.node_type == "gfbf")
 
 
 def test_role2_effect_symmetry():
@@ -154,5 +165,6 @@ def test_role2_effect_symmetry():
     )
     doc = parse_document(text)
     g = build_input_graph(doc.sentences[0], lex)
-    derived = expand_extra_roles(g, lex)
+    expand_extra_roles(g)
+    derived = extra_roles(g)
     assert derived[0].structural_key() == "(gfbf armor badFor the children)"

@@ -28,7 +28,7 @@ from opine.graph import (
     ps_fact,
 )
 
-from conftest import assert_acyclic, load_doc
+from conftest import assert_acyclic, load_doc, parts_of
 
 
 def simple_graph():
@@ -65,11 +65,9 @@ def test_signature_ignores_ids_and_provenance():
     other = Graph()
     twin_event = other.gfbf(other.entity("MoveOn"), "badFor", other.entity("Senator McCain"))
     twin = other.private_state("mother", "sentiment", "negative", twin_event)
-    for left, right in zip(ps.key, twin.key):
-        if isinstance(left, tuple):
-            assert [l for l, _ in left] == [r for r, _ in right]
-        else:
-            assert left == right
+    assert ps.key[:5] == twin.key[:5]
+    assert ([(label, part.structural_key()) for label, part in parts_of(ps)]
+            == [(label, part.structural_key()) for label, part in parts_of(twin)])
     assert ps.structural_key() == twin.structural_key()
 
 
@@ -84,7 +82,7 @@ def test_entities_have_no_children():
     g = Graph()
     tree = g.entity("the tree", thing=True)
     assert tree.node_type == "thing"
-    assert tree.key.children == ()
+    assert tree.key.parts == ()
 
 
 def test_illformed_nodes_rejected():
@@ -313,7 +311,7 @@ def test_tracked_objects_per_node(lexicon):
     # derived node leaves behind set the fixpoint's collection cost.  Counted
     # with the collector off, and again after one collection, which stops
     # tracking the tuples that hold only untracked objects (a list would stay).
-    # Measured on Python 3.11: 10.46 and 9.37.
+    # Measured on Python 3.11: 8.47 and 7.38.
     doc = parse_document(load_workloads().wide_document(random.Random("sweep-12"), 12))
     gc.collect()
     gc.disable()
@@ -326,8 +324,8 @@ def test_tracked_objects_per_node(lexicon):
     finally:
         gc.enable()
     nodes = sum(len(result.graph.nodes) for result in results)
-    assert (after - before) / nodes <= 11.0, (after - before, nodes)
-    assert (collected - before) / nodes <= 9.8, (collected - before, nodes)
+    assert (after - before) / nodes <= 8.6, (after - before, nodes)
+    assert (collected - before) / nodes <= 7.5, (collected - before, nodes)
 
 
 def test_no_reference_cycles_per_document(lexicon, corpus_files):

@@ -48,7 +48,7 @@ class Reference:
         polarity: str | None
         property: str | None
         name: str | None
-        children: tuple
+        parts: tuple
 
     class BlockReport(NamedTuple):
         rule: str
@@ -83,7 +83,7 @@ ARGS = {
                      EntityRef("McCain"), EntityRef("voters"), 3),
     GfbfEntry: ("badFor", "goodFor"),
     Fact: ("privateState", "sentiment", "negative", "substantial", None,
-           (("source", "writer"), ("target", "E1"))),
+           ("writer", "E1")),
     BlockReport: ("rule1", (4, 7), "evidence", "line 3", (("writer", "sentiment", "negative"),)),
     Config: (("rule1", "rule2"), False, True, 7),
     Rule: ("rule8", len, "gfbf", "believesTrue", True, max),

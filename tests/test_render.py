@@ -30,6 +30,7 @@ from opine.render import _display, _evidence_display, dumps, structural_inventor
 from opine.rules import InferenceResult
 from opine.spaces import space_index
 
+from conftest import parts_of
 from test_properties import random_document
 
 
@@ -178,8 +179,17 @@ def _node_to_json(node: Node) -> dict:
         "anchor": node.anchor,
         "fromInput": node.from_input,
         "retired": node.retired,
-        "children": {label: child.node_id for label, child in sorted(node.key.children)},
+        "children": _children_to_json(node),
     }
+
+
+def _children_to_json(node: Node) -> dict:
+    """The node's parts by label, sorted, from its accessors; a gfbf names its
+    object under its effect too."""
+    pairs = parts_of(node)
+    if node.node_type == GFBF:
+        pairs.append((node.effect, node.object))
+    return {label: child.node_id for label, child in sorted(pairs, key=lambda p: p[0])}
 
 
 def _block_to_json(block) -> dict:
@@ -351,7 +361,7 @@ def test_dumps_matches_json_on_random_documents(lexicon, cfg):
 def test_dumps_matches_json_on_escapes_and_empty_containers(lexicon):
     results = process_document(parse_document(ESCAPES_DOCUMENT), lexicon)
     assert any(block.space for block in results[0].block_reports())
-    assert any(not node.key.children for node in results[0].graph.nodes)
+    assert any(not node.key.parts for node in results[0].graph.nodes)
     exported = dumps(results)
     assert exported == reference_dumps(results)
     assert json.loads(exported)["sentences"][0]["text"] == (

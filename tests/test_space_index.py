@@ -18,6 +18,7 @@ from opine.errors import InputError, InvariantViolation
 from opine.graph import (
     AGREEMENT,
     BELIEVES_TRUE,
+    GFBF,
     NEGATIVE,
     POSITIVE,
     PRIVATE_STATE,
@@ -28,6 +29,7 @@ from opine.graph import (
 )
 from opine.spaces import EPSILON, space_index
 
+from conftest import parts_of
 from test_properties import deep_document, random_document, rule_orders
 
 DOCUMENTS = 100  # the first documents of the fixed-seed random suite
@@ -96,26 +98,34 @@ def reference_index(g):
     return found, memberships
 
 
+def _parts(prop):
+    """The parts of a node, read through its accessors, or of a fact."""
+    if isinstance(prop, Node):
+        return [part for _, part in parts_of(prop)]
+    return list(prop.parts)
+
+
 def _is(node, part):
     """Whether node is the part: the node itself, or a fact of its structure."""
     if isinstance(part, Node):
         return node is part
+    label = node.effect if node.node_type == GFBF else node.name
+    children = _parts(node)
     return (
-        (node.node_type, node.att_type, node.polarity, node.property, node.name) == part[:5]
-        and [label for label, _ in node.key.children] == [label for label, _ in part.children]
-        and all(_is(child, p) for (_, child), (_, p) in zip(node.key.children, part.children))
+        (node.node_type, node.att_type, node.polarity, node.property, label) == part[:5]
+        and len(children) == len(part.parts)
+        and all(_is(child, p) for child, p in zip(children, part.parts))
     )
 
 
 def _conflicts(existing, prop):
     """Same private state or agreement as prop, but for its polarity and property."""
-    parts = [p for _, p in (prop.key if isinstance(prop, Node) else prop).children]
     return (
         prop.node_type in (PRIVATE_STATE, AGREEMENT)
         and existing.node_type == prop.node_type
         and existing.att_type == prop.att_type
         and existing.polarity != prop.polarity
-        and all(_is(child, p) for (_, child), p in zip(existing.key.children, parts))
+        and all(_is(child, p) for child, p in zip(_parts(existing), _parts(prop)))
     )
 
 
