@@ -63,11 +63,11 @@ def resolve_chains(g: Graph) -> None:
             fact.retired = True
             if fact.att_type == SENTIMENT:
                 g.add_evidence(SENTIMENT, fact.polarity, g.idea_of(new_gfbf),
-                               holder=fact.holder, from_input=True)
+                               holder=fact.holder)
             else:
                 polarity = opposite_polarity(fact.polarity) if flip else fact.polarity
                 g.add_evidence(fact.att_type, polarity, new_gfbf, holder=fact.holder,
-                               property=fact.property, from_input=True)
+                               property=fact.property)
 
         # Rebuild every private-state chain that held the outermost influencer
         # so it holds the new event instead, roots included.
@@ -107,13 +107,13 @@ def expand_extra_roles(g: Graph, filename: str = "<input>") -> None:
     A lexicon entry like ``gfbf deprive badFor role2=goodFor`` states that the
     filler of the event's second role is goodFor the event's object; the
     derived relation is attached to the event and matches rules like any gfbf.
-    Each attachment's ``extra-role`` trace event names the event and the
-    nodes it created.  A line restating the event with another second role is
-    a MalformedLine.
+    A line's second role reads that line's own ``(key:lexEntry)``, not that of
+    another line restating its event.  Each attachment's ``extra-role`` trace
+    event names the event and the nodes it created.  A line restating the
+    event with another second role is a MalformedLine.
     """
     for event, ln in list(g.pending_role2):
-        key = g.gfbf_lex_keys.get(event.node_id)
-        entry = g.lexicon.gfbf_entries.get(key) if key else None
+        entry = g.lexicon.gfbf_entries.get(ln.lex_key)
         if entry is None or entry.role2_effect is None:
             continue
         start = len(g.nodes)

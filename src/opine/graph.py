@@ -251,23 +251,21 @@ class EvidenceFact:
     """Out-of-space blocker: an attitude the context rules out.
 
     Never a member of any private-state space; consulted when rules check
-    their assumptions and conclusions.
+    their assumptions and conclusions.  Every evidence fact stands for an
+    input line, directly or carried over by composition.
     """
 
-    __slots__ = ("fact_id", "att_type", "polarity", "target", "holder", "property",
-                 "from_input", "retired")
+    __slots__ = ("fact_id", "att_type", "polarity", "target", "holder", "property", "retired")
 
     def __init__(self, fact_id: int, att_type: str, polarity: str, target: Node,
-                 holder: str | None = None, property: str | None = None,
-                 from_input: bool = False, retired: bool = False):
+                 holder: str | None = None, property: str | None = None):
         self.fact_id = fact_id
         self.att_type = att_type
         self.polarity = polarity
         self.target = target
         self.holder = holder
         self.property = property
-        self.from_input = from_input
-        self.retired = retired
+        self.retired = False
 
 
 class BlockReport(Record):
@@ -279,23 +277,6 @@ class BlockReport(Record):
                 cause: str,
                 detail: str, space: tuple | None = None):
         return tuple.__new__(cls, (rule, binding, cause, detail, space))
-
-
-class FireOutcome:
-    """What one rule fire did.  ``spaces.extend_spaces`` builds it with its
-    blocks as (space, cause, detail) triples; ``rules.fire`` makes them
-    ``BlockReport``s."""
-
-    __slots__ = ("fired", "created", "existing", "assumptions", "blocks")
-
-    def __init__(self, fired: bool, created: list[Node] | None = None,
-                 existing: list[Node] | None = None, assumptions: list[Node] | None = None,
-                 blocks: list | None = None):
-        self.fired = fired
-        self.created = [] if created is None else created
-        self.existing = [] if existing is None else existing
-        self.assumptions = [] if assumptions is None else assumptions
-        self.blocks = [] if blocks is None else blocks
 
 
 class TraceEvent:
@@ -344,8 +325,8 @@ class Graph:
         self.top_level: list[Node] = []   # writer-level non-chain facts (agreements)
         self.evidence: list[EvidenceFact] = []
         self.trace: list[TraceEvent] = []
-        self.entity_meta: dict[str, dict] = {}
-        self.gfbf_lex_keys: dict[int, str] = {}
+        self.things: set[str] = set()  # entity names marked :thing
+        self.lex_keys: dict[str, str] = {}  # entity name -> its (key:lexEntry)
         self.pending_role2: list[tuple[Node, AnnotationLine]] = []  # gfbf, its line
         self.input_lines: dict[int, AnnotationLine] = {}  # node id -> line it stands for
         self.writer_level: set[Node] = set()  # the roots and the top-level facts
@@ -420,23 +401,12 @@ class Graph:
         raise IllFormedNode(f"{t} facts are built from input lines only")
 
     # -- node constructors (validated) -----------------------------------
-    def declare_entity(self, name: str, *, thing: bool = False, lex_key: str | None = None):
-        meta = self.entity_meta.setdefault(name, {"thing": False, "lex_key": None})
-        meta["thing"] = meta["thing"] or thing
-        if lex_key:
-            meta["lex_key"] = lex_key
-
-    def entity(self, name: str, *, thing: bool | None = None) -> Node:
-        if thing is not None:
-            self.declare_entity(name, thing=thing)
-        meta = self.entity_meta.get(name)
-        if meta is None:
-            meta = self.entity_meta[name] = {"thing": False, "lex_key": None}
-        return self._intern(_fact((THING if meta["thing"] else ANIM, None, None, None, name, ())))
-
-    def entity_lex_key(self, node: Node) -> str | None:
-        meta = self.entity_meta.get(node.name)
-        return meta["lex_key"] if meta else None
+    def entity(self, name: str, *, thing: bool = False) -> Node:
+        """The entity of that name: a thing once any reference marks it one."""
+        if thing:
+            self.things.add(name)
+        t = THING if name in self.things else ANIM
+        return self._intern(_fact((t, None, None, None, name, ())))
 
     def gfbf(self, agent: Node, effect: str, obj: Node, *, anchor=None) -> Node:
         if effect not in (GOOD_FOR, BAD_FOR):
@@ -538,7 +508,7 @@ class Graph:
         return node in self.writer_level
 
     def add_evidence(self, att_type, polarity, target, *, holder=None,
-                     property=None, from_input=False) -> EvidenceFact:
+                     property=None) -> EvidenceFact:
         fact = EvidenceFact(
             fact_id=self.ids.take(),
             att_type=att_type,
@@ -546,7 +516,6 @@ class Graph:
             target=target,
             holder=holder,
             property=property,
-            from_input=from_input,
         )
         self.evidence.append(fact)
         return fact
@@ -566,11 +535,13 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
     a gfbf line is one at the ``prop`` line.
     """
     g = Graph(ids=ids, text=sent.text, lexicon=lex)
-    g.declare_entity(WRITER)
     for ln in sent.lines:
         for ref in (ln.source, ln.role2, ln.target if not isinstance(ln.target, str) else None):
             if ref is not None:
-                g.declare_entity(ref.name, thing=ref.thing, lex_key=ref.lex_key)
+                if ref.thing:
+                    g.things.add(ref.name)
+                if ref.lex_key:
+                    g.lex_keys[ref.name] = ref.lex_key
 
     substantial_ids = {ln.target for ln in sent.lines if ln.kind == "prop"}
     kinds = {ln.line_id: ln.kind for ln in sent.lines}
@@ -602,10 +573,8 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
                     g.entity(ln.source.name), ln.attitude, resolve(ln),
                     anchor=ln.anchor or None,
                 )
-                if ln.lex_key:
-                    if node.anchor is None:
-                        node.anchor = ln.lex_key
-                    g.gfbf_lex_keys[node.node_id] = ln.lex_key
+                if ln.lex_key and node.anchor is None:
+                    node.anchor = ln.lex_key
                 if ln.role2 is not None:
                     g.pending_role2.append((node, ln))
             elif ln.kind == "influencer":
@@ -638,7 +607,6 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
                     target,
                     holder=ln.source.name if ln.source else None,
                     property=SUBSTANTIAL if ln.attitude == BELIEVES_TRUE else None,
-                    from_input=True,
                 )
                 continue
             else:  # pragma: no cover - parser enforces the kind set

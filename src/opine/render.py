@@ -288,7 +288,7 @@ def _evidence_text(fact: EvidenceFact) -> str:
         f'\n          "polarity": {_str(fact.polarity)},'
         f'\n          "property": {_str(fact.property)},'
         f'\n          "target": {fact.target.node_id},'
-        f'\n          "fromInput": {_bool(fact.from_input)},'
+        f'\n          "fromInput": true,'
         f'\n          "retired": {_bool(fact.retired)}\n        }}'
     )
 

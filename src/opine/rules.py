@@ -42,7 +42,6 @@ from .graph import (
     BlockReport,
     EvidenceFact,
     Fact,
-    FireOutcome,
     Graph,
     IdAllocator,
     Node,
@@ -290,8 +289,7 @@ def _match_rule9(g: Graph, sent: Node):
 def _match_rule10(g: Graph, event: Node):
     if not event.from_input:
         return []
-    key = g.entity_lex_key(event.object)
-    connotation = g.lexicon.connotation.get(key) if key else None
+    connotation = g.lexicon.connotation.get(g.lex_keys.get(event.object.name))
     if connotation is None:
         return []
     writer = entity_fact(WRITER)  # rule10 has no precondition holding the writer
@@ -422,12 +420,13 @@ def blocked_by_evidence(g: Graph, fact: Fact) -> EvidenceFact | None:
 class EngineState:
     def __init__(self):
         self.consumed: set[tuple] = set()
-        # fire_key -> the nodes and (cause, detail, space) blocks it reported
+        # fire_key -> the node ids and (cause, detail, space) blocks it reported
         self.reported: dict[tuple, set] = {}
 
 
 def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
-         state: EngineState | None = None, iteration: int = 0) -> FireOutcome:
+         state: EngineState | None = None, iteration: int = 0) -> TraceEvent:
+    """Fire one binding; return its trace event, which ``_log`` logs or drops."""
     state = state or EngineState()
     block = None  # a (space, cause, detail) found before space extension
     for fact in (*binding.assumptions, *binding.conclusions):
@@ -440,19 +439,23 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
             if assumption_basis(g, fact) is None:
                 block = (None, "no-assumption-basis", _describe_assumption(fact))
                 break
+    created = existing = assumed = ()
     if block is None:
-        outcome = extend_spaces(g, binding.ps, binding.assumptions, binding.conclusions,
-                                extended_belief_spaces=cfg.extended_belief_spaces)
+        created, existing, blocks = extend_spaces(
+            g, binding.ps, binding.assumptions, binding.conclusions,
+            extended_belief_spaces=cfg.extended_belief_spaces)
         assumed = [g.lookup(fact) for fact in binding.assumptions]
-        outcome.assumptions = [n for n in assumed if n is not None]
     else:
-        outcome = FireOutcome(False, blocks=[block])
-    if outcome.blocks:
-        binding_ids = tuple([p.node_id for p in binding.ps])
-        outcome.blocks = [BlockReport(rule.name, binding_ids, cause, detail, space)
-                          for space, cause, detail in outcome.blocks]
-    _log(g, state, rule, binding, iteration, outcome)
-    return outcome
+        blocks = [block]
+    binding_ids = tuple([p.node_id for p in binding.ps])
+    event = TraceEvent(
+        "fire", rule.name, iteration, binding_ids,
+        tuple([n.node_id for n in assumed if n is not None]),
+        tuple([n.node_id for n in created]), tuple([n.node_id for n in existing]),
+        [BlockReport(rule.name, binding_ids, cause, detail, space)
+         for space, cause, detail in blocks])
+    _log(g, state, binding, event)
+    return event
 
 
 def _describe_assumption(fact: Fact) -> str:
@@ -460,25 +463,17 @@ def _describe_assumption(fact: Fact) -> str:
     return f"assume {fact.source.name} {fact.polarity} {fact.att_type}{prop}"
 
 
-def _log(g: Graph, state: EngineState, rule: Rule, binding: Binding,
-         iteration: int, outcome: FireOutcome) -> None:
+def _log(g: Graph, state: EngineState, binding: Binding, event: TraceEvent) -> None:
     """Log a fire that created a node or reports what its binding has not:
     an existing node, or a block's (cause, detail, space)."""
     reported = state.reported.setdefault(binding.fire_key, set())
     known = len(reported)
-    reported.update(outcome.created)
-    reported.update(outcome.existing)
-    blocks = outcome.blocks
-    for block in blocks:
+    reported.update(event.created)
+    reported.update(event.existing)
+    for block in event.blocks:
         reported.add(block[2:])
-    if len(reported) == known:
-        return
-    g.trace.append(
-        TraceEvent("fire", rule.name, iteration, tuple([p.node_id for p in binding.ps]),
-                   tuple([n.node_id for n in outcome.assumptions]),
-                   tuple([n.node_id for n in outcome.created]),
-                   tuple([n.node_id for n in outcome.existing]), blocks)
-    )
+    if len(reported) != known:
+        g.trace.append(event)
 
 
 # -- control ------------------------------------------------------------------
@@ -600,10 +595,10 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
                 stamp = _input_stamp(g, binding.ps)
                 if binding.stamp == stamp:
                     continue
-                outcome = fire(rule, binding, g, cfg, state, iteration)
-                if outcome.fired and once:
+                event = fire(rule, binding, g, cfg, state, iteration)
+                if once and (event.created or event.existing):  # it fired
                     state.consumed.add(binding.fire_key)
-                unsettled = any([b.cause in _UNSETTLED_CAUSES for b in outcome.blocks])
+                unsettled = any([b.cause in _UNSETTLED_CAUSES for b in event.blocks])
                 binding.stamp = None if unsettled else stamp
         if cfg.extended_belief_spaces:
             _expected_space_closure(g)

@@ -17,7 +17,6 @@ from .graph import (
     PRIVATE_STATE,
     SENTIMENT,
     WRITER,
-    FireOutcome,
     Graph,
     Node,
     clash_key,
@@ -329,14 +328,16 @@ def place(g: Graph, node: Node, steps: tuple[Step, ...],
 
 
 def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list,
-                  *, extended_belief_spaces: bool = False) -> FireOutcome:
+                  *, extended_belief_spaces: bool = False) -> tuple[list, list, list]:
     """Place assumptions and conclusions into every space holding all the ps.
 
     Spaces whose defining path carries a negative believesTrue are skipped and
     reported; spaces where any addition (or, in a belief variant, any
     precondition placed there) would contradict are skipped and reported.
-    Each report is a (space, cause, detail) triple in the outcome's blocks.
-    When the ps share no space, the outcome is unfired and reports nothing.
+    Returns (created, existing, blocks): the nodes created, the existing nodes
+    reported, and the (space, cause, detail) reports.  An extension placing
+    into some space reports each addition as created or existing; one placing
+    into none interns nothing, and reports nothing when the ps share no space.
     Spaces with sentiment steps propagate additions into their positive-belief
     variants, where only propositions are placed unless extended_belief_spaces
     is set.
@@ -363,9 +364,9 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
         base = ours if base is None else base & ours
     if base is None:
         base = {EPSILON}
-    outcome = FireOutcome(False)
+    created, existing, blocks = [], [], []
     if not base:
-        return outcome
+        return created, existing, blocks
     ordered = sorted(base, key=lambda s: _order_key(s, index)) if len(base) > 1 else base
     # (steps, the chain place takes the sources from, is a belief variant)
     candidates: list[tuple[tuple[Step, ...], tuple[Node, ...], bool]] = []
@@ -376,7 +377,7 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             candidates.append((steps, (), False))
             continue
         if inst.negative_belief:
-            outcome.blocks.append((steps, "negative-belief-path", format_space(steps)))
+            blocks.append((steps, "negative-belief-path", format_space(steps)))
             continue
         candidates.append((steps, inst.paths[0], False))
         if inst.variant is not None:
@@ -391,13 +392,12 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     additions = [*assumptions, *conclusions]
     # A belief variant also receives the preconditions, so they must fit too.
     variant_ps = [p for p in ps if p.is_proposition() or extended_belief_spaces]
-    created, existing = outcome.created, outcome.existing
     seen: set[Node] = set()  # the nodes in created or existing
-    bare: list[Node] = []
+    bare: list[Node] = []  # the additions' nodes, once a space takes them
     for steps, chain, is_variant in candidates:
         # Once interned, the additions are checked as their nodes, which a
         # check finds without resolving them again.
-        adding = bare if outcome.fired else additions
+        adding = bare or additions
         props = (adding + variant_ps) if is_variant else adding
         clash = None
         for prop in props:
@@ -408,10 +408,9 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             if clash is not None:
                 break
         if clash is not None:
-            outcome.blocks.append((steps, "space-contradiction", f"node {clash.node_id}"))
+            blocks.append((steps, "space-contradiction", f"node {clash.node_id}"))
             continue
-        if not outcome.fired:
-            outcome.fired = True
+        if not bare:
             # Intern the bare propositions first so conclusions can nest
             # assumptions.  Sub-structures (ideaOf, p(x)) interned on the way
             # count as created too.  A node created here is not in seen yet.
@@ -434,4 +433,4 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
             if top not in seen:
                 seen.add(top)
                 existing.append(top)
-    return outcome
+    return created, existing, blocks

@@ -84,10 +84,10 @@ MUTANTS = [
            "                stamp = _input_stamp(g, binding.ps)\n"
            "                if binding.stamp == stamp:\n"
            "                    continue\n"
-           "                outcome = fire(rule, binding, g, cfg, state, iteration)\n",
+           "                event = fire(rule, binding, g, cfg, state, iteration)\n",
            "                if binding.stamp == _input_stamp(g, binding.ps):\n"
            "                    continue\n"
-           "                outcome = fire(rule, binding, g, cfg, state, iteration)\n"
+           "                event = fire(rule, binding, g, cfg, state, iteration)\n"
            "                stamp = _input_stamp(g, binding.ps)\n",
            "the stamp is taken after the fire, so a fire that changes its own"
            " binding's stamp is not fired again"),
@@ -139,26 +139,26 @@ MUTANTS = [
            "                continue\n",
            "",
            "the closure places a member without checking for a clash"),
-    # -- firing: evidence, logging, the outcome's bookkeeping -----------------
+    # -- firing: evidence, logging, the trace event's bookkeeping -------------
     Mutant("evidence-ignored", "rules.py",
            "    if fact.node_type != PRIVATE_STATE or not g.evidence:\n",
            "    if True:\n",
            "no evidence blocks anything"),
     Mutant("log-every-fire", "rules.py",
-           "    if len(reported) == known:\n        return\n",
-           "",
+           "    if len(reported) != known:\n        g.trace.append(event)\n",
+           "    g.trace.append(event)\n",
            "_log logs every fire, repeats included"),
     Mutant("log-dedupe-by-rule", "rules.py",
            "    reported = state.reported.setdefault(binding.fire_key, set())\n",
-           "    reported = state.reported.setdefault(rule.name, set())\n",
+           "    reported = state.reported.setdefault(event.rule, set())\n",
            "_log dedupes what a whole rule reported, not what a binding did"),
     Mutant("log-block-without-space", "rules.py",
            "        reported.add(block[2:])\n",
            "        reported.add(block[2:4])\n",
            "_log takes a block in another space as one already reported"),
     Mutant("assumption-nodes-dropped", "rules.py",
-           "        outcome.assumptions = [n for n in assumed if n is not None]\n",
-           "        outcome.assumptions = []\n",
+           "        tuple([n.node_id for n in assumed if n is not None]),\n",
+           "        (),\n",
            "a fire reports no assumption nodes"),
     # -- spaces: kinds, candidates, placement ---------------------------------
     Mutant("negative-belief-not-inherited", "spaces.py",
@@ -249,6 +249,10 @@ MUTANTS = [
            "        if terminal is not new_gfbf:\n            terminal.retired = True\n",
            "",
            "the chain's terminal gfbf stays matchable"),
+    Mutant("role2-entry-from-first-line", "composition.py",
+           "        entry = g.lexicon.gfbf_entries.get(ln.lex_key)\n",
+           "        entry = g.lexicon.gfbf_entries.get(g.input_lines[event.node_id].lex_key)\n",
+           "a second role reads the lexicon entry of the first line stating its event"),
     # -- the graph ------------------------------------------------------------
     Mutant("attach-role2-no-rekey", "graph.py",
            "        del self._interned[old_key]\n        self._interned[new_key] = event\n",

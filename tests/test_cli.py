@@ -338,6 +338,43 @@ def test_a_second_role_that_is_the_event_itself_is_not_attached(tmp_path, capsys
     assert "(ps writer sentiment positive (gfbf A badFor B))" in out
 
 
+_DEPRIVED = ("E1 gfbf <they, badFor (deprived,deprive:lexEntry), him, it>\n"
+             "S1 subjectivity <writer, negative sentiment (w), E1>\n")
+_ATTACKED = ("E2 gfbf <they, badFor (attacked,attack:lexEntry), him>\n"
+             "S2 subjectivity <writer, negative sentiment (w), E2>\n")
+
+
+@pytest.mark.parametrize("lines", [_DEPRIVED + _ATTACKED, _ATTACKED + _DEPRIVED],
+                         ids=["second-role-first", "second-role-last"])
+def test_a_second_role_reads_its_own_lines_lexicon_entry(tmp_path, capsys, lines):
+    # Both lines are one node; the role2 line's deprive entry gives it the
+    # second role, whatever key the other line names.
+    doc = tmp_path / "restated.ann"
+    doc.write_text('"They deprived him of it and attacked him."\n' + lines)
+    code, out, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex",
+                             "--trace")
+    assert code == 0 and err == ""
+    assert "it; which is goodFor him" in out and "extra-role" in out
+
+
+def test_a_second_role_without_a_lexicon_entry_borrows_none(tmp_path, capsys):
+    # A role2 line with no (key:lexEntry) expands nothing, restated by a
+    # deprive line or not.
+    alone = ('"They deprived him of it."\n'
+             + _DEPRIVED.replace("deprived,deprive:lexEntry", "deprived"))
+    restated = alone + ("E2 gfbf <they, badFor (deprived,deprive:lexEntry), him>\n"
+                        "S2 subjectivity <writer, negative sentiment (w), E2>\n")
+    outputs = []
+    for name, text in (("alone", alone), ("restated", restated)):
+        doc = tmp_path / f"{name}.ann"
+        doc.write_text(text)
+        outputs.append(run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex",
+                               "--trace", "--by-spaces"))
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert code == 0 and err == "" and "which is" not in out
+
+
 _ONE_EVENT = ('"A sentence."\n'
               "E1 gfbf <a, badFor (x), b>\n"
               "S1 subjectivity <c, negative sentiment (w), E1>\n"

@@ -114,7 +114,7 @@ def test_evidence_flip_parity():
     # evidence flips exactly when the reverser count is odd
     for kinds in [["reverse"], ["retain"], ["reverse", "reverse"], ["reverse", "retain"]]:
         g, terminal = build_chain(kinds, "badFor")
-        g.add_evidence("intends", "positive", terminal, from_input=True)
+        g.add_evidence("intends", "positive", terminal)
         resolve_chains(g)
         fact = composed(g)[1][0]
         expected = "negative" if kinds.count("reverse") % 2 else "positive"
@@ -123,7 +123,7 @@ def test_evidence_flip_parity():
 
 def test_sentiment_evidence_carried_unflipped_and_wrapped():
     g, terminal = build_chain(["reverse"], "badFor")
-    g.add_evidence("sentiment", "negative", g.idea_of(terminal), holder="He", from_input=True)
+    g.add_evidence("sentiment", "negative", g.idea_of(terminal), holder="He")
     resolve_chains(g)
     new, [fact] = composed(g)
     assert fact.polarity == "negative"

@@ -241,7 +241,7 @@ def sentence_to_json(result: InferenceResult) -> dict:
                 "polarity": f.polarity,
                 "property": f.property,
                 "target": f.target.node_id,
-                "fromInput": f.from_input,
+                "fromInput": True,  # every evidence fact stands for an input line
                 "retired": f.retired,
             }
             for f in g.evidence
@@ -310,7 +310,7 @@ def graph_from_json(sentence: dict) -> Graph:
     for ev in sentence["evidence"]:
         g.add_evidence(
             ev["attType"], ev["polarity"], by_old_id[ev["target"]],
-            holder=ev["holder"], property=ev["property"], from_input=ev["fromInput"],
+            holder=ev["holder"], property=ev["property"],
         ).retired = ev["retired"]
     return g
 

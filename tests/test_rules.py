@@ -7,11 +7,12 @@ from opine import (
     assumption_basis,
     blocked_by_evidence,
     build_input_graph,
+    fire,
     match,
     run_to_fixpoint,
 )
 from opine.graph import entity_fact, ps_fact
-from opine.rules import RULES
+from opine.rules import RULES, EngineState
 
 from conftest import load_doc
 
@@ -89,7 +90,7 @@ def test_blocked_by_evidence_cases(lexicon):
     virus = g.entity("the virus")
     event = g.gfbf(g.entity("the tech staff"), "goodFor", virus)
     g.add_root(g.private_state("writer", "sentiment", "negative", event))
-    g.add_evidence("intends", "negative", event, from_input=True)
+    g.add_evidence("intends", "negative", event)
     blocked = blocked_by_evidence(g, named_ps("the tech staff", "intends", "positive", event))
     assert blocked is not None
     # different attitude type untouched
@@ -99,7 +100,7 @@ def test_blocked_by_evidence_cases(lexicon):
     g2 = Graph()
     event2 = g2.gfbf(g2.entity("ins"), "goodFor", g2.entity("care"))
     idea = g2.idea_of(event2)
-    g2.add_evidence("sentiment", "negative", idea, holder="ins", from_input=True)
+    g2.add_evidence("sentiment", "negative", idea, holder="ins")
     assert blocked_by_evidence(g2, named_ps("ins", "sentiment", "positive", idea)) is not None
     assert blocked_by_evidence(g2, named_ps("writer", "sentiment", "positive", idea)) is None
 
@@ -117,6 +118,22 @@ def test_fire_records_existing_on_refire(run_sentence):
         if e.rule == "rule4" and e.existing and not e.created
     ]
     assert refires, "rule4's second firing should resolve to the existing node"
+
+
+def test_fire_returns_the_trace_event_it_logs():
+    g = Graph()
+    event = g.gfbf(g.entity("a"), "goodFor", g.entity("b"))
+    g.add_root(g.private_state("writer", "sentiment", "negative", event))
+    rule, state = RULES["rule6"], EngineState()
+    (binding,) = match(rule, g)
+    first = fire(rule, binding, g, Config(), state)
+    assert first.created and g.trace[-1] is first
+    # Fired again with nothing new, the binding reports what it did before,
+    # and its event is returned but not logged.
+    again = fire(rule, binding, g, Config(), state)
+    assert again is not first and again.created == ()
+    assert set(again.existing) <= set(first.created) and again.existing
+    assert g.trace == [first]
 
 
 def test_rule10_conclusion_is_writer_root(run_sentence):

@@ -182,8 +182,8 @@ def naive_run_to_fixpoint(g, cfg=None):
             for binding in rules.match(rule, g):
                 if rule.fire_once and cfg.fire_once and binding.fire_key in state.consumed:
                     continue
-                outcome = rules.fire(rule, binding, g, cfg, state, iteration)
-                if outcome.fired and rule.fire_once and cfg.fire_once:
+                event = rules.fire(rule, binding, g, cfg, state, iteration)
+                if (event.created or event.existing) and rule.fire_once and cfg.fire_once:
                     state.consumed.add(binding.fire_key)
         if cfg.extended_belief_spaces:
             naive_expected_space_closure(g)

@@ -85,9 +85,9 @@ def test_extension_into_base_and_belief_variant():
     root = g.private_state("writer", "sentiment", "negative", event)
     g.add_root(root)
     q = named_ps("MoveOn", "intends", "positive", event)
-    outcome = extend_spaces(g, [event], [], [q])
-    assert outcome.fired
-    keys = {n.structural_key() for n in outcome.created}
+    created, existing, blocks = extend_spaces(g, [event], [], [q])
+    assert created
+    keys = {n.structural_key() for n in created}
     assert "(ps writer sentiment negative (ps MoveOn intends positive (gfbf MoveOn badFor Senator McCain)))" in keys
     assert "(ps writer believesTrue positive (ps MoveOn intends positive (gfbf MoveOn badFor Senator McCain)))" in keys
 
@@ -99,9 +99,9 @@ def test_extension_skips_negative_belief_space():
     root = g.private_state("writer", "believesTrue", "negative", event, substantial=True)
     g.add_root(root)
     q = named_ps("obama", "intends", "positive", event)
-    outcome = extend_spaces(g, [event], [], [q])
-    assert not outcome.fired
-    assert outcome.blocks[0][1] == "negative-belief-path"
+    created, existing, blocks = extend_spaces(g, [event], [], [q])
+    assert created == existing == []
+    assert blocks[0][1] == "negative-belief-path"
 
 
 def test_extension_at_writer_level_makes_roots():
@@ -110,8 +110,8 @@ def test_extension_at_writer_level_makes_roots():
     root = g.private_state("writer", "sentiment", "negative", event)
     g.add_root(root)
     q = named_ps("writer", "sentiment", "negative", g.idea_of(event))
-    outcome = extend_spaces(g, [root], [], [q])
-    assert outcome.fired
+    created, existing, blocks = extend_spaces(g, [root], [], [q])
+    assert created
     assert len(g.roots) == 2
 
 
@@ -131,17 +131,17 @@ def no_common_space_graph():
 def test_extension_requires_common_space():
     g, e1, e2 = no_common_space_graph()
     nodes, roots = list(g.nodes), list(g.roots)
-    outcome = extend_spaces(g, [e1, e2], [], [named_ps("writer", "sentiment", "positive", e1)])
-    assert not outcome.fired
-    assert outcome.created == outcome.existing == outcome.blocks == []
+    created, existing, blocks = extend_spaces(
+        g, [e1, e2], [], [named_ps("writer", "sentiment", "positive", e1)])
+    assert created == existing == blocks == []
     assert g.nodes == nodes and g.roots == roots
 
 
 def test_fire_without_a_common_space_logs_nothing():
     g, e1, e2 = no_common_space_graph()
     q = named_ps("writer", "sentiment", "positive", e1)
-    outcome = fire(RULES["rule1"], Binding("rule1", [e1, e2], [], [q]), g, Config())
-    assert not outcome.fired and outcome.blocks == []
+    event = fire(RULES["rule1"], Binding("rule1", [e1, e2], [], [q]), g, Config())
+    assert event.created == event.existing == () and event.blocks == []
     assert g.trace == []
 
 
