@@ -532,7 +532,8 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
     evidence facts, with sentiment-evidence targets wrapped in ideaOf.  A
     line the node constructors reject (an ill-typed source or target) is a
     MalformedLine there; a ``prop`` on a line that is not a believesTrue of
-    a gfbf line is one at the ``prop`` line.
+    a gfbf line is one at the ``prop`` line, and so is a line naming an
+    entity with another (key:lexEntry) than an earlier line did.
     """
     g = Graph(ids=ids, text=sent.text, lexicon=lex)
     for ln in sent.lines:
@@ -541,7 +542,12 @@ def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
                 if ref.thing:
                     g.things.add(ref.name)
                 if ref.lex_key:
-                    g.lex_keys[ref.name] = ref.lex_key
+                    key = g.lex_keys.setdefault(ref.name, ref.lex_key)
+                    if key != ref.lex_key:  # rule10 would read one of the two
+                        raise MalformedLine(
+                            f"{ln.line_id}: {ref.name} is named with ({ref.lex_key}:lexEntry),"
+                            f" but an earlier line named it with ({key}:lexEntry)",
+                            filename, ln.lineno)
 
     substantial_ids = {ln.target for ln in sent.lines if ln.kind == "prop"}
     kinds = {ln.line_id: ln.kind for ln in sent.lines}

@@ -9,10 +9,15 @@ entire pass adds no new node.
 
 A matcher returns the bindings of one outer node, building each assumption
 and conclusion as a ``graph.Fact`` over the nodes it matched; firing looks
-the facts up and interns them.  ``match`` runs a matcher over the whole
-graph or over the nodes given; the fixpoint builds each binding once per run,
-matching only the nodes a pass added (``run_to_fixpoint``).  The trace logs a
-fire only for what is new to its binding (``_log``).
+the facts up and interns them.  Each rule declares the kind of its outer
+node and of that node's target (``Rule``).  ``match`` runs a matcher over the
+whole graph or over the nodes given, and is the unrouted reference.  The
+fixpoint builds each binding once per run (``run_to_fixpoint``): a router
+files each live node once, when it is added, under its route (node type,
+attitude type, target's node type, target's attitude type; ``_Router``),
+and each rule matches only the new nodes filed under its own route
+(``_Bindings``).  The trace logs a fire only for what is new to its binding
+(``_log``).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .graph import (
     IDEA_OF,
     INTENDS,
     NEGATIVE,
+    P_X,
     POSITIVE,
     PRIVATE_STATE,
     SENTIMENT,
@@ -116,16 +122,20 @@ class Binding:
 
 class Rule(Record):
     """A rule's matcher, ``(g, outer) -> the bindings of one outer node``, and
-    the type of its outer nodes: their node type and, when the rule fixes one,
-    their attitude type.  A joining rule's ``join`` takes ``(g, live outer-type
-    nodes)`` to its outer pairs."""
+    the kind of its outer nodes: their node type and, when the rule fixes one,
+    their attitude type; ``target`` is the (node type, attitude type) of the
+    outer's target, or None for an outer with no target.  An outer of another
+    kind has no binding.  A joining rule's ``join`` takes
+    ``(live outer-type nodes, *live partner lists)`` to its outer pairs."""
 
     __slots__ = ()
-    _fields = ("name", "matcher", "node_type", "att_type", "fire_once", "join")
+    _fields = ("name", "matcher", "node_type", "att_type", "target", "fire_once", "join")
 
     def __new__(cls, name: str, matcher, node_type: str = PRIVATE_STATE,
-                att_type: str | None = None, fire_once: bool = False, join=None):
-        return tuple.__new__(cls, (name, matcher, node_type, att_type, fire_once, join))
+                att_type: str | None = None, target: tuple | None = None,
+                fire_once: bool = False, join=None):
+        return tuple.__new__(cls, (name, matcher, node_type, att_type, target, fire_once,
+                                   join))
 
 
 def _mul(p1: str, p2: str) -> str:
@@ -152,18 +162,22 @@ def _live_private_states(g: Graph, att_type=None):
 # A matcher returns the bindings of one outer node: the precondition, or the
 # outer attitude of a nested one.  rule8's outer is a (belief, sentiment) pair.
 
-def _rule8_pairs(g: Graph, beliefs):
+def _rule8_pairs(beliefs, *sentiments):
     """Each positive belief in an event, paired with every sentiment of its
     source toward the event's object, in nested-loop order: a hash join on
-    (source, object)."""
-    sentiments: dict[tuple[Node, Node], list[Node]] = {}
-    for sent in _live_private_states(g, SENTIMENT):
-        sentiments.setdefault((sent.source, sent.target), []).append(sent)
-    for belief in beliefs:
-        event = belief.target
-        if belief.polarity == POSITIVE and event.node_type == GFBF:
-            for sent in sentiments.get((belief.source, event.object), ()):
-                yield belief, sent
+    (source, object).  Each argument is a list of live private states in id
+    order; only the beliefs and the sentiments among them take part."""
+    beliefs = [b for b in beliefs if b.att_type == BELIEVES_TRUE and b.polarity == POSITIVE
+               and b.target.node_type == GFBF]
+    if not beliefs:
+        return []
+    by_key: dict[tuple[Node, Node], list[Node]] = {}
+    for group in sentiments:
+        for sent in group:
+            if sent.att_type == SENTIMENT:
+                by_key.setdefault((sent.source, sent.target), []).append(sent)
+    return [(belief, sent) for belief in beliefs
+            for sent in by_key.get((belief.source, belief.target.object), ())]
 
 
 def _match_rule8(g: Graph, pair):
@@ -328,34 +342,43 @@ def _match_rule5agent(g: Graph, outer: Node):
 
 
 RULES: dict[str, Rule] = {
-    "rule8": Rule("rule8", _match_rule8, att_type=BELIEVES_TRUE, join=_rule8_pairs),
-    "rule1": Rule("rule1", _match_rule1, att_type=SENTIMENT),
-    "rule2": Rule("rule2", _match_rule2, att_type=SENTIMENT),
-    "rule3.1": Rule("rule3.1", _match_rule31, att_type=SENTIMENT),
-    "rule3.2": Rule("rule3.2", _match_rule32, att_type=SENTIMENT),
-    "rule3.3": Rule("rule3.3", _match_rule33, att_type=SENTIMENT),
-    "rule4": Rule("rule4", _match_rule4, node_type=AGREEMENT),
+    "rule8": Rule("rule8", _match_rule8, att_type=BELIEVES_TRUE, target=(GFBF, None),
+                  join=_rule8_pairs),
+    "rule1": Rule("rule1", _match_rule1, att_type=SENTIMENT, target=(GFBF, None)),
+    "rule2": Rule("rule2", _match_rule2, att_type=SENTIMENT, target=(IDEA_OF, None)),
+    "rule3.1": Rule("rule3.1", _match_rule31, att_type=SENTIMENT,
+                    target=(PRIVATE_STATE, SENTIMENT)),
+    "rule3.2": Rule("rule3.2", _match_rule32, att_type=SENTIMENT,
+                    target=(PRIVATE_STATE, BELIEVES_TRUE)),
+    "rule3.3": Rule("rule3.3", _match_rule33, att_type=SENTIMENT,
+                    target=(PRIVATE_STATE, BELIEVES_SHOULD)),
+    "rule4": Rule("rule4", _match_rule4, node_type=AGREEMENT, target=(P_X, None)),
     "rule6": Rule("rule6", _match_rule6, node_type=GFBF),
-    "rule7": Rule("rule7", _match_rule7, att_type=INTENDS),
-    "rule9": Rule("rule9", _match_rule9, att_type=SENTIMENT),
+    "rule7": Rule("rule7", _match_rule7, att_type=INTENDS, target=(GFBF, None)),
+    "rule9": Rule("rule9", _match_rule9, att_type=SENTIMENT, target=(GFBF, None)),
     "rule10": Rule("rule10", _match_rule10, node_type=GFBF),
-    "rule5source": Rule("rule5source", _match_rule5source, att_type=SENTIMENT, fire_once=True),
-    "rule5agent": Rule("rule5agent", _match_rule5agent, att_type=SENTIMENT, fire_once=True),
+    "rule5source": Rule("rule5source", _match_rule5source, att_type=SENTIMENT,
+                        target=(ANIM, None), fire_once=True),
+    "rule5agent": Rule("rule5agent", _match_rule5agent, att_type=SENTIMENT,
+                       target=(ANIM, None), fire_once=True),
 }
 
-
-def _outers(rule: Rule, g: Graph, nodes):
-    """The outer nodes (or pairs) a rule matches from, among nodes of its type."""
-    live = _live(nodes, rule.att_type)
-    return live if rule.join is None else rule.join(g, live)
+# The routes of the sentiments rule8 can pair: a gfbf's object is an entity.
+_RULE8_SENTIMENTS = ((PRIVATE_STATE, SENTIMENT, ANIM, None),
+                     (PRIVATE_STATE, SENTIMENT, THING, None))
 
 
 def match(rule: Rule, g: Graph, nodes=None) -> list[Binding]:
     """Every binding of a rule, outer node by outer node, from the given nodes
-    of its type (by default every one in the graph)."""
+    of its type (by default every one in the graph), whatever their route."""
     if nodes is None:
         nodes = g.nodes_by_type.get(rule.node_type, ())
-    return [b for outer in _outers(rule, g, nodes) for b in rule.matcher(g, outer)]
+    if rule.join is None:
+        outers = _live(nodes, rule.att_type)
+    else:
+        live = list(_live(nodes))
+        outers = rule.join(live, live)
+    return [b for outer in outers for b in rule.matcher(g, outer)]
 
 
 # -- assumption bases and evidence blocking ----------------------------------
@@ -519,42 +542,82 @@ def _input_stamp(g: Graph, ps: list[Node]) -> int:
     return stamp
 
 
+class _Router:
+    """One fixpoint run's live nodes, each filed once, in id order, under its
+    route: (node type, attitude type, target's node type, target's attitude
+    type), the last two None for a node with no target.  Inside the fixpoint
+    no node is retired, so a node filed live stays live."""
+
+    __slots__ = ("g", "filed", "seen")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.filed: dict[tuple, list[Node]] = {}
+        self.seen = 0  # nodes of g.nodes filed so far
+
+    def update(self) -> dict[tuple, list[Node]]:
+        """File the nodes added since the last call; return the filed lists."""
+        nodes = self.g.nodes
+        if len(nodes) != self.seen:
+            filed = self.filed
+            for node in _live(nodes[self.seen:]):
+                target = node.target
+                if target is None:
+                    route = (node.node_type, node.att_type, None, None)
+                else:
+                    route = (node.node_type, node.att_type, target.node_type, target.att_type)
+                group = filed.get(route)
+                if group is None:
+                    filed[route] = [node]
+                else:
+                    group.append(node)
+            self.seen = len(nodes)
+        return self.filed
+
+
 class _Bindings:
     """One rule's bindings over one fixpoint run, each built once.
 
     Inside the fixpoint no node is retired, ``from_input`` and the layout do
     not move, and no gfbf is created, so the bindings of an outer node depend
-    on that node alone.  ``current`` matches (``match``) only the nodes of the
-    rule's type added since its last call and appends their bindings, which
-    keeps the list in the order ``match`` gives on the whole graph.  A
-    joining rule (rule8) pairs two growing sets of nodes of its type, so it
-    is re-matched on every call that follows an addition, each pair reusing
-    the bindings built for it.  With no node of
-    the rule's type added, either kind returns its last list.
+    on that node alone.  ``current`` matches (``match``) only the nodes filed
+    under the rule's route (``_Router``) since its last call and appends
+    their bindings; a node of another route has none.  A route's nodes are
+    filed in id order, as the graph lists them, so the bindings stay in the
+    order ``match`` gives on the whole graph.  A joining rule (rule8) pairs its filed beliefs with the filed
+    sentiments over an entity, two growing lists, so it is joined again on
+    every call that follows an addition to either, each pair reusing the
+    bindings built for it.  With nothing new filed for the rule, either kind
+    returns its last list.
     """
 
     def __init__(self, rule: Rule):
         self.rule = rule
+        self.route = (rule.node_type, rule.att_type, *(rule.target or (None, None)))
         self.bindings: list[Binding] = []
-        self.matched = 0  # nodes of the rule's type matched so far
+        self.matched = 0  # filed nodes matched so far; a joining rule's list sizes
         self.by_pair: dict[tuple, list[Binding]] = {}
 
-    def current(self, g: Graph) -> list[Binding]:
+    def current(self, router: _Router) -> list[Binding]:
         rule = self.rule
-        nodes = g.nodes_by_type.get(rule.node_type, ())
-        if len(nodes) == self.matched:
-            return self.bindings
+        filed = router.update()
+        nodes = filed.get(self.route, ())
         if rule.join is not None:
+            sentiments = [filed.get(route, ()) for route in _RULE8_SENTIMENTS]
+            sizes = (len(nodes), *[len(group) for group in sentiments])
+            if sizes == self.matched:
+                return self.bindings
             bindings = []
-            for pair in _outers(rule, g, nodes):
+            for pair in rule.join(nodes, *sentiments):
                 built = self.by_pair.get(pair)
                 if built is None:
-                    built = self.by_pair[pair] = rule.matcher(g, pair)
+                    built = self.by_pair[pair] = rule.matcher(router.g, pair)
                 bindings += built
             self.bindings = bindings
-        else:
-            self.bindings += match(rule, g, nodes[self.matched:])
-        self.matched = len(nodes)
+            self.matched = sizes
+        elif len(nodes) != self.matched:
+            self.bindings += match(rule, router.g, nodes[self.matched:])
+            self.matched = len(nodes)
         return self.bindings
 
 
@@ -562,8 +625,9 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     """Apply the rules in order, pass after pass, until a pass adds no node.
 
     At each rule's turn the loop walks the bindings ``match`` would return,
-    in its order, but builds each binding once per run (``_Bindings``).  A
-    binding is fired, or skipped while nothing its fire depends on changed.
+    in its order, but builds each binding once per run, from the nodes
+    routed to the rule (``_Bindings``).  A binding is fired, or skipped while
+    nothing its fire depends on changed.
 
     Each binding keeps the input stamp taken before its last fire
     (``_input_stamp``), or None after a fire reporting an unsettled block.
@@ -583,13 +647,14 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     state = EngineState()
     rules = [RULES[name] for name in cfg.rule_order]
     matched = {rule.name: _Bindings(rule) for rule in rules}
+    router = _Router(g)
     iterations = 0
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
         before = len(g.nodes)
         for rule in rules:
             once = rule.fire_once and cfg.fire_once
-            for binding in matched[rule.name].current(g):
+            for binding in matched[rule.name].current(router):
                 if once and binding.fire_key in state.consumed:
                     continue
                 stamp = _input_stamp(g, binding.ps)

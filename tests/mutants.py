@@ -105,26 +105,37 @@ MUTANTS = [
            "a space-contradiction block settles the binding"),
     # -- the binding cache (_Bindings) ----------------------------------------
     Mutant("bindings-rebuilt-on-growth", "rules.py",
-           "            self.bindings += match(rule, g, nodes[self.matched:])\n",
-           "            self.bindings = match(rule, g, nodes)\n",
-           "every binding is built again when nodes of the rule's type are added,"
+           "            self.bindings += match(rule, router.g, nodes[self.matched:])\n",
+           "            self.bindings = match(rule, router.g, nodes)\n",
+           "every binding is built again when nodes are filed under the rule's route,"
            " losing the stamps"),
     Mutant("new-nodes-matched-in-reverse", "rules.py",
-           "            self.bindings += match(rule, g, nodes[self.matched:])\n",
-           "            self.bindings += match(rule, g, nodes[self.matched:][::-1])\n",
+           "            self.bindings += match(rule, router.g, nodes[self.matched:])\n",
+           "            self.bindings += match(rule, router.g, nodes[self.matched:][::-1])\n",
            "the nodes a pass added are matched last first"),
     Mutant("rule8-matched-by-cursor", "rules.py",
-           "        if rule.join is not None:\n            bindings = []\n",
-           "        if False:\n            bindings = []\n",
+           "            bindings = []\n"
+           "            for pair in rule.join(nodes, *sentiments):\n",
+           "            bindings = self.bindings\n"
+           "            for pair in rule.join(nodes[self.matched and self.matched[0]:],"
+           " *sentiments):\n",
            "rule8 pairs only new beliefs with the sentiments, like an unjoined rule"),
     Mutant("rule8-rematched-on-new-beliefs-only", "rules.py",
-           "        nodes = g.nodes_by_type.get(rule.node_type, ())\n"
-           "        if len(nodes) == self.matched:\n",
-           "        nodes = g.nodes_by_type.get(rule.node_type, ())\n"
-           "        if rule.join is not None:\n"
-           "            nodes = [n for n in nodes if n.att_type == rule.att_type]\n"
-           "        if len(nodes) == self.matched:\n",
+           "            sizes = (len(nodes), *[len(group) for group in sentiments])\n",
+           "            sizes = (len(nodes),)\n",
            "rule8 is matched again only when believesTrue nodes are added"),
+    # -- routing (_Router, Rule.target) ----------------------------------------
+    Mutant("rule-routed-by-wrong-target", "rules.py",
+           '    "rule2": Rule("rule2", _match_rule2, att_type=SENTIMENT, target=(IDEA_OF, None)),\n',
+           '    "rule2": Rule("rule2", _match_rule2, att_type=SENTIMENT, target=(GFBF, None)),\n',
+           "rule2 is declared over a gfbf, so the fixpoint hands it no sentiment over an"
+           " ideaOf"),
+    Mutant("rule8-join-skips-thing-objects", "rules.py",
+           "_RULE8_SENTIMENTS = ((PRIVATE_STATE, SENTIMENT, ANIM, None),\n"
+           "                     (PRIVATE_STATE, SENTIMENT, THING, None))\n",
+           "_RULE8_SENTIMENTS = ((PRIVATE_STATE, SENTIMENT, ANIM, None),)\n",
+           "the fixpoint's rule8 join gets no sentiment toward a :thing, so a gfbf whose"
+           " object is one pairs with nothing"),
     # -- the expected-space closure -------------------------------------------
     Mutant("closure-only-in-pass-1", "rules.py",
            "        if cfg.extended_belief_spaces:\n",

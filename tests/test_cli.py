@@ -439,6 +439,35 @@ def test_an_ill_typed_line_is_an_input_error_at_its_line(tmp_path, capsys, text,
     assert "<Node" not in err  # an entity is named by its text
 
 
+_WAR_LINES = ("E1 gfbf <they, badFor (ended), war (war:lexEntry)>\n"
+              "S1 subjectivity <writer, negative sentiment (w), E1>\n")
+_ATTACK_LINES = ("E2 gfbf <we, goodFor (x), war (attack:lexEntry)>\n"
+                 "S2 subjectivity <writer, positive sentiment (w), E2>\n")
+
+
+@pytest.mark.parametrize("first, second", [(_WAR_LINES, _ATTACK_LINES),
+                                           (_ATTACK_LINES, _WAR_LINES)],
+                         ids=["war-first", "attack-first"])
+def test_an_entity_named_with_two_keys_is_an_input_error(tmp_path, capsys, first, second):
+    # rule10 reads an entity's connotation from its key, so with two keys its
+    # result would depend on which line comes last: it fired on neither event
+    # in one order and on both in the other.
+    doc = tmp_path / "two-keys.ann"
+    doc.write_text('"A war."\n' + first + second)
+    code, out, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex", "--trace")
+    assert code == 1 and out == "", err
+    assert err.startswith(f"{doc}:4: MalformedLine: E"), err
+    assert "war is named with" in err, err
+
+
+def test_an_entity_named_again_with_its_key_is_legal(tmp_path, capsys):
+    doc = tmp_path / "one-key.ann"
+    doc.write_text('"A war."\n' + _WAR_LINES + _ATTACK_LINES.replace("attack:", "war:"))
+    code, out, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex", "--trace")
+    assert code == 0 and err == "", err
+    assert out.count("rule10") == 2, out
+
+
 def test_an_inanimate_source_is_named_by_its_text(tmp_path, capsys):
     doc = tmp_path / "ill.ann"
     doc.write_text(ILL_TYPED_INPUTS["thing-as-a-source"][0])

@@ -68,6 +68,7 @@ class Reference:
         matcher: Callable
         node_type: str = PRIVATE_STATE
         att_type: str | None = None
+        target: tuple | None = None
         fire_once: bool = False
         join: Callable | None = None
 
@@ -86,7 +87,7 @@ ARGS = {
            ("writer", "E1")),
     BlockReport: ("rule1", (4, 7), "evidence", "line 3", (("writer", "sentiment", "negative"),)),
     Config: (("rule1", "rule2"), False, True, 7),
-    Rule: ("rule8", len, "gfbf", "believesTrue", True, max),
+    Rule: ("rule8", len, "privateState", "believesTrue", ("gfbf", None), True, max),
     InferenceResult: ("graph", 2),
 }
 RECORDS = list(ARGS)

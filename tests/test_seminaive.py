@@ -143,6 +143,21 @@ B1 privateState <writer, positive believesTrue (w), S3>
 CHAIN_TARGET_DOCUMENT = STAMP_DOCUMENTS[4]
 VARIANT_CLASH_DOCUMENT = STAMP_DOCUMENTS[6]
 
+# Two routes that the corpus, the documents above and the random suite never
+# bind: rule8 pairing a belief in an event with a sentiment toward its
+# object, here a :thing, which is filed under another route than an animate
+# entity; and rule3.3's sentiment toward a believesShould.
+ROUTE_DOCUMENT = """"Routes the others miss."
+E1 gfbf <bob, badFor (x1), the park:thing>
+S0 subjectivity <carol, positive believesTrue (w), E1>
+S1 subjectivity <carol, positive sentiment (w), the park:thing>
+S2 subjectivity <dave, positive believesShould (w), E1>
+S3 subjectivity <alice, negative sentiment (w), S2>
+B1 privateState <writer, positive believesTrue (w), S0>
+B2 privateState <writer, positive believesTrue (w), S1>
+B3 privateState <writer, positive believesTrue (w), S3>
+"""
+
 
 def naive_expected_space_closure(g):
     """The closure visiting every member of every space on every pass."""
@@ -259,24 +274,30 @@ def test_semi_naive_loop_matches_naive_loop_on_deep_documents(lexicon, monkeypat
 def test_fixpoint_walks_the_bindings_match_returns(lexicon, corpus_files, monkeypatch, extended):
     """At each rule's turn in every pass, the fixpoint walks the bindings
     rules.match returns on the same graph, in order, and meets a binding in
-    later passes as the same object."""
+    later passes as the same object.  Every rule yields a binding, so each
+    route the rules declare is compared, rule8's over a :thing object too."""
     cfg = Config(extended_belief_spaces=extended)
     current = rules._Bindings.current
     run = {"graph": None, "first": {}}
     counts = {"walked": 0, "met_again": 0}
+    yielded = set()  # the rules that walked a binding, and "rule8 thing"
 
     def binding_key(binding):
         return (binding.rule, tuple(binding.ps), tuple(binding.assumptions),
                 tuple(binding.conclusions), binding.fire_key)
 
-    def checked_current(self, g):
-        walked = current(self, g)
+    def checked_current(self, router):
+        walked = current(self, router)
+        g = router.g
         # Bindings compare by rule, ps, assumptions, conclusions and fire_key.
         assert ([binding_key(b) for b in walked]
                 == [binding_key(b) for b in rules.match(self.rule, g)]), self.rule.name
         if g is not run["graph"]:
             run["graph"], run["first"] = g, {}
         for binding in walked:
+            yielded.add(binding.rule)
+            if binding.rule == "rule8" and binding.ps[0].target.object.node_type == "thing":
+                yielded.add("rule8 thing")
             key = binding_key(binding)
             first = run["first"].get(key)
             if first is None:
@@ -291,7 +312,8 @@ def test_fixpoint_walks_the_bindings_match_returns(lexicon, corpus_files, monkey
     rng = random.Random(20240214)
     texts = [path.read_text(encoding="utf-8") for path in corpus_files]
     texts += [random_document(rng) for _ in range(DOCUMENTS)] + STAMP_DOCUMENTS
+    texts.append(ROUTE_DOCUMENT)
     for text in texts:
         outputs(text, lexicon, cfg)
     assert counts["met_again"] > 1000, counts
-
+    assert yielded == {*rules.RULES, "rule8 thing"}, yielded
