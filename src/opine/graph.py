@@ -341,7 +341,11 @@ class Graph:
         node = Node(self.ids.take(), key, anchor)
         self._interned[key] = node
         self.nodes.append(node)
-        self.nodes_by_type.setdefault(key.node_type, []).append(node)
+        group = self.nodes_by_type.get(key.node_type)
+        if group is None:
+            self.nodes_by_type[key.node_type] = [node]
+        else:
+            group.append(node)
         return node
 
     def lookup(self, fact) -> Node | None:

@@ -18,6 +18,7 @@ from .annotations import AnnotationDoc, Lexicon
 from .graph import (
     AGREEMENT,
     ANIM,
+    BELIEVES_SHOULD,
     BELIEVES_TRUE,
     GFBF,
     IDEA_OF,
@@ -91,19 +92,15 @@ def _evidence_display(fact: EvidenceFact, memo: dict[Node, str]) -> str:
     return head + _NEST + _display(fact.target, memo).replace("\n", _NEST)
 
 
+# The node types the by-spaces view shows: these, and the private states whose
+# attitude is one of _BY_SPACES_ATTS.
 _BY_SPACES_TYPES = (ANIM, THING, GFBF, IDEA_OF, AGREEMENT)
-
-
-def _shown_in_by_spaces(node: Node) -> bool:
-    if node.retired:
-        return False
-    if node.node_type in _BY_SPACES_TYPES:
-        return True
-    return node.node_type == PRIVATE_STATE and node.att_type in (INTENDS, "believesShould")
+_BY_SPACES_ATTS = (INTENDS, BELIEVES_SHOULD)
 
 
 def render_by_spaces(result: InferenceResult | Graph) -> str:
-    """Space-membership summary: each resident node under its space lines."""
+    """Space-membership summary: each resident node under its space lines,
+    its spaces in the order of their chains' roots."""
     g = result.graph if isinstance(result, InferenceResult) else result
     memberships = space_index(g).memberships
     # A space line is "[" and the chain's root id before format_space's text
@@ -113,14 +110,26 @@ def render_by_spaces(result: InferenceResult | Graph) -> str:
     chunks = []
     for node in g.nodes:  # in id order
         spaces = memberships.get(node.node_id)
-        if spaces is None or not _shown_in_by_spaces(node):
+        if spaces is None or node.retired:
             continue
+        t = node.node_type
+        if t not in _BY_SPACES_TYPES and not (t == PRIVATE_STATE
+                                              and node.att_type in _BY_SPACES_ATTS):
+            continue
+        items = spaces.items()
+        if len(spaces) > 1:
+            items = sorted(items, key=lambda item: item[1][0].node_id)
         lines = []
-        for steps, path in sorted(spaces.items(), key=lambda item: item[1][0].node_id):
+        for steps, path in items:
             label = labels.get(steps)
             if label is None:
                 label = labels[steps] = format_space(steps)[1:]
-            prefix = "From Input: [" if all(n.from_input for n in path) else "["
+            for link in path:
+                if not link.from_input:
+                    prefix = "["
+                    break
+            else:
+                prefix = "From Input: ["
             lines.append(f"{prefix}{path[0].node_id} {label}")
         lines.append(_display(node, memo))
         chunks.append("\n".join(lines))
@@ -169,13 +178,19 @@ def dumps(results: list[InferenceResult]) -> str:
     back to its pure-Python encoder; this writer lays out the text itself,
     encoding strings with the C routine that ``json`` uses.  Every piece goes
     into one list, joined once.
+
+    The writers of the per-node objects make no call per field: a string
+    field is read from one table per call (``_Strings``), which encodes each
+    distinct string once, a boolean indexes ``_BOOL``, and an empty list of
+    ids is written without a call.
     """
+    strings = _Strings({None: "null"})
     out = ['{\n  "format_version": 2,\n  "sentences": ']
     if results:
         sep = "[\n    "
         for result in results:
             out.append(sep)
-            _write_sentence(out, result)
+            _write_sentence(out, result, strings)
             sep = ",\n    "
         out.append("\n  ]")
     else:
@@ -184,26 +199,37 @@ def dumps(results: list[InferenceResult]) -> str:
     return "".join(out)
 
 
+class _Strings(dict):
+    """One dumps call's JSON text of each string field's value, encoded on
+    first use; dumps seeds it with None's, null."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: str) -> str:
+        text = self[value] = _encode(value)
+        return text
+
+
+_BOOL = ("false", "true")  # indexed by a bool
+_NO_INTS = "[]"  # an empty list of ints, at any level
+
 # _PAD[k] is the indent of nesting level k: a sentence's braces sit at level 2,
 # its keys at 3, the objects of its lists at 4 and their keys at 5; the
 # deepest text, a step inside a trace event's block, sits at level 9.
 _PAD = tuple(" " * (2 * k) for k in range(10))
 
 
-def _str(value: str | None) -> str:
-    return "null" if value is None else _encode(value)
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def _ints(values, level: int) -> str:
     """A list of ints whose brackets sit at the given level."""
     if not values:
-        return "[]"
+        return _NO_INTS
     inner = _PAD[level + 1]
     return f"[\n{inner}" + f",\n{inner}".join(map(str, values)) + f"\n{_PAD[level]}]"
+
+
+def _ids(values) -> str:
+    """A non-empty list of ints at level 5, as ``_ints(values, 5)`` writes it."""
+    return "[\n            " + ",\n            ".join(map(str, values)) + "\n          ]"
 
 
 def _steps(steps, level: int) -> str:
@@ -217,10 +243,8 @@ def _steps(steps, level: int) -> str:
 
 
 def _blocks(blocks, level: int) -> str:
-    """A list of block reports (rule, binding, cause, detail, and the space or
-    null), its brackets at the given level."""
-    if not blocks:
-        return "[]"
+    """A non-empty list of block reports (rule, binding, cause, detail, and
+    the space or null), its brackets at the given level."""
     pad, key = _PAD[level + 1], _PAD[level + 2]
     items = [
         f'{{\n{key}"rule": {_encode(block.rule)},'
@@ -255,66 +279,68 @@ _CHILD_PREFIXES = {
 }
 
 
-def _node_text(node: Node) -> str:
+def _node_text(node: Node, strings: _Strings) -> str:
     key = node.key
     parts = key.parts
     if parts:
         n = len(parts)
         kids = "{\n            " + ",\n            ".join([
-            f"{_encode(key.name) + ': ' if prefix is None else prefix}{parts[index].node_id}"
+            f"{strings[key.name] + ': ' if prefix is None else prefix}{parts[index].node_id}"
             for prefix, index in _CHILD_PREFIXES[node.node_type] if index < n
         ]) + "\n          }"
     else:
         kids = "{}"
     return (
         f'{{\n          "id": {node.node_id},'
-        f'\n          "type": {_encode(node.node_type)},'
-        f'\n          "attType": {_str(node.att_type)},'
-        f'\n          "polarity": {_str(node.polarity)},'
-        f'\n          "property": {_str(node.property)},'
-        f'\n          "name": {_str(node.name)},'
-        f'\n          "anchor": {_str(node.anchor)},'
-        f'\n          "fromInput": {_bool(node.from_input)},'
-        f'\n          "retired": {_bool(node.retired)},'
+        f'\n          "type": {strings[node.node_type]},'
+        f'\n          "attType": {strings[node.att_type]},'
+        f'\n          "polarity": {strings[node.polarity]},'
+        f'\n          "property": {strings[node.property]},'
+        f'\n          "name": {strings[node.name]},'
+        f'\n          "anchor": {strings[node.anchor]},'
+        f'\n          "fromInput": {_BOOL[node.from_input]},'
+        f'\n          "retired": {_BOOL[node.retired]},'
         f'\n          "children": {kids}\n        }}'
     )
 
 
-def _evidence_text(fact: EvidenceFact) -> str:
+def _evidence_text(fact: EvidenceFact, strings: _Strings) -> str:
     return (
         f'{{\n          "id": {fact.fact_id},'
-        f'\n          "holder": {_str(fact.holder)},'
-        f'\n          "attType": {_str(fact.att_type)},'
-        f'\n          "polarity": {_str(fact.polarity)},'
-        f'\n          "property": {_str(fact.property)},'
+        f'\n          "holder": {strings[fact.holder]},'
+        f'\n          "attType": {strings[fact.att_type]},'
+        f'\n          "polarity": {strings[fact.polarity]},'
+        f'\n          "property": {strings[fact.property]},'
         f'\n          "target": {fact.target.node_id},'
         f'\n          "fromInput": true,'
-        f'\n          "retired": {_bool(fact.retired)}\n        }}'
+        f'\n          "retired": {_BOOL[fact.retired]}\n        }}'
     )
 
 
-def _space_text(space) -> str:
+def _space_text(space, strings: _Strings) -> str:
     steps, inst = space
     return (
         f'{{\n          "steps": {_steps(steps, 5)},'
-        f'\n          "members": {_ints(sorted(inst.members), 5)}\n        }}'
+        f'\n          "members": {_ids(sorted(inst.members))}\n        }}'  # a space has a member
     )
 
 
-def _event_text(event) -> str:
+def _event_text(event, strings: _Strings) -> str:
+    pre, assumed, created, existing, blocks = (
+        event.preconditions, event.assumptions, event.created, event.existing, event.blocks)
     return (
-        f'{{\n          "kind": {_encode(event.kind)},'
-        f'\n          "rule": {_encode(event.rule)},'
+        f'{{\n          "kind": {strings[event.kind]},'
+        f'\n          "rule": {strings[event.rule]},'
         f'\n          "iteration": {event.iteration},'
-        f'\n          "preconditions": {_ints(event.preconditions, 5)},'
-        f'\n          "assumptions": {_ints(event.assumptions, 5)},'
-        f'\n          "created": {_ints(event.created, 5)},'
-        f'\n          "existing": {_ints(event.existing, 5)},'
-        f'\n          "blocks": {_blocks(event.blocks, 5)}\n        }}'
+        f'\n          "preconditions": {_ids(pre) if pre else _NO_INTS},'
+        f'\n          "assumptions": {_ids(assumed) if assumed else _NO_INTS},'
+        f'\n          "created": {_ids(created) if created else _NO_INTS},'
+        f'\n          "existing": {_ids(existing) if existing else _NO_INTS},'
+        f'\n          "blocks": {_blocks(blocks, 5) if blocks else "[]"}\n        }}'
     )
 
 
-def _write_objects(out: list[str], items, text) -> None:
+def _write_objects(out: list[str], items, text, strings: _Strings) -> None:
     """A sentence's list of objects, brackets at level 3, one piece per object."""
     if not items:
         out.append("[]")
@@ -322,27 +348,29 @@ def _write_objects(out: list[str], items, text) -> None:
     sep = "[\n        "
     for item in items:
         out.append(sep)
-        out.append(text(item))
+        out.append(text(item, strings))
         sep = ",\n        "
     out.append("\n      ]")
 
 
-def _write_sentence(out: list[str], result: InferenceResult) -> None:
+def _write_sentence(out: list[str], result: InferenceResult, strings: _Strings) -> None:
     """One sentence's object, its braces at level 2."""
     g = result.graph
     index = space_index(g)
-    out.append(f'{{\n      "text": {_str(g.text)},\n      "nodes": ')
-    _write_objects(out, g.nodes, _node_text)
+    out.append(f'{{\n      "text": {strings[g.text]},\n      "nodes": ')
+    _write_objects(out, g.nodes, _node_text, strings)
     out.append(f',\n      "roots": {_ints([n.node_id for n in g.roots], 3)}'
                f',\n      "topLevel": {_ints([n.node_id for n in g.top_level], 3)}'
                ',\n      "evidence": ')
-    _write_objects(out, g.evidence, _evidence_text)
+    _write_objects(out, g.evidence, _evidence_text, strings)
     out.append(',\n      "spaces": ')
     ordered = sorted(index.spaces, key=lambda s: (len(s), s))
-    _write_objects(out, [(steps, index.spaces[steps]) for steps in ordered], _space_text)
+    _write_objects(out, [(steps, index.spaces[steps]) for steps in ordered], _space_text,
+                   strings)
     out.append(',\n      "trace": ')
-    _write_objects(out, g.trace, _event_text)
-    out.append(f',\n      "blocks": {_blocks(result.block_reports(), 3)}\n    }}')
+    _write_objects(out, g.trace, _event_text, strings)
+    blocks = result.block_reports()
+    out.append(f',\n      "blocks": {_blocks(blocks, 3) if blocks else "[]"}\n    }}')
 
 
 def structural_inventory(g: Graph) -> list[str]:

@@ -114,7 +114,7 @@ class Binding:
         self.ps = ps
         self.assumptions = assumptions
         self.conclusions = conclusions
-        self.fire_key = fire_key or (rule, tuple(p.node_id for p in ps))
+        self.fire_key = fire_key or (rule, tuple([p.node_id for p in ps]))
         # Fixpoint state (see run_to_fixpoint): the input stamp taken before
         # the last fire, or None when the binding must fire again.
         self.stamp = None
@@ -452,11 +452,12 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
     """Fire one binding; return its trace event, which ``_log`` logs or drops."""
     state = state or EngineState()
     block = None  # a (space, cause, detail) found before space extension
-    for fact in (*binding.assumptions, *binding.conclusions):
-        evidence = blocked_by_evidence(g, fact)
-        if evidence is not None:
-            block = (None, "evidence", f"evidence {evidence.fact_id}")
-            break
+    if g.evidence:
+        for fact in (*binding.assumptions, *binding.conclusions):
+            evidence = blocked_by_evidence(g, fact)
+            if evidence is not None:
+                block = (None, "evidence", f"evidence {evidence.fact_id}")
+                break
     if block is None:
         for fact in binding.assumptions:
             if assumption_basis(g, fact) is None:
@@ -467,16 +468,17 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
         created, existing, blocks = extend_spaces(
             g, binding.ps, binding.assumptions, binding.conclusions,
             extended_belief_spaces=cfg.extended_belief_spaces)
-        assumed = [g.lookup(fact) for fact in binding.assumptions]
+        if binding.assumptions:
+            assumed = tuple([n.node_id for n in map(g.lookup, binding.assumptions)
+                             if n is not None])
     else:
         blocks = [block]
     binding_ids = tuple([p.node_id for p in binding.ps])
+    reports = [BlockReport(rule.name, binding_ids, cause, detail, space)
+               for space, cause, detail in blocks] if blocks else []
     event = TraceEvent(
-        "fire", rule.name, iteration, binding_ids,
-        tuple([n.node_id for n in assumed if n is not None]),
-        tuple([n.node_id for n in created]), tuple([n.node_id for n in existing]),
-        [BlockReport(rule.name, binding_ids, cause, detail, space)
-         for space, cause, detail in blocks])
+        "fire", rule.name, iteration, binding_ids, assumed,
+        tuple([n.node_id for n in created]), tuple([n.node_id for n in existing]), reports)
     _log(g, state, binding, event)
     return event
 
@@ -489,7 +491,10 @@ def _describe_assumption(fact: Fact) -> str:
 def _log(g: Graph, state: EngineState, binding: Binding, event: TraceEvent) -> None:
     """Log a fire that created a node or reports what its binding has not:
     an existing node, or a block's (cause, detail, space)."""
-    reported = state.reported.setdefault(binding.fire_key, set())
+    key = binding.fire_key
+    reported = state.reported.get(key)
+    if reported is None:
+        reported = state.reported[key] = set()
     known = len(reported)
     reported.update(event.created)
     reported.update(event.existing)
@@ -521,7 +526,7 @@ class InferenceResult(Record):
 _UNSETTLED_CAUSES = ("space-contradiction", "no-assumption-basis")
 
 
-def _input_stamp(g: Graph, ps: list[Node]) -> int:
+def _input_stamp(memberships: dict, writer_level: set[Node], ps: list[Node]) -> int:
     """What a settled binding's next fire depends on that can still change.
 
     One int, the sum over the preconditions of the number of its spaces
@@ -535,18 +540,18 @@ def _input_stamp(g: Graph, ps: list[Node]) -> int:
     memberships unchanged the candidates are the same, so a fire in any
     order meets each addition where it is placed and places nothing new.
     """
-    memberships = space_index(g).memberships
     stamp = 0
     for p in ps:
-        stamp += len(memberships.get(p.node_id, ())) + g.is_writer_level(p)
+        stamp += len(memberships.get(p.node_id, ())) + (p in writer_level)
     return stamp
 
 
 class _Router:
     """One fixpoint run's live nodes, each filed once, in id order, under its
     route: (node type, attitude type, target's node type, target's attitude
-    type), the last two None for a node with no target.  Inside the fixpoint
-    no node is retired, so a node filed live stays live."""
+    type), the last two None for a node with no target.  A retired node, or
+    one over a retired target, is skipped in the filing loop itself.  Inside
+    the fixpoint no node is retired, so a node filed live stays live."""
 
     __slots__ = ("g", "filed", "seen")
 
@@ -560,10 +565,14 @@ class _Router:
         nodes = self.g.nodes
         if len(nodes) != self.seen:
             filed = self.filed
-            for node in _live(nodes[self.seen:]):
+            for node in nodes[self.seen:]:
+                if node.retired:
+                    continue
                 target = node.target
                 if target is None:
                     route = (node.node_type, node.att_type, None, None)
+                elif target.retired:
+                    continue
                 else:
                     route = (node.node_type, node.att_type, target.node_type, target.att_type)
                 group = filed.get(route)
@@ -631,6 +640,8 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
 
     Each binding keeps the input stamp taken before its last fire
     (``_input_stamp``), or None after a fire reporting an unsettled block.
+    The stamp reads the index's memberships and the writer-level set, each
+    fetched once per run, not once per binding.
     The stamp is taken before the fire because a fire can make an existing
     chain node a root, and so change its own preconditions' spaces.  Every
     placement is checked against the index as it stands (``extend_spaces``),
@@ -648,6 +659,9 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     rules = [RULES[name] for name in cfg.rule_order]
     matched = {rule.name: _Bindings(rule) for rule in rules}
     router = _Router(g)
+    # The stamp's inputs, fetched once per run: only attach_role2 drops the
+    # cached index, and it runs during composition, before the fixpoint.
+    memberships, writer_level = space_index(g).memberships, g.writer_level
     iterations = 0
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
@@ -657,7 +671,7 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
             for binding in matched[rule.name].current(router):
                 if once and binding.fire_key in state.consumed:
                     continue
-                stamp = _input_stamp(g, binding.ps)
+                stamp = _input_stamp(memberships, writer_level, binding.ps)
                 if binding.stamp == stamp:
                     continue
                 event = fire(rule, binding, g, cfg, state, iteration)

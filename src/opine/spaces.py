@@ -12,6 +12,7 @@ from .graph import (
     AGREEMENT,
     BELIEVES_TRUE,
     CHAIN_ATTS,
+    GFBF,
     NEGATIVE,
     POSITIVE,
     PRIVATE_STATE,
@@ -35,7 +36,11 @@ ClashKey = tuple  # what graph.clash_key returns
 def _add_to_table(table: dict[ClashKey, dict[str, Node]], node: Node) -> None:
     key = node.clash
     if key is not None:
-        table.setdefault(key, {}).setdefault(node.polarity, node)
+        by_polarity = table.get(key)
+        if by_polarity is None:
+            table[key] = {node.polarity: node}
+        elif node.polarity not in by_polarity:
+            by_polarity[node.polarity] = node
 
 
 class SpaceInstance:
@@ -64,13 +69,6 @@ class SpaceInstance:
         else:
             self.variant = None if variant is None else variant + (steps[-1],)
 
-    def add_path(self, path: tuple[Node, ...]) -> None:
-        """Add a chain, keeping first_root the smallest root id."""
-        self.paths.append(path)
-        root_id = path[0].node_id
-        if len(self.paths) == 1 or root_id < self.first_root:
-            self.first_root = root_id
-
 
 class SpaceIndex:
     """All chains of the graph, grouped by step list, plus clash tables.
@@ -87,7 +85,9 @@ class SpaceIndex:
     Each space has one clash table of its members; the writer level's
     (EPSILON) holds the roots and the top-level facts, which ``writer_level``
     also holds.  Their keys do not meet, since a root is a writer chain node
-    and a top-level fact is not.
+    and a top-level fact is not.  ``memberships`` maps a node id to its
+    spaces' steps, each to the first chain that put the node there; one loop
+    (``_add_chains``) fills it, the spaces and their tables, level by level.
     """
 
     def __init__(self, g: Graph):
@@ -110,31 +110,48 @@ class SpaceIndex:
         _add_to_table(self.writer_clash, node)
 
     def _add_chains(self, root: Node) -> None:
+        """Put each level's member, and a gfbf member's role2, into the space's
+        members, its clash table and their memberships, with no helper call
+        per level.  A membership is keyed on the instance's own ``steps``, not
+        the tuple this walk builds, so no second copy stays alive."""
+        spaces, memberships = self.spaces, self.memberships
         path: tuple[Node, ...] = ()
         steps: tuple[Step, ...] = EPSILON
         parent = None
-        node = root
-        while node is not None and node.is_chain_node():
+        node, root_id = root, root.node_id
+        while node.node_type == PRIVATE_STATE and node.att_type in CHAIN_ATTS:
             path += (node,)
             steps += ((node.source.name, node.att_type, node.polarity),)
-            member = node.target
-            inst = self.spaces.get(steps)
+            inst = spaces.get(steps)
             if inst is None:
-                inst = self.spaces[steps] = SpaceInstance(steps, parent)
-            inst.add_path(path)
-            self._add_member(inst, member, path)
-            if member.role2 is not None:
-                self._add_member(inst, member.role2, path)
+                inst = spaces[steps] = SpaceInstance(steps, parent)
+            paths, members, table, key = inst.paths, inst.members, inst.clash, inst.steps
+            paths.append(path)
+            if len(paths) == 1 or root_id < inst.first_root:
+                inst.first_root = root_id
+            member = node.target
+            parts = member.key.parts
+            held = ((member, parts[2]) if len(parts) == 3 and member.node_type == GFBF
+                    else (member,))
+            for member in held:
+                node_id = member.node_id
+                if node_id in members:
+                    continue
+                members[node_id] = member
+                clash = member.clash
+                if clash is not None:
+                    by_polarity = table.get(clash)
+                    if by_polarity is None:
+                        table[clash] = {member.polarity: member}
+                    elif member.polarity not in by_polarity:
+                        by_polarity[member.polarity] = member
+                by_space = memberships.get(node_id)
+                if by_space is None:
+                    memberships[node_id] = {key: path}
+                else:
+                    by_space[key] = path
             parent = inst
-            node = member
-
-    def _add_member(self, inst: SpaceInstance, member: Node, path: tuple[Node, ...]) -> None:
-        """Put a member into a space, its clash table and its memberships."""
-        node_id = member.node_id
-        if node_id not in inst.members:
-            inst.members[node_id] = member
-            _add_to_table(inst.clash, member)
-            self.memberships.setdefault(node_id, {})[inst.steps] = path
+            node = held[0]
 
     def placed_top(self, node: Node, steps: tuple[Step, ...]) -> Node | None:
         """The root of the chain ``place`` would build to put node into the

@@ -67,28 +67,28 @@ Mutant = namedtuple("Mutant", "name file old new why note", defaults=("",))
 MUTANTS = [
     # -- the fixpoint's input stamp and settled bindings ---------------------
     Mutant("constant-stamp", "rules.py",
-           "        stamp += len(memberships.get(p.node_id, ())) + g.is_writer_level(p)\n"
+           "        stamp += len(memberships.get(p.node_id, ())) + (p in writer_level)\n"
            "    return stamp\n",
-           "        stamp += len(memberships.get(p.node_id, ())) + g.is_writer_level(p)\n"
+           "        stamp += len(memberships.get(p.node_id, ())) + (p in writer_level)\n"
            "    return 0\n",
            "the input stamp is always 0, so a binding fires once per run"),
     Mutant("stamp-without-membership-counts", "rules.py",
-           "        stamp += len(memberships.get(p.node_id, ())) + g.is_writer_level(p)\n",
-           "        stamp += g.is_writer_level(p)\n",
+           "        stamp += len(memberships.get(p.node_id, ())) + (p in writer_level)\n",
+           "        stamp += p in writer_level\n",
            "the stamp misses a precondition joining a space"),
     Mutant("stamp-without-writer-level-term", "rules.py",
-           "        stamp += len(memberships.get(p.node_id, ())) + g.is_writer_level(p)\n",
+           "        stamp += len(memberships.get(p.node_id, ())) + (p in writer_level)\n",
            "        stamp += len(memberships.get(p.node_id, ()))\n",
            "the stamp misses a precondition turning writer-level"),
     Mutant("after-fire-stamp", "rules.py",
-           "                stamp = _input_stamp(g, binding.ps)\n"
+           "                stamp = _input_stamp(memberships, writer_level, binding.ps)\n"
            "                if binding.stamp == stamp:\n"
            "                    continue\n"
            "                event = fire(rule, binding, g, cfg, state, iteration)\n",
-           "                if binding.stamp == _input_stamp(g, binding.ps):\n"
+           "                if binding.stamp == _input_stamp(memberships, writer_level, binding.ps):\n"
            "                    continue\n"
            "                event = fire(rule, binding, g, cfg, state, iteration)\n"
-           "                stamp = _input_stamp(g, binding.ps)\n",
+           "                stamp = _input_stamp(memberships, writer_level, binding.ps)\n",
            "the stamp is taken after the fire, so a fire that changes its own"
            " binding's stamp is not fired again"),
     Mutant("stamp-kept-after-unsettled-block", "rules.py",
@@ -160,16 +160,17 @@ MUTANTS = [
            "    g.trace.append(event)\n",
            "_log logs every fire, repeats included"),
     Mutant("log-dedupe-by-rule", "rules.py",
-           "    reported = state.reported.setdefault(binding.fire_key, set())\n",
-           "    reported = state.reported.setdefault(event.rule, set())\n",
+           "    key = binding.fire_key\n",
+           "    key = event.rule\n",
            "_log dedupes what a whole rule reported, not what a binding did"),
     Mutant("log-block-without-space", "rules.py",
            "        reported.add(block[2:])\n",
            "        reported.add(block[2:4])\n",
            "_log takes a block in another space as one already reported"),
     Mutant("assumption-nodes-dropped", "rules.py",
-           "        tuple([n.node_id for n in assumed if n is not None]),\n",
-           "        (),\n",
+           "            assumed = tuple([n.node_id for n in map(g.lookup, binding.assumptions)\n"
+           "                             if n is not None])\n",
+           "            assumed = ()\n",
            "a fire reports no assumption nodes"),
     # -- spaces: kinds, candidates, placement ---------------------------------
     Mutant("negative-belief-not-inherited", "spaces.py",
@@ -214,6 +215,13 @@ MUTANTS = [
            "zip(reversed(steps), reversed(chain))",
            "zip(reversed(steps), chain)",
            "place takes each level's source from the wrong level of the chain"),
+    Mutant("membership-keyed-by-walk-steps", "spaces.py",
+           "            paths, members, table, key = inst.paths, inst.members, inst.clash,"
+           " inst.steps\n",
+           "            paths, members, table, key = inst.paths, inst.members, inst.clash,"
+           " steps\n",
+           "a membership in a space the walk did not create is keyed on the walk's own"
+           " step tuple, which then stays alive beside the space's"),
     Mutant("placed-top-no-writer-level-guard", "spaces.py",
            "            return node if node in self.writer_level else None\n",
            "            return node\n",
@@ -320,16 +328,16 @@ MUTANTS = [
            "the by-spaces view caches a space's label by its step count"),
     # -- the JSON writer ------------------------------------------------------
     Mutant("dumps-bool", "render.py",
-           '    return "true" if value else "false"\n',
-           '    return "True" if value else "False"\n',
+           '_BOOL = ("false", "true")',
+           '_BOOL = ("False", "True")',
            "booleans written as Python writes them"),
     Mutant("dumps-null", "render.py",
-           '    return "null" if value is None else _encode(value)\n',
-           '    return "None" if value is None else _encode(value)\n',
+           '    strings = _Strings({None: "null"})\n',
+           '    strings = _Strings({None: "None"})\n',
            "None written as Python writes it"),
     Mutant("dumps-escaping", "render.py",
-           '    return "null" if value is None else _encode(value)\n',
-           '    return "null" if value is None else f\'"{value}"\'\n',
+           "        text = self[value] = _encode(value)\n",
+           "        text = self[value] = f'\"{value}\"'\n",
            "strings written without escaping"),
     Mutant("dumps-separators", "render.py",
            '            sep = ",\\n    "\n',
@@ -344,8 +352,8 @@ MUTANTS = [
            '    AGREEMENT: (("source", 0), ("target", 1), ("withWhom", 2)),\n',
            "an agreement's target written under withWhom, and its withWhom under target"),
     Mutant("dumps-empty-lists", "render.py",
-           '    if not values:\n        return "[]"\n    inner = _PAD[level + 1]\n',
-           '    if not values:\n        return "[\\n]"\n    inner = _PAD[level + 1]\n',
+           '_NO_INTS = "[]"',
+           '_NO_INTS = "[\\n]"',
            "an empty list of ints written over two lines"),
 ]
 

@@ -182,6 +182,13 @@ def assert_index_matches_reference(g):
         assert list(inst.members.values()) == members
         assert list(inst.members) == [m.node_id for m in members]
     assert index.memberships == memberships
+    # A membership shares its space's step list and one of its chains, so
+    # the index keeps no second copy of either alive.
+    paths_of = {steps: {id(path) for path in inst.paths} for steps, inst in index.spaces.items()}
+    for by_space in index.memberships.values():
+        for steps, path in by_space.items():
+            assert steps is index.spaces[steps].steps
+            assert id(path) in paths_of[steps]
 
 
 @pytest.fixture
