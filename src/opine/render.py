@@ -116,20 +116,12 @@ def render_by_spaces(result: InferenceResult | Graph) -> str:
         if t not in _BY_SPACES_TYPES and not (t == PRIVATE_STATE
                                               and node.att_type in _BY_SPACES_ATTS):
             continue
-        items = spaces.items()
-        if len(spaces) > 1:
-            items = sorted(items, key=lambda item: item[1][0].node_id)
         lines = []
-        for steps, path in items:
+        for steps, path in sorted(spaces.items(), key=lambda item: item[1][0].node_id):
             label = labels.get(steps)
             if label is None:
                 label = labels[steps] = format_space(steps)[1:]
-            for link in path:
-                if not link.from_input:
-                    prefix = "["
-                    break
-            else:
-                prefix = "From Input: ["
+            prefix = "From Input: [" if all(n.from_input for n in path) else "["
             lines.append(f"{prefix}{path[0].node_id} {label}")
         lines.append(_display(node, memo))
         chunks.append("\n".join(lines))
@@ -227,11 +219,6 @@ def _ints(values, level: int) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(map(str, values)) + f"\n{_PAD[level]}]"
 
 
-def _ids(values) -> str:
-    """A non-empty list of ints at level 5, as ``_ints(values, 5)`` writes it."""
-    return "[\n            " + ",\n            ".join(map(str, values)) + "\n          ]"
-
-
 def _steps(steps, level: int) -> str:
     """A space's step list: a list of [source, attitude, polarity] lists."""
     if not steps:
@@ -321,7 +308,7 @@ def _space_text(space, strings: _Strings) -> str:
     steps, inst = space
     return (
         f'{{\n          "steps": {_steps(steps, 5)},'
-        f'\n          "members": {_ids(sorted(inst.members))}\n        }}'  # a space has a member
+        f'\n          "members": {_ints(sorted(inst.members), 5)}\n        }}'
     )
 
 
@@ -332,10 +319,10 @@ def _event_text(event, strings: _Strings) -> str:
         f'{{\n          "kind": {strings[event.kind]},'
         f'\n          "rule": {strings[event.rule]},'
         f'\n          "iteration": {event.iteration},'
-        f'\n          "preconditions": {_ids(pre) if pre else _NO_INTS},'
-        f'\n          "assumptions": {_ids(assumed) if assumed else _NO_INTS},'
-        f'\n          "created": {_ids(created) if created else _NO_INTS},'
-        f'\n          "existing": {_ids(existing) if existing else _NO_INTS},'
+        f'\n          "preconditions": {_ints(pre, 5) if pre else _NO_INTS},'
+        f'\n          "assumptions": {_ints(assumed, 5) if assumed else _NO_INTS},'
+        f'\n          "created": {_ints(created, 5) if created else _NO_INTS},'
+        f'\n          "existing": {_ints(existing, 5) if existing else _NO_INTS},'
         f'\n          "blocks": {_blocks(blocks, 5) if blocks else "[]"}\n        }}'
     )
 

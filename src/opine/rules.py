@@ -661,7 +661,9 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     router = _Router(g)
     # The stamp's inputs, fetched once per run: only attach_role2 drops the
     # cached index, and it runs during composition, before the fixpoint.
-    memberships, writer_level = space_index(g).memberships, g.writer_level
+    # Each pass ends by checking that the index is still this one.
+    index = space_index(g)
+    memberships, writer_level = index.memberships, g.writer_level
     iterations = 0
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
@@ -681,6 +683,9 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
                 binding.stamp = None if unsettled else stamp
         if cfg.extended_belief_spaces:
             _expected_space_closure(g)
+        if g._space_index is not index:
+            raise RuntimeError("the space index was dropped inside the fixpoint,"
+                               " so the input stamps read a stale one")
         if len(g.nodes) == before:
             break
     else:

@@ -12,7 +12,6 @@ from .graph import (
     AGREEMENT,
     BELIEVES_TRUE,
     CHAIN_ATTS,
-    GFBF,
     NEGATIVE,
     POSITIVE,
     PRIVATE_STATE,
@@ -111,47 +110,39 @@ class SpaceIndex:
 
     def _add_chains(self, root: Node) -> None:
         """Put each level's member, and a gfbf member's role2, into the space's
-        members, its clash table and their memberships, with no helper call
-        per level.  A membership is keyed on the instance's own ``steps``, not
-        the tuple this walk builds, so no second copy stays alive."""
+        members, its clash table and their memberships, in one loop.  A
+        membership is keyed on the instance's own ``steps``, not the tuple
+        this walk builds, so no second copy stays alive."""
         spaces, memberships = self.spaces, self.memberships
         path: tuple[Node, ...] = ()
         steps: tuple[Step, ...] = EPSILON
         parent = None
         node, root_id = root, root.node_id
-        while node.node_type == PRIVATE_STATE and node.att_type in CHAIN_ATTS:
+        while node is not None and node.is_chain_node():
             path += (node,)
             steps += ((node.source.name, node.att_type, node.polarity),)
             inst = spaces.get(steps)
             if inst is None:
                 inst = spaces[steps] = SpaceInstance(steps, parent)
-            paths, members, table, key = inst.paths, inst.members, inst.clash, inst.steps
+            paths, members, key = inst.paths, inst.members, inst.steps
             paths.append(path)
             if len(paths) == 1 or root_id < inst.first_root:
                 inst.first_root = root_id
             member = node.target
-            parts = member.key.parts
-            held = ((member, parts[2]) if len(parts) == 3 and member.node_type == GFBF
-                    else (member,))
-            for member in held:
-                node_id = member.node_id
+            role2 = member.role2
+            for held in ((member,) if role2 is None else (member, role2)):
+                node_id = held.node_id
                 if node_id in members:
                     continue
-                members[node_id] = member
-                clash = member.clash
-                if clash is not None:
-                    by_polarity = table.get(clash)
-                    if by_polarity is None:
-                        table[clash] = {member.polarity: member}
-                    elif member.polarity not in by_polarity:
-                        by_polarity[member.polarity] = member
+                members[node_id] = held
+                _add_to_table(inst.clash, held)
                 by_space = memberships.get(node_id)
                 if by_space is None:
                     memberships[node_id] = {key: path}
                 else:
                     by_space[key] = path
             parent = inst
-            node = held[0]
+            node = member
 
     def placed_top(self, node: Node, steps: tuple[Step, ...]) -> Node | None:
         """The root of the chain ``place`` would build to put node into the

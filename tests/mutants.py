@@ -216,10 +216,8 @@ MUTANTS = [
            "zip(reversed(steps), chain)",
            "place takes each level's source from the wrong level of the chain"),
     Mutant("membership-keyed-by-walk-steps", "spaces.py",
-           "            paths, members, table, key = inst.paths, inst.members, inst.clash,"
-           " inst.steps\n",
-           "            paths, members, table, key = inst.paths, inst.members, inst.clash,"
-           " steps\n",
+           "            paths, members, key = inst.paths, inst.members, inst.steps\n",
+           "            paths, members, key = inst.paths, inst.members, steps\n",
            "a membership in a space the walk did not create is keyed on the walk's own"
            " step tuple, which then stays alive beside the space's"),
     Mutant("placed-top-no-writer-level-guard", "spaces.py",

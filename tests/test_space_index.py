@@ -98,6 +98,14 @@ def reference_index(g):
     return found, memberships
 
 
+def clash_table(members):
+    """A space's clash table, built from its members in order."""
+    table = {}
+    for member in members:
+        spaces._add_to_table(table, member)
+    return table
+
+
 def _parts(prop):
     """The parts of a node, read through its accessors, or of a fact."""
     if isinstance(prop, Node):
@@ -181,6 +189,9 @@ def assert_index_matches_reference(g):
         assert inst.paths == paths
         assert list(inst.members.values()) == members
         assert list(inst.members) == [m.node_id for m in members]
+        assert inst.first_root == min(path[0].node_id for path in paths)
+        assert inst.clash == clash_table(members), steps
+    assert index.writer_clash == clash_table([*g.roots, *g.top_level])
     assert index.memberships == memberships
     # A membership shares its space's step list and one of its chains, so
     # the index keeps no second copy of either alive.
@@ -237,6 +248,20 @@ def test_incremental_index_matches_scans_on_deep_documents(lexicon, checked_engi
             for text in texts:
                 process_document(parse_document(text), lexicon, cfg)
     assert checked_engine["contradiction_checks"] > 1000
+
+
+def test_dropping_the_index_inside_the_fixpoint_raises(lexicon, monkeypatch):
+    """The input stamps read the index fetched when the run starts, so a
+    fire that drops it stops the run rather than letting stamps go stale."""
+    fire = rules.fire
+
+    def dropping_fire(rule, binding, g, *args, **kwargs):
+        g._space_index = None
+        return fire(rule, binding, g, *args, **kwargs)
+
+    monkeypatch.setattr(rules, "fire", dropping_fire)
+    with pytest.raises(RuntimeError, match="space index was dropped"):
+        process_document(parse_document(BOTH_CLASHES_DOCUMENT), lexicon, Config())
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["default", "extended"])
