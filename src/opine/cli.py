@@ -11,15 +11,6 @@ from .errors import InputError, OpineError
 from .rules import DEFAULT_RULE_ORDER, RULES, Config, process_document
 
 
-def _bool_flag(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opine",
@@ -33,8 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", metavar="OUT", help="write the JSON export to OUT")
     parser.add_argument("--what-if", metavar="LINE=POLARITY",
                         help="flip one input polarity, run both, print the diff")
-    parser.add_argument("--fire-once", type=_bool_flag, default=True, metavar="BOOL",
-                        help="rule5source/rule5agent fire once per precondition (default true)")
     parser.add_argument("--extended-belief-spaces", action="store_true",
                         help="also place non-propositions into belief-variant spaces")
     parser.add_argument("--max-iterations", type=int, default=50)
@@ -58,7 +47,6 @@ def _config_from_args(args) -> Config:
         raise ValueError(f"--max-iterations must be at least 1, got {args.max_iterations}")
     return Config(
         rule_order=order,
-        fire_once=args.fire_once,
         extended_belief_spaces=args.extended_belief_spaces,
         max_iterations=args.max_iterations,
     )

@@ -95,26 +95,27 @@ _JUDGEABLE = (ANIM, THING, IDEA_OF, AGREEMENT, PRIVATE_STATE)
 
 class Config(Record):
     __slots__ = ()
-    _fields = ("rule_order", "fire_once", "extended_belief_spaces", "max_iterations")
+    _fields = ("rule_order", "extended_belief_spaces", "max_iterations")
 
-    def __new__(cls, rule_order: tuple[str, ...] = DEFAULT_RULE_ORDER, fire_once: bool = True,
+    def __new__(cls, rule_order: tuple[str, ...] = DEFAULT_RULE_ORDER,
                 extended_belief_spaces: bool = False, max_iterations: int = 50):
-        return tuple.__new__(cls, (rule_order, fire_once, extended_belief_spaces,
-                                   max_iterations))
+        return tuple.__new__(cls, (rule_order, extended_belief_spaces, max_iterations))
 
 
 class Binding:
-    """One match of a rule: its preconditions, assumptions and conclusions."""
+    """One match of a rule: its preconditions (and their ids), assumptions and
+    conclusions."""
 
-    __slots__ = ("rule", "ps", "assumptions", "conclusions", "fire_key", "stamp")
+    __slots__ = ("rule", "ps", "ids", "assumptions", "conclusions", "fire_key", "stamp")
 
     def __init__(self, rule: str, ps: list[Node], assumptions: list[Fact],
                  conclusions: list[Fact], fire_key: tuple = ()):
         self.rule = rule
         self.ps = ps
+        self.ids = ids = tuple([p.node_id for p in ps])
         self.assumptions = assumptions
         self.conclusions = conclusions
-        self.fire_key = fire_key or (rule, tuple([p.node_id for p in ps]))
+        self.fire_key = fire_key or (rule, ids)
         # Fixpoint state (see run_to_fixpoint): the input stamp taken before
         # the last fire, or None when the binding must fire again.
         self.stamp = None
@@ -129,13 +130,11 @@ class Rule(Record):
     ``(live outer-type nodes, *live partner lists)`` to its outer pairs."""
 
     __slots__ = ()
-    _fields = ("name", "matcher", "node_type", "att_type", "target", "fire_once", "join")
+    _fields = ("name", "matcher", "node_type", "att_type", "target", "join")
 
     def __new__(cls, name: str, matcher, node_type: str = PRIVATE_STATE,
-                att_type: str | None = None, target: tuple | None = None,
-                fire_once: bool = False, join=None):
-        return tuple.__new__(cls, (name, matcher, node_type, att_type, target, fire_once,
-                                   join))
+                att_type: str | None = None, target: tuple | None = None, join=None):
+        return tuple.__new__(cls, (name, matcher, node_type, att_type, target, join))
 
 
 def _mul(p1: str, p2: str) -> str:
@@ -358,9 +357,9 @@ RULES: dict[str, Rule] = {
     "rule9": Rule("rule9", _match_rule9, att_type=SENTIMENT, target=(GFBF, None)),
     "rule10": Rule("rule10", _match_rule10, node_type=GFBF),
     "rule5source": Rule("rule5source", _match_rule5source, att_type=SENTIMENT,
-                        target=(ANIM, None), fire_once=True),
+                        target=(ANIM, None)),
     "rule5agent": Rule("rule5agent", _match_rule5agent, att_type=SENTIMENT,
-                       target=(ANIM, None), fire_once=True),
+                       target=(ANIM, None)),
 }
 
 # The routes of the sentiments rule8 can pair: a gfbf's object is an entity.
@@ -440,17 +439,14 @@ def blocked_by_evidence(g: Graph, fact: Fact) -> EvidenceFact | None:
 
 # -- firing -------------------------------------------------------------------
 
-class EngineState:
-    def __init__(self):
-        self.consumed: set[tuple] = set()
-        # fire_key -> the node ids and (cause, detail, space) blocks it reported
-        self.reported: dict[tuple, set] = {}
-
-
 def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
-         state: EngineState | None = None, iteration: int = 0) -> TraceEvent:
-    """Fire one binding; return its trace event, which ``_log`` logs or drops."""
-    state = state or EngineState()
+         reported: dict | None = None, iteration: int = 0) -> TraceEvent:
+    """Fire one binding; return its trace event, which ``_log`` logs or drops.
+
+    ``reported`` maps a binding's fire key to the node ids and (cause, detail,
+    space) blocks it has reported; one fixpoint run keeps one."""
+    if reported is None:  # not "or": the fixpoint's dict starts empty
+        reported = {}
     block = None  # a (space, cause, detail) found before space extension
     if g.evidence:
         for fact in (*binding.assumptions, *binding.conclusions):
@@ -473,13 +469,13 @@ def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
                              if n is not None])
     else:
         blocks = [block]
-    binding_ids = tuple([p.node_id for p in binding.ps])
-    reports = [BlockReport(rule.name, binding_ids, cause, detail, space)
+    ids = binding.ids
+    reports = [BlockReport(rule.name, ids, cause, detail, space)
                for space, cause, detail in blocks] if blocks else []
     event = TraceEvent(
-        "fire", rule.name, iteration, binding_ids, assumed,
+        "fire", rule.name, iteration, ids, assumed,
         tuple([n.node_id for n in created]), tuple([n.node_id for n in existing]), reports)
-    _log(g, state, binding, event)
+    _log(g, reported, binding, event)
     return event
 
 
@@ -488,19 +484,19 @@ def _describe_assumption(fact: Fact) -> str:
     return f"assume {fact.source.name} {fact.polarity} {fact.att_type}{prop}"
 
 
-def _log(g: Graph, state: EngineState, binding: Binding, event: TraceEvent) -> None:
+def _log(g: Graph, reported: dict, binding: Binding, event: TraceEvent) -> None:
     """Log a fire that created a node or reports what its binding has not:
     an existing node, or a block's (cause, detail, space)."""
     key = binding.fire_key
-    reported = state.reported.get(key)
-    if reported is None:
-        reported = state.reported[key] = set()
-    known = len(reported)
-    reported.update(event.created)
-    reported.update(event.existing)
+    seen = reported.get(key)
+    if seen is None:
+        seen = reported[key] = set()
+    known = len(seen)
+    seen.update(event.created)
+    seen.update(event.existing)
     for block in event.blocks:
-        reported.add(block[2:])
-    if len(reported) != known:
+        seen.add(block[2:])
+    if len(seen) != known:
         g.trace.append(event)
 
 
@@ -655,7 +651,7 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     does not log again.
     """
     cfg = cfg or Config()
-    state = EngineState()
+    reported: dict[tuple, set] = {}
     rules = [RULES[name] for name in cfg.rule_order]
     matched = {rule.name: _Bindings(rule) for rule in rules}
     router = _Router(g)
@@ -669,16 +665,11 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
         iterations = iteration
         before = len(g.nodes)
         for rule in rules:
-            once = rule.fire_once and cfg.fire_once
             for binding in matched[rule.name].current(router):
-                if once and binding.fire_key in state.consumed:
-                    continue
                 stamp = _input_stamp(memberships, writer_level, binding.ps)
                 if binding.stamp == stamp:
                     continue
-                event = fire(rule, binding, g, cfg, state, iteration)
-                if once and (event.created or event.existing):  # it fired
-                    state.consumed.add(binding.fire_key)
+                event = fire(rule, binding, g, cfg, reported, iteration)
                 unsettled = any([b.cause in _UNSETTLED_CAUSES for b in event.blocks])
                 binding.stamp = None if unsettled else stamp
         if cfg.extended_belief_spaces:

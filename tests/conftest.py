@@ -24,8 +24,7 @@ def run_sentence(lexicon):
     cache = {}
 
     def _run(name, cfg=None):
-        key = (name, cfg.extended_belief_spaces if cfg else False,
-               cfg.fire_once if cfg else True)
+        key = (name, cfg.extended_belief_spaces if cfg else False)
         if key not in cache:
             doc = parse_document((CORPUS / f"{name}.ann").read_text(), f"{name}.ann")
             cache[key] = process_document(doc, lexicon, cfg or Config())[0]

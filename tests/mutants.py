@@ -84,10 +84,10 @@ MUTANTS = [
            "                stamp = _input_stamp(memberships, writer_level, binding.ps)\n"
            "                if binding.stamp == stamp:\n"
            "                    continue\n"
-           "                event = fire(rule, binding, g, cfg, state, iteration)\n",
+           "                event = fire(rule, binding, g, cfg, reported, iteration)\n",
            "                if binding.stamp == _input_stamp(memberships, writer_level, binding.ps):\n"
            "                    continue\n"
-           "                event = fire(rule, binding, g, cfg, state, iteration)\n"
+           "                event = fire(rule, binding, g, cfg, reported, iteration)\n"
            "                stamp = _input_stamp(memberships, writer_level, binding.ps)\n",
            "the stamp is taken after the fire, so a fire that changes its own"
            " binding's stamp is not fired again"),
@@ -136,6 +136,13 @@ MUTANTS = [
            "_RULE8_SENTIMENTS = ((PRIVATE_STATE, SENTIMENT, ANIM, None),)\n",
            "the fixpoint's rule8 join gets no sentiment toward a :thing, so a gfbf whose"
            " object is one pairs with nothing"),
+    # -- rule5: every input attitude and event ---------------------------------
+    Mutant("rule5source-first-attitude-only", "rules.py",
+           "        bindings.append(Binding(\"rule5source\", [outer], [assumption], [q]))\n"
+           "    return bindings\n",
+           "        bindings.append(Binding(\"rule5source\", [outer], [assumption], [q]))\n"
+           "    return bindings[:1]\n",
+           "rule5source carries only the holder's attitude on the earliest line"),
     # -- the expected-space closure -------------------------------------------
     Mutant("closure-only-in-pass-1", "rules.py",
            "        if cfg.extended_belief_spaces:\n",
@@ -156,16 +163,22 @@ MUTANTS = [
            "    if True:\n",
            "no evidence blocks anything"),
     Mutant("log-every-fire", "rules.py",
-           "    if len(reported) != known:\n        g.trace.append(event)\n",
+           "    if len(seen) != known:\n        g.trace.append(event)\n",
            "    g.trace.append(event)\n",
            "_log logs every fire, repeats included"),
+    Mutant("reported-defaulted-with-or", "rules.py",
+           "    if reported is None:  # not \"or\": the fixpoint's dict starts empty\n"
+           "        reported = {}\n",
+           "    reported = reported or {}\n",
+           "each fire given the fixpoint's empty dict logs into a fresh one,"
+           " so repeats are logged"),
     Mutant("log-dedupe-by-rule", "rules.py",
            "    key = binding.fire_key\n",
            "    key = event.rule\n",
            "_log dedupes what a whole rule reported, not what a binding did"),
     Mutant("log-block-without-space", "rules.py",
-           "        reported.add(block[2:])\n",
-           "        reported.add(block[2:4])\n",
+           "        seen.add(block[2:])\n",
+           "        seen.add(block[2:4])\n",
            "_log takes a block in another space as one already reported"),
     Mutant("assumption-nodes-dropped", "rules.py",
            "            assumed = tuple([n.node_id for n in map(g.lookup, binding.assumptions)\n"

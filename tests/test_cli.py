@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from opine.cli import main
 
+from test_rules import line_orders
 from test_seminaive import CHAIN_TARGET_DOCUMENT, VARIANT_CLASH_DOCUMENT
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -152,13 +154,6 @@ def test_rule_order_naming_no_rule(capsys, order):
         capsys, "--input", CORPUS / "moveon.ann", "--rule-order", order
     )
     assert (code, out, err) == (1, "", "error: --rule-order names no rules\n")
-
-
-def test_fire_once_flag_parses(capsys):
-    code, _, _ = run_cli(
-        capsys, "--input", CORPUS / "blooming.ann", "--fire-once", "false"
-    )
-    assert code == 0
 
 
 def test_extended_belief_spaces_flag(capsys):
@@ -466,6 +461,20 @@ def test_an_entity_named_again_with_its_key_is_legal(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex", "--trace")
     assert code == 0 and err == "", err
     assert out.count("rule10") == 2, out
+
+
+def test_rule5source_carries_each_attitude_in_either_line_order(tmp_path, capsys):
+    # The writer's sentiment toward Mayor reaches both of Mayor's attitudes,
+    # whichever line states its attitude first.
+    doc = tmp_path / "two-attitudes.ann"
+    for text in line_orders("rule5source"):
+        doc.write_text(text)
+        code, out, err = run_cli(capsys, "--input", doc)
+        assert code == 0 and err == "", err
+        for attitude, event in (("positive", "a x b"), ("negative", "a y c")):
+            conclusion = (rf"\d+ writer negative sentiment\n  \d+ Mayor {attitude} sentiment\n"
+                          rf"    \d+ {event}\n")
+            assert re.search(conclusion, out), (text, out)
 
 
 def test_an_inanimate_source_is_named_by_its_text(tmp_path, capsys):

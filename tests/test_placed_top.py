@@ -132,11 +132,10 @@ def test_a_placed_top_is_a_placement_creating_nothing(lexicon, corpus_files,
     monkeypatch.setattr(spaces.SpaceIndex, "placed_top", checked_placed_top)
     rng = random.Random(2)
     texts = corpus_texts(corpus_files) + STAMP_DOCUMENTS
-    texts += [deep_document(rng) for _ in range(20)]
-    for fire_once in (True, False):
-        cfg = Config(fire_once=fire_once, extended_belief_spaces=extended)
-        for text in texts:
-            outputs(text, lexicon, cfg)
+    texts += [deep_document(rng) for _ in range(40)]
+    cfg = Config(extended_belief_spaces=extended)
+    for text in texts:
+        outputs(text, lexicon, cfg)
     assert counts["tops"] > 500, counts
     assert counts["writer_level"] > 500, counts
     # Only the closure asks about a negative-belief space's variant.

@@ -305,8 +305,8 @@ def test_no_internal_error_on_random_inputs(lexicon):
     # well-formed input reach an internal error.
     rng = random.Random(20240214)
     texts = [random_document(rng) for _ in range(100)]
-    for order, fire_once, extended in product(rule_orders(), (True, False), (False, True)):
-        cfg = Config(rule_order=order, fire_once=fire_once, extended_belief_spaces=extended)
+    for order, extended in product(rule_orders(), (False, True)):
+        cfg = Config(rule_order=order, extended_belief_spaces=extended)
         for text in texts:
             try:
                 process_document(parse_document(text), lexicon, cfg)
@@ -393,7 +393,7 @@ def test_no_internal_error_on_mutated_corpus_documents(tmp_path, capsys, corpus_
     for _ in range(MUTATED_DOCUMENTS):
         text = mutate(rng.choice(texts), rng)
         doc.write_text(text, encoding="utf-8")
-        for flags in ([], ["--extended-belief-spaces"], ["--fire-once", "false"]):
+        for flags in ([], ["--extended-belief-spaces"]):
             code = main(["--input", str(doc), "--lexicon", lexicon, *flags])
             err = capsys.readouterr().err
             assert code != 2, (flags, text, err)

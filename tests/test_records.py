@@ -59,7 +59,6 @@ class Reference:
 
     class Config(NamedTuple):
         rule_order: tuple = DEFAULT_RULE_ORDER
-        fire_once: bool = True
         extended_belief_spaces: bool = False
         max_iterations: int = 50
 
@@ -69,7 +68,6 @@ class Reference:
         node_type: str = PRIVATE_STATE
         att_type: str | None = None
         target: tuple | None = None
-        fire_once: bool = False
         join: Callable | None = None
 
     class InferenceResult(NamedTuple):
@@ -86,8 +84,8 @@ ARGS = {
     Fact: ("privateState", "sentiment", "negative", "substantial", None,
            ("writer", "E1")),
     BlockReport: ("rule1", (4, 7), "evidence", "line 3", (("writer", "sentiment", "negative"),)),
-    Config: (("rule1", "rule2"), False, True, 7),
-    Rule: ("rule8", len, "privateState", "believesTrue", ("gfbf", None), True, max),
+    Config: (("rule1", "rule2"), True, 7),
+    Rule: ("rule8", len, "privateState", "believesTrue", ("gfbf", None), max),
     InferenceResult: ("graph", 2),
 }
 RECORDS = list(ARGS)

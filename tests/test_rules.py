@@ -12,7 +12,7 @@ from opine import (
     run_to_fixpoint,
 )
 from opine.graph import entity_fact, ps_fact
-from opine.rules import RULES, EngineState
+from opine.rules import RULES
 
 from conftest import load_doc
 
@@ -124,13 +124,13 @@ def test_fire_returns_the_trace_event_it_logs():
     g = Graph()
     event = g.gfbf(g.entity("a"), "goodFor", g.entity("b"))
     g.add_root(g.private_state("writer", "sentiment", "negative", event))
-    rule, state = RULES["rule6"], EngineState()
+    rule, reported = RULES["rule6"], {}
     (binding,) = match(rule, g)
-    first = fire(rule, binding, g, Config(), state)
+    first = fire(rule, binding, g, Config(), reported)
     assert first.created and g.trace[-1] is first
     # Fired again with nothing new, the binding reports what it did before,
     # and its event is returned but not logged.
-    again = fire(rule, binding, g, Config(), state)
+    again = fire(rule, binding, g, Config(), reported)
     assert again is not first and again.created == ()
     assert set(again.existing) <= set(first.created) and again.existing
     assert g.trace == [first]
@@ -142,31 +142,59 @@ def test_rule10_conclusion_is_writer_root(run_sentence):
     assert "(ps writer sentiment negative wars)" in keys
 
 
-def test_rule5source_fire_once(lexicon):
-    # Two input attitudes by the same holder: with fire-once the rule uses
-    # only the first; without it, both.
-    text = (
-        '"Two attitudes."\n'
-        "E1 gfbf <a, goodFor (x), b>\n"
-        "E2 gfbf <a, badFor (y), c>\n"
-        "S1 subjectivity <Mayor, positive sentiment (p), E1>\n"
-        "S2 subjectivity <Mayor, negative sentiment (q), E2>\n"
-        "B1 privateState <writer, positive believesTrue (\"\"), S1>\n"
-        "B2 privateState <writer, positive believesTrue (\"\"), S2>\n"
-        "S3 subjectivity <writer, negative sentiment (r), Mayor>\n"
-    )
+# Two input attitudes of one holder (rule5source), and two input events of one
+# agent (rule5agent), under the writer's sentiment toward that holder or
+# agent: each document's lines, the two lines whose order is swapped, and the
+# conclusion the rule draws from each attitude or event.
+RULE5_DOCUMENTS = {
+    "rule5source": (
+        ["E1 gfbf <a, goodFor (x), b>",
+         "E2 gfbf <a, badFor (y), c>",
+         "S1 subjectivity <Mayor, positive sentiment (p), E1>",
+         "S2 subjectivity <Mayor, negative sentiment (q), E2>",
+         'B1 privateState <writer, positive believesTrue (""), S1>',
+         'B2 privateState <writer, positive believesTrue (""), S2>',
+         "S3 subjectivity <writer, negative sentiment (r), Mayor>"],
+        ("S1", "S2"),
+        ["(ps writer sentiment negative (ps Mayor sentiment positive (gfbf a goodFor b)))",
+         "(ps writer sentiment negative (ps Mayor sentiment negative (gfbf a badFor c)))"],
+    ),
+    "rule5agent": (
+        ["E1 gfbf <Mayor, goodFor (x), b>",
+         "E2 gfbf <Mayor, badFor (y), c>",
+         'B1 privateState <writer, positive believesTrue (""), E1>',
+         'B2 privateState <writer, positive believesTrue (""), E2>',
+         "S3 subjectivity <writer, negative sentiment (r), Mayor>"],
+        ("E1", "E2"),
+        ["(ps writer sentiment negative (gfbf Mayor goodFor b))",
+         "(ps writer sentiment negative (gfbf Mayor badFor c))"],
+    ),
+}
+
+
+def line_orders(rule):
+    """The rule's document in its own line order and with its two lines swapped."""
+    lines, (first, second), _ = RULE5_DOCUMENTS[rule]
+    i, j = (next(k for k, ln in enumerate(lines) if ln.startswith(line_id + " "))
+            for line_id in (first, second))
+    swapped = list(lines)
+    swapped[i], swapped[j] = lines[j], lines[i]
+    return ['"Two inputs."\n' + "\n".join(order) + "\n" for order in (lines, swapped)]
+
+
+@pytest.mark.parametrize("rule", sorted(RULE5_DOCUMENTS))
+def test_rule5_answer_does_not_depend_on_line_order(lexicon, rule):
+    # rule5source and rule5agent fire for each input attitude of the holder
+    # and each input event of the agent, so neither line order drops one.
     from opine import parse_document, process_document
+    from opine.render import writer_fact_keys
 
-    first = "(ps writer sentiment negative (ps Mayor sentiment positive (gfbf a goodFor b)))"
-    second = "(ps writer sentiment negative (ps Mayor sentiment negative (gfbf a badFor c)))"
-
-    doc = parse_document(text)
-    once = {n.structural_key() for n in process_document(doc, lexicon, Config())[0].graph.nodes}
-    assert first in once and second not in once
-
-    free_cfg = Config(fire_once=False)
-    free = {n.structural_key() for n in process_document(doc, lexicon, free_cfg)[0].graph.nodes}
-    assert first in free and second in free
+    answers = []
+    for text in line_orders(rule):
+        g = process_document(parse_document(text), lexicon)[0].graph
+        assert set(RULE5_DOCUMENTS[rule][2]) <= keys_of(g), text
+        answers.append(writer_fact_keys(g))
+    assert answers[0] == answers[1]
 
 
 def test_rule5agent_assumption_equals_conclusion(run_sentence):
@@ -259,8 +287,7 @@ def test_rule_order_override(lexicon):
 
 
 def test_order_robustness_on_corpus(lexicon, corpus_files, recwarn):
-    # Diagnostic, not a gate: reversed rule order with fire-once off should
-    # leave the structural node set unchanged; report any divergence.
+    # Diagnostic, not a gate: reversed rule order should leave the structural node set unchanged; report any divergence.
     import warnings
 
     from opine import parse_document, process_document
@@ -270,10 +297,9 @@ def test_order_robustness_on_corpus(lexicon, corpus_files, recwarn):
         if path.stem == "empty":
             continue
         doc = parse_document(path.read_text(), path.name)
-        default = process_document(doc, lexicon, Config(fire_once=False))
+        default = process_document(doc, lexicon, Config())
         flipped = process_document(
-            doc, lexicon,
-            Config(rule_order=tuple(reversed(Config().rule_order)), fire_once=False),
+            doc, lexicon, Config(rule_order=tuple(reversed(Config().rule_order))),
         )
         for a, b in zip(default, flipped):
             if structural_inventory(a.graph) != structural_inventory(b.graph):

@@ -187,7 +187,7 @@ def naive_run_to_fixpoint(g, cfg=None):
     """The fixpoint loop without settled bindings: every binding fires every
     pass, and the closure visits every space member every pass."""
     cfg = cfg or Config()
-    state = rules.EngineState()
+    reported = {}
     order = [rules.RULES[name] for name in cfg.rule_order]
     iterations = 0
     for iteration in range(1, cfg.max_iterations + 1):
@@ -195,11 +195,7 @@ def naive_run_to_fixpoint(g, cfg=None):
         before = len(g.nodes)
         for rule in order:
             for binding in rules.match(rule, g):
-                if rule.fire_once and cfg.fire_once and binding.fire_key in state.consumed:
-                    continue
-                event = rules.fire(rule, binding, g, cfg, state, iteration)
-                if (event.created or event.existing) and rule.fire_once and cfg.fire_once:
-                    state.consumed.add(binding.fire_key)
+                rules.fire(rule, binding, g, cfg, reported, iteration)
         if cfg.extended_belief_spaces:
             naive_expected_space_closure(g)
         if len(g.nodes) == before:
@@ -221,7 +217,7 @@ def outputs(text, lexicon, cfg):
 
 def compare_with_naive_loop(texts, lexicon, monkeypatch, extended):
     """Assert the two loops give the same outputs on every text, under every
-    rule order and fire_once on and off; return the fires of each loop."""
+    rule order; return the fires of each loop."""
     fires = {"semi-naive": 0, "naive": 0}
     fire = rules.fire
     loop = "semi-naive"
@@ -232,17 +228,15 @@ def compare_with_naive_loop(texts, lexicon, monkeypatch, extended):
 
     monkeypatch.setattr(rules, "fire", counted_fire)
     for order in rule_orders():
-        for fire_once in (True, False):
-            cfg = Config(rule_order=order, fire_once=fire_once,
-                         extended_belief_spaces=extended)
-            for text in texts:
-                loop = "semi-naive"
-                got = outputs(text, lexicon, cfg)
-                loop = "naive"
-                with monkeypatch.context() as m:
-                    m.setattr(rules, "run_to_fixpoint", naive_run_to_fixpoint)
-                    expected = outputs(text, lexicon, cfg)
-                assert got == expected, (order, fire_once, text)
+        cfg = Config(rule_order=order, extended_belief_spaces=extended)
+        for text in texts:
+            loop = "semi-naive"
+            got = outputs(text, lexicon, cfg)
+            loop = "naive"
+            with monkeypatch.context() as m:
+                m.setattr(rules, "run_to_fixpoint", naive_run_to_fixpoint)
+                expected = outputs(text, lexicon, cfg)
+            assert got == expected, (order, text)
     return fires
 
 
@@ -253,8 +247,7 @@ def test_semi_naive_loop_matches_naive_loop(lexicon, monkeypatch, extended):
     fires = compare_with_naive_loop(texts, lexicon, monkeypatch, extended)
     assert fires["semi-naive"] < 0.8 * fires["naive"], fires
     # A binding whose stamp is unchanged calls no fire.  Measured share of
-    # the naive loop's fires: 0.44 (default) and 0.45 (extended); 0.63 and
-    # 0.61 when each productive fire was fired again to confirm it.
+    # the naive loop's fires: 0.43 (default) and 0.45 (extended).
     assert fires["semi-naive"] < 0.5 * fires["naive"], fires
 
 
@@ -265,8 +258,7 @@ def test_semi_naive_loop_matches_naive_loop_on_deep_documents(lexicon, monkeypat
     rng = random.Random(2)
     texts = [deep_document(rng) for _ in range(DEEP_DOCUMENTS)]
     fires = compare_with_naive_loop(texts, lexicon, monkeypatch, extended)
-    # Measured share of the naive loop's fires: 0.44 (default) and 0.45
-    # (extended); 0.62 and 0.61 when each productive fire was fired again.
+    # Measured share of the naive loop's fires: 0.43 (default and extended).
     assert fires["semi-naive"] < 0.5 * fires["naive"], fires
 
 
