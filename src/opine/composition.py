@@ -39,7 +39,7 @@ def resolve_chains(g: Graph) -> None:
     gets a counterpart targeting the new event).  Chain nodes are retired
     from rule matching.
     """
-    influencers = g.nodes_by_type.get(INFLUENCER, [])
+    influencers = [node for node in g.nodes if node.node_type == INFLUENCER]
     inner = {n.target for n in influencers}
     for outer in influencers:
         if outer in inner:
@@ -72,7 +72,9 @@ def resolve_chains(g: Graph) -> None:
         # Rebuild every private-state chain that held the outermost influencer
         # so it holds the new event instead, roots included.
         mapping: dict[Node, Node] = {outer: new_gfbf}
-        for holder in list(g.nodes_by_type.get(PRIVATE_STATE, ())):
+        for holder in list(g.nodes):
+            if holder.node_type != PRIVATE_STATE:
+                continue
             target = mapping.get(holder.target)
             if target is None:
                 continue

@@ -46,7 +46,8 @@ class ContradictoryInput(InputError):
 
 
 class LexiconMismatch(InputError):
-    """An influencer line's lexicon entry is an infl record of the other kind."""
+    """An influencer or gfbf line's lexicon entry is a record of the other
+    kind or effect."""
 
     code = "LexiconMismatch"
 

@@ -18,13 +18,15 @@ identity; structurally equal nodes are the same object.
 
 from __future__ import annotations
 
+from itertools import count
+
 try:
     from _functools import partial
 except ImportError:
     from functools import partial
 
 from .annotations import AnnotationLine, Lexicon, SentenceAnnotation, WRITER
-from .errors import IllFormedNode, MalformedLine
+from .errors import IllFormedNode, InvariantViolation, MalformedLine
 from .records import Record
 
 ANIM = "anim"
@@ -301,26 +303,18 @@ class TraceEvent:
         self.blocks = [] if blocks is None else blocks
 
 
-class IdAllocator:
-    """Monotone id counter, shared across the sentences of one run."""
-
-    def __init__(self, start: int = 1):
-        self.next_id = start
-
-    def take(self) -> int:
-        value = self.next_id
-        self.next_id += 1
-        return value
+def IdAllocator():
+    """Monotone id counter from 1, shared across the sentences of one run."""
+    return count(1)
 
 
 class Graph:
-    def __init__(self, ids: IdAllocator | None = None, text: str = "",
+    def __init__(self, ids: count | None = None, text: str = "",
                  lexicon: Lexicon | None = None):
         self.text = text
         self.ids = ids or IdAllocator()
         self.lexicon = lexicon or Lexicon()
         self.nodes: list[Node] = []
-        self.nodes_by_type: dict[str, list[Node]] = {}  # the same nodes, split by type
         self.roots: list[Node] = []       # chain roots: writer sentiment/believesTrue
         self.top_level: list[Node] = []   # writer-level non-chain facts (agreements)
         self.evidence: list[EvidenceFact] = []
@@ -330,7 +324,7 @@ class Graph:
         self.pending_role2: list[tuple[Node, AnnotationLine]] = []  # gfbf, its line
         self.input_lines: dict[int, AnnotationLine] = {}  # node id -> line it stands for
         self.writer_level: set[Node] = set()  # the roots and the top-level facts
-        self._space_index = None  # spaces.space_index's cache, fed by add_root/add_top_level
+        self._space_index = None  # built once (spaces.space_index); add_root/add_top_level feed it
         self._interned: dict[Fact, Node] = {}
 
     # -- interning -------------------------------------------------------
@@ -338,14 +332,9 @@ class Graph:
         hit = self._interned.get(key)
         if hit is not None:
             return hit
-        node = Node(self.ids.take(), key, anchor)
+        node = Node(next(self.ids), key, anchor)
         self._interned[key] = node
         self.nodes.append(node)
-        group = self.nodes_by_type.get(key.node_type)
-        if group is None:
-            self.nodes_by_type[key.node_type] = [node]
-        else:
-            group.append(node)
         return node
 
     def lookup(self, fact) -> Node | None:
@@ -405,10 +394,8 @@ class Graph:
         raise IllFormedNode(f"{t} facts are built from input lines only")
 
     # -- node constructors (validated) -----------------------------------
-    def entity(self, name: str, *, thing: bool = False) -> Node:
-        """The entity of that name: a thing once any reference marks it one."""
-        if thing:
-            self.things.add(name)
+    def entity(self, name: str) -> Node:
+        """The entity of that name: a thing when ``things`` holds the name."""
         t = THING if name in self.things else ANIM
         return self._intern(_fact((t, None, None, None, name, ())))
 
@@ -420,7 +407,12 @@ class Graph:
         return self._intern(_fact((GFBF, None, None, None, effect, (agent, obj))), anchor)
 
     def attach_role2(self, event: Node, derived: Node) -> Node:
-        """Attach a second-role derived relation to a gfbf, re-keying the intern table."""
+        """Attach a second-role derived relation to a gfbf, re-keying the intern table.
+
+        Composition attaches every one before the space index is built; the
+        index is never rebuilt, so it would miss one attached later."""
+        if self._space_index is not None:
+            raise InvariantViolation("a second role attached after the space index was built")
         if event.node_type != GFBF or derived.node_type != GFBF:
             raise IllFormedNode("role2 expansion applies to gfbf nodes")
         if event.role2 is not None:
@@ -434,7 +426,6 @@ class Graph:
         del self._interned[old_key]
         self._interned[new_key] = event
         event.key = new_key
-        self._space_index = None
         return event
 
     def idea_of(self, event: Node) -> Node:
@@ -508,13 +499,10 @@ class Graph:
             if self._space_index is not None:
                 self._space_index.add_top_level(node)
 
-    def is_writer_level(self, node: Node) -> bool:
-        return node in self.writer_level
-
     def add_evidence(self, att_type, polarity, target, *, holder=None,
                      property=None) -> EvidenceFact:
         fact = EvidenceFact(
-            fact_id=self.ids.take(),
+            fact_id=next(self.ids),
             att_type=att_type,
             polarity=polarity,
             target=target,
@@ -528,7 +516,7 @@ class Graph:
 # -- building the input graph ----------------------------------------------
 
 def build_input_graph(sent: SentenceAnnotation, lex: Lexicon,
-                      ids: IdAllocator | None = None, filename: str = "<input>") -> Graph:
+                      ids: count | None = None, filename: str = "<input>") -> Graph:
     """Build the graph for one validated sentence annotation.
 
     Every line becomes a node (entities interned on the way); ``prop`` lines

@@ -98,10 +98,10 @@ _BY_SPACES_TYPES = (ANIM, THING, GFBF, IDEA_OF, AGREEMENT)
 _BY_SPACES_ATTS = (INTENDS, BELIEVES_SHOULD)
 
 
-def render_by_spaces(result: InferenceResult | Graph) -> str:
+def render_by_spaces(result: InferenceResult) -> str:
     """Space-membership summary: each resident node under its space lines,
     its spaces in the order of their chains' roots."""
-    g = result.graph if isinstance(result, InferenceResult) else result
+    g = result.graph
     memberships = space_index(g).memberships
     # A space line is "[" and the chain's root id before format_space's text
     # of the space, whose steps are the membership's key: one text per space.

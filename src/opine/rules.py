@@ -153,8 +153,9 @@ def _live(nodes, att_type=None):
         yield node
 
 
-def _live_private_states(g: Graph, att_type=None):
-    return _live(g.nodes_by_type.get(PRIVATE_STATE, ()), att_type)
+def _live_of_type(g: Graph, node_type: str):
+    """The live nodes of one type, in id order."""
+    return _live([node for node in g.nodes if node.node_type == node_type])
 
 
 # -- matchers ---------------------------------------------------------------
@@ -300,8 +301,6 @@ def _match_rule9(g: Graph, sent: Node):
 
 
 def _match_rule10(g: Graph, event: Node):
-    if not event.from_input:
-        return []
     connotation = g.lexicon.connotation.get(g.lex_keys.get(event.object.name))
     if connotation is None:
         return []
@@ -316,7 +315,7 @@ def _match_rule5source(g: Graph, outer: Node):
     if not outer.from_input or holder.node_type != ANIM:
         return []
     bindings = []
-    for inner in _live_private_states(g):
+    for inner in _live_of_type(g, PRIVATE_STATE):
         if not inner.from_input or inner is outer:
             continue
         if inner.source_name != holder.name:
@@ -332,8 +331,8 @@ def _match_rule5agent(g: Graph, outer: Node):
     if not outer.from_input or agent.node_type != ANIM:
         return []
     bindings = []
-    for event in _live(g.nodes_by_type.get(GFBF, ())):
-        if not event.from_input or event.agent is not agent:
+    for event in _live_of_type(g, GFBF):
+        if event.agent is not agent:
             continue
         q = ps_fact(outer.source, SENTIMENT, outer.polarity, event)
         bindings.append(Binding("rule5agent", [outer], [q], [q]))
@@ -371,7 +370,7 @@ def match(rule: Rule, g: Graph, nodes=None) -> list[Binding]:
     """Every binding of a rule, outer node by outer node, from the given nodes
     of its type (by default every one in the graph), whatever their route."""
     if nodes is None:
-        nodes = g.nodes_by_type.get(rule.node_type, ())
+        nodes = [node for node in g.nodes if node.node_type == rule.node_type]
     if rule.join is None:
         outers = _live(nodes, rule.att_type)
     else:
@@ -410,7 +409,7 @@ def assumption_basis(g: Graph, fact: Fact) -> Node | None:
     if substantial:
         return None
     source = fact.source.name
-    for node in _live_private_states(g):
+    for node in _live_of_type(g, PRIVATE_STATE):
         if node.source_name != source or node.att_type == fact.att_type:
             continue
         if node.att_type == BELIEVES_TRUE and node.polarity == NEGATIVE:
@@ -439,14 +438,12 @@ def blocked_by_evidence(g: Graph, fact: Fact) -> EvidenceFact | None:
 
 # -- firing -------------------------------------------------------------------
 
-def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config,
-         reported: dict | None = None, iteration: int = 0) -> TraceEvent:
+def fire(rule: Rule, binding: Binding, g: Graph, cfg: Config, reported: dict,
+         iteration: int = 0) -> TraceEvent:
     """Fire one binding; return its trace event, which ``_log`` logs or drops.
 
     ``reported`` maps a binding's fire key to the node ids and (cause, detail,
     space) blocks it has reported; one fixpoint run keeps one."""
-    if reported is None:  # not "or": the fixpoint's dict starts empty
-        reported = {}
     block = None  # a (space, cause, detail) found before space extension
     if g.evidence:
         for fact in (*binding.assumptions, *binding.conclusions):
@@ -655,11 +652,8 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     rules = [RULES[name] for name in cfg.rule_order]
     matched = {rule.name: _Bindings(rule) for rule in rules}
     router = _Router(g)
-    # The stamp's inputs, fetched once per run: only attach_role2 drops the
-    # cached index, and it runs during composition, before the fixpoint.
-    # Each pass ends by checking that the index is still this one.
-    index = space_index(g)
-    memberships, writer_level = index.memberships, g.writer_level
+    # The stamp's inputs, fetched once per run: the graph keeps its index.
+    memberships, writer_level = space_index(g).memberships, g.writer_level
     iterations = 0
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
@@ -674,9 +668,6 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
                 binding.stamp = None if unsettled else stamp
         if cfg.extended_belief_spaces:
             _expected_space_closure(g)
-        if g._space_index is not index:
-            raise RuntimeError("the space index was dropped inside the fixpoint,"
-                               " so the input stamps read a stale one")
         if len(g.nodes) == before:
             break
     else:
@@ -697,6 +688,11 @@ def _expected_space_closure(g: Graph) -> None:
     placed in the variant (``SpaceIndex.placed_top``) is skipped before its
     check, as placing it would create nothing; inside the fixpoint clash
     tables only grow, so a member blocked once stays blocked.
+
+    Unlike a fire, the closure also places into the variant of a space whose
+    steps hold a negative believesTrue, and such a variant keeps that step:
+    ``extend_spaces`` reports a space on such a path as
+    ``negative-belief-path`` and places nothing there or in its variant.
     """
     # Snapshot the members: placing below adds to the (live) index.
     index = space_index(g)
@@ -745,19 +741,25 @@ def check_input(g: Graph, filename: str = "<input>") -> None:
 
 
 def check_lexicon(sent: SentenceAnnotation, lex: Lexicon, filename: str = "<input>") -> None:
-    """Reject an influencer line whose (key:lexEntry) is an infl record of the other kind."""
+    """Reject an influencer line whose (key:lexEntry) is an infl record of the
+    other kind, and a gfbf line whose key is a gfbf record of the other effect."""
     for ln in sent.lines:
-        kind = lex.influencers.get(ln.lex_key) if ln.kind == "influencer" else None
+        if ln.kind == "influencer":
+            kind = lex.influencers.get(ln.lex_key)
+        elif ln.kind == "gfbf":
+            entry = lex.gfbf_entries.get(ln.lex_key)
+            kind = None if entry is None else entry.effect
+        else:
+            continue
         if kind is not None and kind != ln.attitude:
             raise LexiconMismatch(
-                f"{ln.line_id} is a {ln.attitude} influencer but lexicon entry"
+                f"{ln.line_id} is a {ln.attitude} {ln.kind} but lexicon entry"
                 f" {ln.lex_key!r} is {kind}",
                 filename, ln.lineno,
             )
 
 
-def process_sentence(sent: SentenceAnnotation, lex: Lexicon,
-                     ids: IdAllocator | None = None,
+def process_sentence(sent: SentenceAnnotation, lex: Lexicon, ids=None,
                      cfg: Config | None = None,
                      filename: str = "<input>") -> InferenceResult:
     check_lexicon(sent, lex, filename)

@@ -75,11 +75,11 @@ class SpaceIndex:
     The index is append-only and follows the graph: ``Graph.add_root`` and
     ``Graph.add_top_level`` pass each new node to the graph's cached index
     (``space_index``).  Nodes are hash-consed and never change, so a chain
-    below a root is fixed once the root exists.  ``Graph.attach_role2``
-    changes a node that may already be a member, so it drops the cached index
-    and ``space_index`` then builds a new one from scratch.  An index built
-    directly, ``SpaceIndex(g)``, is a snapshot: only its ``writer_level``, the
-    graph's own set, stays current.
+    below a root is fixed once the root exists.  The one change to an
+    existing node, ``Graph.attach_role2``, runs during composition, before
+    the first index is built, and raises after it; so the cached index lives
+    as long as the graph.  An index built directly, ``SpaceIndex(g)``, is a
+    snapshot: only its ``writer_level``, the graph's own set, stays current.
 
     Each space has one clash table of its members; the writer level's
     (EPSILON) holds the roots and the top-level facts, which ``writer_level``
@@ -174,17 +174,11 @@ class SpaceIndex:
 
 
 def space_index(g: Graph) -> SpaceIndex:
+    """The graph's index, built on the first call."""
     index = g._space_index
     if index is None:
         index = g._space_index = SpaceIndex(g)
     return index
-
-
-def rightmost_nodes(steps: tuple[Step, ...], index: SpaceIndex) -> list[Node]:
-    inst = index.spaces.get(steps)
-    if inst is None:
-        return []
-    return [path[-1] for path in inst.paths]
 
 
 def format_space(steps: tuple[Step, ...]) -> str:
@@ -230,8 +224,7 @@ def _probe(table, key: ClashKey, polarity: str) -> Node | None:
     return None if by_polarity is None else by_polarity.get(opposite_polarity(polarity))
 
 
-def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
-                     index: SpaceIndex | None = None):
+def would_contradict(steps: tuple[Step, ...], prop, g: Graph, index: SpaceIndex):
     """Why adding prop (a node or a fact) to the space would be invalid, or None.
 
     Invalid if (a) a chain instance of the space ends in a negative
@@ -239,15 +232,15 @@ def would_contradict(steps: tuple[Step, ...], prop, g: Graph,
     level) already holds the same source/attitude/target with the opposite
     polarity.  Returns the first such node in path or member order; failing
     that, the first clash in the spaces the prop's own chain defines below
-    (``_chain_clash``).  A caller holding the graph's index may pass it.
+    (``_chain_clash``).  ``index`` is the graph's (``space_index``).
     """
-    if index is None:
-        index = space_index(g)
     inner = g.lookup(prop)
     if inner is not None and steps and steps[-1][1:] == (BELIEVES_TRUE, NEGATIVE):
-        for node in rightmost_nodes(steps, index):
-            if node.target is inner:
-                return node
+        inst = index.spaces.get(steps)
+        if inst is not None:
+            for path in inst.paths:
+                if path[-1].target is inner:
+                    return path[-1]
     # Check the prop itself and every wrapper the placement would create.  A
     # wrapper's target is the level below; once that does not exist, no
     # member can share its target, at that level or any above it.
@@ -367,7 +360,7 @@ def extend_spaces(g: Graph, ps: list[Node], assumptions: list, conclusions: list
     base: set[tuple[Step, ...]] | None = None
     for p in ps:
         ours = set(index.memberships.get(p.node_id, ()))
-        if g.is_writer_level(p):
+        if p in g.writer_level:
             ours.add(EPSILON)
         base = ours if base is None else base & ours
     if base is None:

@@ -166,12 +166,6 @@ MUTANTS = [
            "    if len(seen) != known:\n        g.trace.append(event)\n",
            "    g.trace.append(event)\n",
            "_log logs every fire, repeats included"),
-    Mutant("reported-defaulted-with-or", "rules.py",
-           "    if reported is None:  # not \"or\": the fixpoint's dict starts empty\n"
-           "        reported = {}\n",
-           "    reported = reported or {}\n",
-           "each fire given the fixpoint's empty dict logs into a fresh one,"
-           " so repeats are logged"),
     Mutant("log-dedupe-by-rule", "rules.py",
            "    key = binding.fire_key\n",
            "    key = event.rule\n",
@@ -279,11 +273,20 @@ MUTANTS = [
            "        if terminal is not new_gfbf:\n            terminal.retired = True\n",
            "",
            "the chain's terminal gfbf stays matchable"),
+    Mutant("composed-gfbf-not-from-input", "composition.py",
+           "        new_gfbf.from_input = True\n",
+           "",
+           "a chain's effective gfbf is not marked from input"),
     Mutant("role2-entry-from-first-line", "composition.py",
            "        entry = g.lexicon.gfbf_entries.get(ln.lex_key)\n",
            "        entry = g.lexicon.gfbf_entries.get(g.input_lines[event.node_id].lex_key)\n",
            "a second role reads the lexicon entry of the first line stating its event"),
     # -- the graph ------------------------------------------------------------
+    Mutant("attach-role2-after-index", "graph.py",
+           "        if self._space_index is not None:\n            raise InvariantViolation(",
+           "        if False:\n            raise InvariantViolation(",
+           "a second role attached after the space index is built goes missing from"
+           " the event's spaces"),
     Mutant("attach-role2-no-rekey", "graph.py",
            "        del self._interned[old_key]\n        self._interned[new_key] = event\n",
            "",
@@ -302,6 +305,11 @@ MUTANTS = [
            '                if kinds[ln.target] not in ("subjectivity", "privateState"):\n',
            "                if False:\n",
            "a p(...) line on a line that is no attitude is ignored"),
+    # -- input checks ---------------------------------------------------------
+    Mutant("gfbf-lexicon-effect-unchecked", "rules.py",
+           "            kind = None if entry is None else entry.effect\n",
+           "            kind = None\n",
+           "a gfbf line keyed on a gfbf record of the other effect is accepted"),
     # -- the parser -----------------------------------------------------------
     Mutant("prop-non-ascii", "annotations.py",
            "not (prop.isascii() and prop.isalpha())",

@@ -298,6 +298,22 @@ def test_influencer_of_the_other_lexicon_kind_is_an_input_error(tmp_path, capsys
     assert code == 0 and err == ""
 
 
+def test_gfbf_of_the_other_lexicon_effect_is_an_input_error(tmp_path, capsys):
+    # base.lex records "gfbf attack badFor"; a goodFor line keyed on it is
+    # rejected at its own line, and the badFor line the corpus writes is accepted.
+    moveon = (CORPUS / "moveon.ann").read_text()
+    doc = tmp_path / "moveon.ann"
+    doc.write_text(moveon.replace("badFor (attack,attack:lexEntry)",
+                                  "goodFor (attack,attack:lexEntry)"))
+    code, out, err = run_cli(capsys, "--input", doc, "--lexicon", CORPUS / "base.lex")
+    assert code == 1 and out == ""
+    assert err.startswith(f"{doc}:2: LexiconMismatch: E1 is a goodFor gfbf")
+    assert "'attack' is badFor" in err
+    code, _, err = run_cli(capsys, "--input", CORPUS / "moveon.ann",
+                           "--lexicon", CORPUS / "base.lex")
+    assert code == 0 and err == ""
+
+
 def test_input_nesting_too_deeply_is_an_error(tmp_path, capsys):
     # Nested lines are walked recursively, so a chain deeper than the
     # recursion limit fails at parse, before any inference.

@@ -1,9 +1,20 @@
+import random
 from itertools import product
 
-from opine import Graph, build_input_graph, parse_document, parse_lexicon, resolve_chains
+from opine import (
+    Config,
+    Graph,
+    build_input_graph,
+    parse_document,
+    parse_lexicon,
+    process_document,
+    resolve_chains,
+)
 from opine.composition import expand_extra_roles
 
 from conftest import load_doc
+from test_graph import load_workloads
+from test_properties import deep_document, random_document
 
 
 def composed(g):
@@ -168,3 +179,26 @@ def test_role2_effect_symmetry():
     expand_extra_roles(g)
     derived = extra_roles(g)
     assert derived[0].structural_key() == "(gfbf armor badFor the children)"
+
+
+FROM_INPUT_DOCUMENTS = 400  # the first documents of each fixed-seed suite
+
+
+def test_every_gfbf_is_marked_from_input(lexicon, corpus_files):
+    """A gfbf is an input line or made by composition, and both mark it from
+    input, so rule10 and rule5agent need not check the mark on a gfbf."""
+    texts = [path.read_text(encoding="utf-8") for path in corpus_files]
+    texts += [text for _, text in load_workloads().wide_pool()]
+    for generate, seed in ((random_document, 20240214), (deep_document, 2)):
+        rng = random.Random(seed)
+        texts += [generate(rng) for _ in range(FROM_INPUT_DOCUMENTS)]
+    events = 0
+    for extended in (False, True):
+        cfg = Config(extended_belief_spaces=extended)
+        for text in texts:
+            for result in process_document(parse_document(text), lexicon, cfg):
+                for node in result.graph.nodes:
+                    if node.node_type == "gfbf":
+                        assert node.from_input, (text, node)
+                        events += 1
+    assert events == 6606

@@ -80,7 +80,8 @@ def test_signature_separates_polarity():
 
 def test_entities_have_no_children():
     g = Graph()
-    tree = g.entity("the tree", thing=True)
+    g.things.add("the tree")
+    tree = g.entity("the tree")
     assert tree.node_type == "thing"
     assert tree.key.parts == ()
 
@@ -97,7 +98,8 @@ def test_illformed_nodes_rejected():
         g.idea_of(mccain)
     with pytest.raises(IllFormedNode):
         g.p_x("isSoSo", mccain)
-    tree = g.entity("the tree", thing=True)
+    g.things.add("the tree")
+    tree = g.entity("the tree")
     with pytest.raises(IllFormedNode):
         g.private_state(tree, "sentiment", "positive", event)  # thing source
 
@@ -167,13 +169,6 @@ def test_negative_belief_single_form(lexicon):
     again = g.private_state("writer", "believesTrue", "negative", event, substantial=True)
     assert neg is again
     assert sum(1 for n in g.nodes if n.node_type == PRIVATE_STATE) == 1
-
-
-def test_nodes_by_type_splits_the_nodes_in_order(run_sentence):
-    g = run_sentence("blooming").graph
-    assert sum(map(len, g.nodes_by_type.values())) == len(g.nodes)
-    for node_type, nodes in g.nodes_by_type.items():
-        assert nodes == [n for n in g.nodes if n.node_type == node_type]
 
 
 def test_sentence_graphs_are_independent(lexicon):

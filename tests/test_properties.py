@@ -99,7 +99,8 @@ def test_rule33_sign_laws():
 def test_rule4_sign_law():
     for pol in POLS:
         g = Graph()
-        px = g.p_x("isGood", g.entity("thing", thing=True))
+        g.things.add("thing")
+        px = g.p_x("isGood", g.entity("thing"))
         agr = g.agreement("writer", pol, "He", px)
         g.add_top_level(agr)
         (binding,) = match(RULES["rule4"], g)
@@ -111,7 +112,8 @@ def test_rule4_sign_law():
 def test_rule9_preserves_sign():
     for pol, effect in product(POLS, EFFECTS):
         g = Graph()
-        event = g.gfbf(g.entity("the rock", thing=True), effect, g.entity("boy"))
+        g.things.add("the rock")
+        event = g.gfbf(g.entity("the rock"), effect, g.entity("boy"))
         inner = g.private_state("mother", "sentiment", pol, event)
         g.add_root(g.private_state("writer", "believesTrue", "positive", inner))
         (binding,) = match(RULES["rule9"], g)

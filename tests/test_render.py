@@ -62,7 +62,8 @@ def test_render_bare_entity():
 
 def test_render_substantial_belief():
     g = Graph()
-    event = g.gfbf(g.entity("the tree", thing=True), "badFor", g.entity("the boy"))
+    g.things.add("the tree")
+    event = g.gfbf(g.entity("the tree"), "badFor", g.entity("the boy"))
     root = g.private_state("writer", "believesTrue", "positive", event, substantial=True)
     assert render_node(root).splitlines()[0].endswith("writer positive believesTrue substantial")
 
@@ -113,7 +114,7 @@ def test_by_spaces_tree(run_sentence):
 def test_by_spaces_omits_spaceless_nodes():
     g = Graph()
     g.entity("orphan")
-    assert render_by_spaces(g) == ""
+    assert render_by_spaces(InferenceResult(g, 0)) == ""
 
 
 def test_by_spaces_taxes_eight_lines(run_sentence):
@@ -273,7 +274,9 @@ def graph_from_json(sentence: dict) -> Graph:
         }
         t = obj["type"]
         if t in (ANIM, THING):
-            node = g.entity(obj["name"], thing=t == THING)
+            if t == THING:
+                g.things.add(obj["name"])
+            node = g.entity(obj["name"])
         elif t == GFBF:
             effect = "goodFor" if "goodFor" in children else "badFor"
             node = g.gfbf(children["agent"], effect, children["object"], anchor=obj["anchor"])

@@ -71,7 +71,7 @@ def belief_variant(steps):
 def reference_index(g):
     """(spaces, memberships) from walking every root, as the index once did."""
     # Roots only grow, and attach_role2 is the one change to an existing node.
-    version = (len(g.roots), sum(n.role2 is not None for n in g.nodes_by_type.get("gfbf", ())))
+    version = (len(g.roots), sum(n.node_type == GFBF and n.role2 is not None for n in g.nodes))
     cached = getattr(g, "_reference_index", None)
     if cached is not None and cached[0] == version:
         return cached[1]
@@ -250,20 +250,6 @@ def test_incremental_index_matches_scans_on_deep_documents(lexicon, checked_engi
     assert checked_engine["contradiction_checks"] > 1000
 
 
-def test_dropping_the_index_inside_the_fixpoint_raises(lexicon, monkeypatch):
-    """The input stamps read the index fetched when the run starts, so a
-    fire that drops it stops the run rather than letting stamps go stale."""
-    fire = rules.fire
-
-    def dropping_fire(rule, binding, g, *args, **kwargs):
-        g._space_index = None
-        return fire(rule, binding, g, *args, **kwargs)
-
-    monkeypatch.setattr(rules, "fire", dropping_fire)
-    with pytest.raises(RuntimeError, match="space index was dropped"):
-        process_document(parse_document(BOTH_CLASHES_DOCUMENT), lexicon, Config())
-
-
 @pytest.mark.parametrize("extended", [False, True], ids=["default", "extended"])
 def test_each_space_stores_its_kind(lexicon, corpus_files, extended):
     """The kind a space stores when the index creates it, read on every fire,
@@ -289,16 +275,19 @@ def test_each_space_stores_its_kind(lexicon, corpus_files, extended):
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_attach_role2_forces_a_rebuild():
+def test_attach_role2_after_the_index_is_built_raises():
+    """The index is never rebuilt, so a second role attached once it exists
+    would be missing from the event's spaces; the graph refuses it."""
     g = Graph()
     event = g.gfbf(g.entity("a"), "badFor", g.entity("b"))
     g.add_root(g.private_state("writer", "sentiment", "negative", event))
-    before = space_index(g)
+    index = space_index(g)
     derived = g.gfbf(g.entity("c"), "goodFor", g.entity("b"))
-    g.attach_role2(event, derived)
-    after = space_index(g)
-    assert after is not before
-    assert derived.node_id in after.spaces[(("writer", "sentiment", "negative"),)].members
+    old_key = event.key
+    with pytest.raises(InvariantViolation, match="after the space index was built"):
+        g.attach_role2(event, derived)
+    assert event.role2 is None and g.lookup(old_key) is event
+    assert space_index(g) is index
     assert_index_matches_reference(g)
 
 

@@ -19,7 +19,8 @@ def named_ps(source, att_type, polarity, target, **kwargs):
 def chain_graph():
     """writer +B (mother -S (tree badFor boy)) plus writer +B-substantial event."""
     g = Graph()
-    tree = g.entity("the tree", thing=True)
+    g.things.add("the tree")
+    tree = g.entity("the tree")
     boy = g.entity("the boy")
     event = g.gfbf(tree, "badFor", boy)
     inner = g.private_state("mother", "sentiment", "negative", event)
@@ -140,7 +141,7 @@ def test_extension_requires_common_space():
 def test_fire_without_a_common_space_logs_nothing():
     g, e1, e2 = no_common_space_graph()
     q = named_ps("writer", "sentiment", "positive", e1)
-    event = fire(RULES["rule1"], Binding("rule1", [e1, e2], [], [q]), g, Config())
+    event = fire(RULES["rule1"], Binding("rule1", [e1, e2], [], [q]), g, Config(), {})
     assert event.created == event.existing == () and event.blocks == []
     assert g.trace == []
 
@@ -148,16 +149,19 @@ def test_fire_without_a_common_space_logs_nothing():
 def test_would_contradict_opposite_polarity():
     g, event, inner, root = chain_graph()
     space = (("writer", "believesTrue", "positive"),)
-    clash = would_contradict(space, named_ps("mother", "sentiment", "positive", event), g)
+    clash = would_contradict(space, named_ps("mother", "sentiment", "positive", event), g,
+                             space_index(g))
     assert clash is inner
-    assert would_contradict(space, named_ps("mother", "sentiment", "negative", event), g) is None
+    assert would_contradict(space, named_ps("mother", "sentiment", "negative", event), g,
+                            space_index(g)) is None
 
 
 def test_would_contradict_different_target():
     g, event, inner, root = chain_graph()
     boy = next(n for n in g.nodes if n.name == "the boy")
     space = (("writer", "believesTrue", "positive"),)
-    assert would_contradict(space, named_ps("mother", "sentiment", "negative", boy), g) is None
+    assert would_contradict(space, named_ps("mother", "sentiment", "negative", boy), g,
+                            space_index(g)) is None
 
 
 def test_would_contradict_rightmost_negative_belief():
@@ -166,7 +170,7 @@ def test_would_contradict_rightmost_negative_belief():
     root = g.private_state("writer", "believesTrue", "negative", event, substantial=True)
     g.add_root(root)
     space = (("writer", "believesTrue", "negative"),)
-    assert would_contradict(space, event, g) is root
+    assert would_contradict(space, event, g, space_index(g)) is root
 
 
 def test_belief_variant_replaces_all_sentiments():
