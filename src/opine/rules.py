@@ -5,19 +5,19 @@ when its preconditions hold, every assumption has a basis, and no evidence
 contradicts an assumption or conclusion; space extension then places the
 assumptions and conclusions into every private-state space shared by the
 preconditions.  Rules are applied in a fixed order, repeatedly, until an
-entire pass adds no new node.
+entire pass adds no node and places no node at the writer level.
 
 A matcher returns the bindings of one outer node, building each assumption
 and conclusion as a ``graph.Fact`` over the nodes it matched; firing looks
-the facts up and interns them.  Each rule declares the kind of its outer
-node and of that node's target (``Rule``).  ``match`` runs a matcher over the
-whole graph or over the nodes given, and is the unrouted reference.  The
-fixpoint builds each binding once per run (``run_to_fixpoint``): a router
-files each live node once, when it is added, under its route (node type,
-attitude type, target's node type, target's attitude type; ``_Router``),
-and each rule matches only the new nodes filed under its own route
-(``_Bindings``).  The trace logs a fire only for what is new to its binding
-(``_log``).
+the facts up and interns them.  Each rule declares the route of its outer
+nodes once (``Rule.route``: node type, attitude type, target's node type,
+target's attitude type), and its matcher tests only what a route cannot
+express.  ``match`` runs a matcher over the live nodes of its route, in the
+whole graph or among the nodes given.  The fixpoint builds each binding once
+per run (``run_to_fixpoint``): a router files each live node once, when it
+is added, under its route (``_Router``), and each rule matches only the new
+nodes filed under its own route (``_Bindings``).  The trace logs a fire only
+for what is new to its binding (``_log``).
 """
 
 from __future__ import annotations
@@ -123,29 +123,27 @@ class Binding:
 
 class Rule(Record):
     """A rule's matcher, ``(g, outer) -> the bindings of one outer node``, and
-    the kind of its outer nodes: their node type and, when the rule fixes one,
-    their attitude type; ``target`` is the (node type, attitude type) of the
-    outer's target, or None for an outer with no target.  An outer of another
-    kind has no binding.  A joining rule's ``join`` takes
-    ``(live outer-type nodes, *live partner lists)`` to its outer pairs."""
+    the ``route`` (``_route``) of its outer nodes; the matcher is handed only
+    live nodes of that route.  A joining rule's ``join`` takes
+    ``(live nodes of the route, *live nodes of each partner route)`` to its
+    outer pairs, which the matcher is handed instead."""
 
     __slots__ = ()
-    _fields = ("name", "matcher", "node_type", "att_type", "target", "join")
+    _fields = ("name", "matcher", "route", "join", "partners")
 
-    def __new__(cls, name: str, matcher, node_type: str = PRIVATE_STATE,
-                att_type: str | None = None, target: tuple | None = None, join=None):
-        return tuple.__new__(cls, (name, matcher, node_type, att_type, target, join))
+    def __new__(cls, name: str, matcher, route: tuple, join=None, partners: tuple = ()):
+        return tuple.__new__(cls, (name, matcher, route, join, partners))
 
 
 def _mul(p1: str, p2: str) -> str:
     return polarity_of(sign(p1) * sign(p2))
 
 
-def _live(nodes, att_type=None):
-    """The nodes rules match on: not retired, not over a retired target, and of
-    the attitude type when one is given."""
-    for node in nodes:
-        if node.retired or (att_type is not None and node.att_type != att_type):
+def _live_of_type(g: Graph, node_type: str):
+    """The live nodes of one type, in id order: not retired and not over a
+    retired target."""
+    for node in g.nodes:
+        if node.node_type != node_type or node.retired:
             continue
         target = node.target
         if target is not None and target.retired:
@@ -153,9 +151,18 @@ def _live(nodes, att_type=None):
         yield node
 
 
-def _live_of_type(g: Graph, node_type: str):
-    """The live nodes of one type, in id order."""
-    return _live([node for node in g.nodes if node.node_type == node_type])
+def _route(node: Node) -> tuple | None:
+    """A node's route: (node type, attitude type, target's node type, target's
+    attitude type), the last two None for a node with no target; None for a
+    retired node or one over a retired target, which no rule matches."""
+    if node.retired:
+        return None
+    target = node.target
+    if target is None:
+        return (node.node_type, node.att_type, None, None)
+    if target.retired:
+        return None
+    return (node.node_type, node.att_type, target.node_type, target.att_type)
 
 
 # -- matchers ---------------------------------------------------------------
@@ -165,17 +172,15 @@ def _live_of_type(g: Graph, node_type: str):
 def _rule8_pairs(beliefs, *sentiments):
     """Each positive belief in an event, paired with every sentiment of its
     source toward the event's object, in nested-loop order: a hash join on
-    (source, object).  Each argument is a list of live private states in id
-    order; only the beliefs and the sentiments among them take part."""
-    beliefs = [b for b in beliefs if b.att_type == BELIEVES_TRUE and b.polarity == POSITIVE
-               and b.target.node_type == GFBF]
+    (source, object).  The arguments are the live beliefs in events and the
+    live sentiments toward each kind of entity, each list in id order."""
+    beliefs = [b for b in beliefs if b.polarity == POSITIVE]
     if not beliefs:
         return []
     by_key: dict[tuple[Node, Node], list[Node]] = {}
     for group in sentiments:
         for sent in group:
-            if sent.att_type == SENTIMENT:
-                by_key.setdefault((sent.source, sent.target), []).append(sent)
+            by_key.setdefault((sent.source, sent.target), []).append(sent)
     return [(belief, sent) for belief in beliefs
             for sent in by_key.get((belief.source, belief.target.object), ())]
 
@@ -194,17 +199,14 @@ def _match_rule8(g: Graph, pair):
 
 def _match_rule1(g: Graph, sent: Node):
     event = sent.target
-    if event.node_type != GFBF:
-        return []
     q = ps_fact(sent.source, SENTIMENT, sent.polarity, idea_of_fact(event))
     return [Binding("rule1", [sent], [], [q])]
 
 
 def _match_rule2(g: Graph, sent: Node):
-    idea = sent.target
-    if idea.node_type != IDEA_OF or idea.idea_object.retired:
+    event = sent.target.idea_object
+    if event.retired:
         return []
-    event = idea.idea_object
     q = ps_fact(
         sent.source,
         SENTIMENT,
@@ -216,8 +218,6 @@ def _match_rule2(g: Graph, sent: Node):
 
 def _match_rule31(g: Graph, outer: Node):
     inner = outer.target
-    if inner.node_type != PRIVATE_STATE or inner.att_type != SENTIMENT:
-        return []
     z = inner.target
     if z.retired or z.node_type not in _JUDGEABLE + (GFBF,):
         return []
@@ -236,11 +236,7 @@ def _match_rule31(g: Graph, outer: Node):
 
 def _match_rule32(g: Graph, outer: Node):
     inner = outer.target
-    if (
-        inner.node_type != PRIVATE_STATE
-        or inner.att_type != BELIEVES_TRUE
-        or inner.property != SUBSTANTIAL
-    ):
+    if inner.property != SUBSTANTIAL:
         return []
     z = inner.target
     if z.retired:
@@ -256,8 +252,6 @@ def _match_rule32(g: Graph, outer: Node):
 
 def _match_rule33(g: Graph, outer: Node):
     inner = outer.target
-    if inner.node_type != PRIVATE_STATE or inner.att_type != BELIEVES_SHOULD:
-        return []
     z = inner.target
     if z.retired:
         return []
@@ -285,7 +279,7 @@ def _match_rule7(g: Graph, intend: Node):
     if intend.polarity != POSITIVE:
         return []
     event = intend.target
-    if event.node_type != GFBF or intend.source is not event.agent:
+    if intend.source is not event.agent:
         return []
     q = ps_fact(intend.source, SENTIMENT, POSITIVE, idea_of_fact(event))
     return [Binding("rule7", [intend], [], [q])]
@@ -293,7 +287,7 @@ def _match_rule7(g: Graph, intend: Node):
 
 def _match_rule9(g: Graph, sent: Node):
     event = sent.target
-    if event.node_type != GFBF or event.agent.node_type != THING:
+    if event.agent.node_type != THING:
         return []
     assumption = ps_fact(sent.source, BELIEVES_TRUE, POSITIVE, event, substantial=True)
     q = ps_fact(sent.source, SENTIMENT, sent.polarity, event.agent)
@@ -312,7 +306,7 @@ def _match_rule10(g: Graph, event: Node):
 
 def _match_rule5source(g: Graph, outer: Node):
     holder = outer.target
-    if not outer.from_input or holder.node_type != ANIM:
+    if not outer.from_input:
         return []
     bindings = []
     for inner in _live_of_type(g, PRIVATE_STATE):
@@ -328,7 +322,7 @@ def _match_rule5source(g: Graph, outer: Node):
 
 def _match_rule5agent(g: Graph, outer: Node):
     agent = outer.target
-    if not outer.from_input or agent.node_type != ANIM:
+    if not outer.from_input:
         return []
     bindings = []
     for event in _live_of_type(g, GFBF):
@@ -340,42 +334,42 @@ def _match_rule5agent(g: Graph, outer: Node):
 
 
 RULES: dict[str, Rule] = {
-    "rule8": Rule("rule8", _match_rule8, att_type=BELIEVES_TRUE, target=(GFBF, None),
-                  join=_rule8_pairs),
-    "rule1": Rule("rule1", _match_rule1, att_type=SENTIMENT, target=(GFBF, None)),
-    "rule2": Rule("rule2", _match_rule2, att_type=SENTIMENT, target=(IDEA_OF, None)),
-    "rule3.1": Rule("rule3.1", _match_rule31, att_type=SENTIMENT,
-                    target=(PRIVATE_STATE, SENTIMENT)),
-    "rule3.2": Rule("rule3.2", _match_rule32, att_type=SENTIMENT,
-                    target=(PRIVATE_STATE, BELIEVES_TRUE)),
-    "rule3.3": Rule("rule3.3", _match_rule33, att_type=SENTIMENT,
-                    target=(PRIVATE_STATE, BELIEVES_SHOULD)),
-    "rule4": Rule("rule4", _match_rule4, node_type=AGREEMENT, target=(P_X, None)),
-    "rule6": Rule("rule6", _match_rule6, node_type=GFBF),
-    "rule7": Rule("rule7", _match_rule7, att_type=INTENDS, target=(GFBF, None)),
-    "rule9": Rule("rule9", _match_rule9, att_type=SENTIMENT, target=(GFBF, None)),
-    "rule10": Rule("rule10", _match_rule10, node_type=GFBF),
-    "rule5source": Rule("rule5source", _match_rule5source, att_type=SENTIMENT,
-                        target=(ANIM, None)),
-    "rule5agent": Rule("rule5agent", _match_rule5agent, att_type=SENTIMENT,
-                       target=(ANIM, None)),
+    # rule8 pairs a belief in an event with a sentiment toward its object,
+    # which is an entity of either kind.
+    "rule8": Rule("rule8", _match_rule8, (PRIVATE_STATE, BELIEVES_TRUE, GFBF, None),
+                  join=_rule8_pairs,
+                  partners=((PRIVATE_STATE, SENTIMENT, ANIM, None),
+                            (PRIVATE_STATE, SENTIMENT, THING, None))),
+    "rule1": Rule("rule1", _match_rule1, (PRIVATE_STATE, SENTIMENT, GFBF, None)),
+    "rule2": Rule("rule2", _match_rule2, (PRIVATE_STATE, SENTIMENT, IDEA_OF, None)),
+    "rule3.1": Rule("rule3.1", _match_rule31,
+                    (PRIVATE_STATE, SENTIMENT, PRIVATE_STATE, SENTIMENT)),
+    "rule3.2": Rule("rule3.2", _match_rule32,
+                    (PRIVATE_STATE, SENTIMENT, PRIVATE_STATE, BELIEVES_TRUE)),
+    "rule3.3": Rule("rule3.3", _match_rule33,
+                    (PRIVATE_STATE, SENTIMENT, PRIVATE_STATE, BELIEVES_SHOULD)),
+    "rule4": Rule("rule4", _match_rule4, (AGREEMENT, None, P_X, None)),
+    "rule6": Rule("rule6", _match_rule6, (GFBF, None, None, None)),
+    "rule7": Rule("rule7", _match_rule7, (PRIVATE_STATE, INTENDS, GFBF, None)),
+    "rule9": Rule("rule9", _match_rule9, (PRIVATE_STATE, SENTIMENT, GFBF, None)),
+    "rule10": Rule("rule10", _match_rule10, (GFBF, None, None, None)),
+    "rule5source": Rule("rule5source", _match_rule5source,
+                        (PRIVATE_STATE, SENTIMENT, ANIM, None)),
+    "rule5agent": Rule("rule5agent", _match_rule5agent,
+                       (PRIVATE_STATE, SENTIMENT, ANIM, None)),
 }
-
-# The routes of the sentiments rule8 can pair: a gfbf's object is an entity.
-_RULE8_SENTIMENTS = ((PRIVATE_STATE, SENTIMENT, ANIM, None),
-                     (PRIVATE_STATE, SENTIMENT, THING, None))
 
 
 def match(rule: Rule, g: Graph, nodes=None) -> list[Binding]:
-    """Every binding of a rule, outer node by outer node, from the given nodes
-    of its type (by default every one in the graph), whatever their route."""
+    """Every binding of a rule, outer node by outer node, from the live nodes
+    of its route among the given nodes (by default every one in the graph); a
+    joining rule pairs them with the live nodes of its partner routes there."""
     if nodes is None:
-        nodes = [node for node in g.nodes if node.node_type == rule.node_type]
-    if rule.join is None:
-        outers = _live(nodes, rule.att_type)
-    else:
-        live = list(_live(nodes))
-        outers = rule.join(live, live)
+        nodes = g.nodes
+    outers = [node for node in nodes if _route(node) == rule.route]
+    if rule.join is not None:
+        outers = rule.join(outers, *[[node for node in nodes if _route(node) == route]
+                                     for route in rule.partners])
     return [b for outer in outers for b in rule.matcher(g, outer)]
 
 
@@ -541,10 +535,8 @@ def _input_stamp(memberships: dict, writer_level: set[Node], ps: list[Node]) -> 
 
 class _Router:
     """One fixpoint run's live nodes, each filed once, in id order, under its
-    route: (node type, attitude type, target's node type, target's attitude
-    type), the last two None for a node with no target.  A retired node, or
-    one over a retired target, is skipped in the filing loop itself.  Inside
-    the fixpoint no node is retired, so a node filed live stays live."""
+    route (``_route``); a node with no route is not filed.  Inside the
+    fixpoint no node is retired, so a node filed live stays live."""
 
     __slots__ = ("g", "filed", "seen")
 
@@ -559,15 +551,9 @@ class _Router:
         if len(nodes) != self.seen:
             filed = self.filed
             for node in nodes[self.seen:]:
-                if node.retired:
+                route = _route(node)
+                if route is None:
                     continue
-                target = node.target
-                if target is None:
-                    route = (node.node_type, node.att_type, None, None)
-                elif target.retired:
-                    continue
-                else:
-                    route = (node.node_type, node.att_type, target.node_type, target.att_type)
                 group = filed.get(route)
                 if group is None:
                     filed[route] = [node]
@@ -583,19 +569,18 @@ class _Bindings:
     Inside the fixpoint no node is retired, ``from_input`` and the layout do
     not move, and no gfbf is created, so the bindings of an outer node depend
     on that node alone.  ``current`` matches (``match``) only the nodes filed
-    under the rule's route (``_Router``) since its last call and appends
-    their bindings; a node of another route has none.  A route's nodes are
-    filed in id order, as the graph lists them, so the bindings stay in the
-    order ``match`` gives on the whole graph.  A joining rule (rule8) pairs its filed beliefs with the filed
-    sentiments over an entity, two growing lists, so it is joined again on
-    every call that follows an addition to either, each pair reusing the
-    bindings built for it.  With nothing new filed for the rule, either kind
-    returns its last list.
+    under ``rule.route`` (``_Router``) since its last call and appends their
+    bindings.  A route's nodes are filed in id order, as the graph lists
+    them, so the bindings stay in the order ``match`` gives on the whole
+    graph.  A joining rule (rule8) pairs the nodes filed under its route with
+    those filed under its partner routes, growing lists, so it is joined
+    again on every call that follows an addition to any of them, each pair
+    reusing the bindings built for it.  With nothing new filed for the rule,
+    either kind returns its last list.
     """
 
     def __init__(self, rule: Rule):
         self.rule = rule
-        self.route = (rule.node_type, rule.att_type, *(rule.target or (None, None)))
         self.bindings: list[Binding] = []
         self.matched = 0  # filed nodes matched so far; a joining rule's list sizes
         self.by_pair: dict[tuple, list[Binding]] = {}
@@ -603,9 +588,9 @@ class _Bindings:
     def current(self, router: _Router) -> list[Binding]:
         rule = self.rule
         filed = router.update()
-        nodes = filed.get(self.route, ())
+        nodes = filed.get(rule.route, ())
         if rule.join is not None:
-            sentiments = [filed.get(route, ()) for route in _RULE8_SENTIMENTS]
+            sentiments = [filed.get(route, ()) for route in rule.partners]
             sizes = (len(nodes), *[len(group) for group in sentiments])
             if sizes == self.matched:
                 return self.bindings
@@ -624,7 +609,11 @@ class _Bindings:
 
 
 def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
-    """Apply the rules in order, pass after pass, until a pass adds no node.
+    """Apply the rules in order, pass after pass, until a pass adds no node
+    and places no node at the writer level.  A pass that only makes existing
+    nodes roots or top-level facts changes the input stamps of the bindings
+    over them; inside the fixpoint both only grow, and memberships grow only
+    with roots, so the size of ``g.writer_level`` tells.
 
     At each rule's turn the loop walks the bindings ``match`` would return,
     in its order, but builds each binding once per run, from the nodes
@@ -657,7 +646,7 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
     iterations = 0
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
-        before = len(g.nodes)
+        before = (len(g.nodes), len(writer_level))
         for rule in rules:
             for binding in matched[rule.name].current(router):
                 stamp = _input_stamp(memberships, writer_level, binding.ps)
@@ -668,7 +657,7 @@ def run_to_fixpoint(g: Graph, cfg: Config | None = None) -> InferenceResult:
                 binding.stamp = None if unsettled else stamp
         if cfg.extended_belief_spaces:
             _expected_space_closure(g)
-        if len(g.nodes) == before:
+        if before == (len(g.nodes), len(writer_level)):
             break
     else:
         raise IterationLimitExceeded(
@@ -684,10 +673,11 @@ def _expected_space_closure(g: Graph) -> None:
 
     A call visits every member once, in one pass.  A member its own
     placements add waits for the next call, which ``run_to_fixpoint`` makes
-    after any pass that creates a node.  A member the index already holds as
-    placed in the variant (``SpaceIndex.placed_top``) is skipped before its
-    check, as placing it would create nothing; inside the fixpoint clash
-    tables only grow, so a member blocked once stays blocked.
+    after any pass that creates a node or a writer-level fact.  A member the
+    index already holds as placed in the variant (``SpaceIndex.placed_top``)
+    is skipped before its check, as placing it would create nothing; inside
+    the fixpoint clash tables only grow, so a member blocked once stays
+    blocked.
 
     Unlike a fire, the closure also places into the variant of a space whose
     steps hold a negative believesTrue, and such a variant keeps that step:

@@ -10,13 +10,15 @@ directory, and the test runs write no bytecode and no pytest cache.
 
     python tests/mutants.py            # every mutant; writes MUTANTS.json
     python tests/mutants.py NAME ...   # the named mutants only; writes nothing
-    python tests/mutants.py --check    # every old text still matches; runs no test
+    python tests/mutants.py --check    # the texts and the table still match; runs no test
 
 A mutant whose old text no longer matches once is stale: ``--check`` and a
-full run report it and exit 1; it is never skipped.  A full run first runs
-every file on an unmutated copy, and stops if one fails there.  The tests
-run under ``PYTHONHASHSEED=0``.  Standard library only; pytest must be
-importable by the interpreter that runs this file.
+full run report it and exit 1; it is never skipped.  ``--check`` also exits
+1 when MUTANTS.json lists other mutants (names and files, in order) than
+``MUTANTS``, so a table left stale by an edit to the list fails too.  A full
+run first runs every file on an unmutated copy, and stops if one fails
+there.  The tests run under ``PYTHONHASHSEED=0``.  Standard library only;
+pytest must be importable by the interpreter that runs this file.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ Mutant = namedtuple("Mutant", "name file old new why note", defaults=("",))
 
 
 MUTANTS = [
-    # -- the fixpoint's input stamp and settled bindings ---------------------
+    # -- the fixpoint's stop test, input stamp and settled bindings ----------
     Mutant("constant-stamp", "rules.py",
            "        stamp += len(memberships.get(p.node_id, ())) + (p in writer_level)\n"
            "    return stamp\n",
@@ -103,6 +105,11 @@ MUTANTS = [
            '_UNSETTLED_CAUSES = ("space-contradiction", "no-assumption-basis")\n',
            '_UNSETTLED_CAUSES = ("no-assumption-basis",)\n',
            "a space-contradiction block settles the binding"),
+    Mutant("fixpoint-stops-on-node-count", "rules.py",
+           "        if before == (len(g.nodes), len(writer_level)):\n",
+           "        if before[0] == len(g.nodes):\n",
+           "the fixpoint stops after a pass that creates no node, though it made an"
+           " existing node writer-level"),
     # -- the binding cache (_Bindings) ----------------------------------------
     Mutant("bindings-rebuilt-on-growth", "rules.py",
            "            self.bindings += match(rule, router.g, nodes[self.matched:])\n",
@@ -124,18 +131,23 @@ MUTANTS = [
            "            sizes = (len(nodes), *[len(group) for group in sentiments])\n",
            "            sizes = (len(nodes),)\n",
            "rule8 is matched again only when believesTrue nodes are added"),
-    # -- routing (_Router, Rule.target) ----------------------------------------
+    # -- routing (Rule.route, _route, _Router) ---------------------------------
     Mutant("rule-routed-by-wrong-target", "rules.py",
-           '    "rule2": Rule("rule2", _match_rule2, att_type=SENTIMENT, target=(IDEA_OF, None)),\n',
-           '    "rule2": Rule("rule2", _match_rule2, att_type=SENTIMENT, target=(GFBF, None)),\n',
-           "rule2 is declared over a gfbf, so the fixpoint hands it no sentiment over an"
-           " ideaOf"),
+           '    "rule2": Rule("rule2", _match_rule2, (PRIVATE_STATE, SENTIMENT, IDEA_OF, None)),\n',
+           '    "rule2": Rule("rule2", _match_rule2, (PRIVATE_STATE, SENTIMENT, GFBF, None)),\n',
+           "rule2 is routed over a gfbf, so it is handed no sentiment over an ideaOf and"
+           " every sentiment over an event"),
     Mutant("rule8-join-skips-thing-objects", "rules.py",
-           "_RULE8_SENTIMENTS = ((PRIVATE_STATE, SENTIMENT, ANIM, None),\n"
-           "                     (PRIVATE_STATE, SENTIMENT, THING, None))\n",
-           "_RULE8_SENTIMENTS = ((PRIVATE_STATE, SENTIMENT, ANIM, None),)\n",
-           "the fixpoint's rule8 join gets no sentiment toward a :thing, so a gfbf whose"
-           " object is one pairs with nothing"),
+           "                  partners=((PRIVATE_STATE, SENTIMENT, ANIM, None),\n"
+           "                            (PRIVATE_STATE, SENTIMENT, THING, None))),\n",
+           "                  partners=((PRIVATE_STATE, SENTIMENT, ANIM, None),)),\n",
+           "rule8's join gets no sentiment toward a :thing, so a gfbf whose object is one"
+           " pairs with nothing"),
+    Mutant("rule7-routed-over-sentiments", "rules.py",
+           '    "rule7": Rule("rule7", _match_rule7, (PRIVATE_STATE, INTENDS, GFBF, None)),\n',
+           '    "rule7": Rule("rule7", _match_rule7, (PRIVATE_STATE, SENTIMENT, GFBF, None)),\n',
+           "rule7 is handed an agent's positive sentiments toward its events, which its"
+           " matcher no longer tells from intentions"),
     # -- rule5: every input attitude and event ---------------------------------
     Mutant("rule5source-first-attitude-only", "rules.py",
            "        bindings.append(Binding(\"rule5source\", [outer], [assumption], [q]))\n"
@@ -388,6 +400,21 @@ def stale(mutants) -> list[tuple[str, int]]:
     return [(name, n) for name, n in counts if n != 1]
 
 
+def table_drift() -> list[str]:
+    """How the mutants MUTANTS.json lists, as (name, file) in order, differ
+    from ``MUTANTS``: a line per difference, none when they agree."""
+    table = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {}
+    listed = [(row["name"], row["file"]) for row in table.get("mutants", [])]
+    ours = [(m.name, m.file) for m in MUTANTS]
+    if listed == ours:
+        return []
+    lines = [f"  only in {TABLE.name}: {name} ({file})" for name, file in listed
+             if (name, file) not in ours]
+    lines += [f"  not in {TABLE.name}: {name} ({file})" for name, file in ours
+              if (name, file) not in listed]
+    return lines or ["  the same mutants in another order"]
+
+
 def copy_src(mutant: Mutant | None, tmp: str) -> str:
     """A copy of src/ in tmp with the mutant applied; the copy's path."""
     src = os.path.join(tmp, "src")
@@ -447,7 +474,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="run only these mutants; write nothing")
     parser.add_argument("--check", action="store_true",
-                        help="check that every old text matches once; run no test")
+                        help="check that every old text matches once and that"
+                        f" {TABLE.name} lists every mutant; run no test")
     args = parser.parse_args(argv)
 
     unknown = sorted(set(args.names) - {m.name for m in MUTANTS})
@@ -460,7 +488,12 @@ def main(argv=None) -> int:
     if stale_mutants:
         return 1
     if args.check:
-        print(f"{len(chosen)} mutants, each old text matches once")
+        drift = table_drift()
+        if drift:
+            print(f"{TABLE.name} lists other mutants; rerun python tests/mutants.py:")
+            print("\n".join(drift))
+            return 1
+        print(f"{len(chosen)} mutants, each old text matches once, as {TABLE.name} lists")
         return 0
 
     files = test_files()

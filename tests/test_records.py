@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from opine.annotations import AnnotationLine, EntityRef, GfbfEntry
-from opine.graph import PRIVATE_STATE, BlockReport, Fact
+from opine.graph import BlockReport, Fact
 from opine.rules import DEFAULT_RULE_ORDER, Config, InferenceResult, Rule
 
 
@@ -65,10 +65,9 @@ class Reference:
     class Rule(NamedTuple):
         name: str
         matcher: Callable
-        node_type: str = PRIVATE_STATE
-        att_type: str | None = None
-        target: tuple | None = None
+        route: tuple
         join: Callable | None = None
+        partners: tuple = ()
 
     class InferenceResult(NamedTuple):
         graph: object
@@ -85,7 +84,8 @@ ARGS = {
            ("writer", "E1")),
     BlockReport: ("rule1", (4, 7), "evidence", "line 3", (("writer", "sentiment", "negative"),)),
     Config: (("rule1", "rule2"), True, 7),
-    Rule: ("rule8", len, "privateState", "believesTrue", ("gfbf", None), max),
+    Rule: ("rule8", len, ("privateState", "believesTrue", "gfbf", None), max,
+           (("privateState", "sentiment", "anim", None),)),
     InferenceResult: ("graph", 2),
 }
 RECORDS = list(ARGS)
