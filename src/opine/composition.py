@@ -84,7 +84,7 @@ def resolve_chains(g: Graph) -> None:
             if holder.node_id in g.input_lines:
                 g.input_lines.setdefault(counterpart.node_id, g.input_lines[holder.node_id])
             mapping[holder] = counterpart
-            if holder in g.roots:
+            if holder in g.writer_level:
                 g.add_root(counterpart)
 
         for node in links:

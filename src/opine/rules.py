@@ -11,13 +11,15 @@ A matcher returns the bindings of one outer node, building each assumption
 and conclusion as a ``graph.Fact`` over the nodes it matched; firing looks
 the facts up and interns them.  Each rule declares the route of its outer
 nodes once (``Rule.route``: node type, attitude type, target's node type,
-target's attitude type), and its matcher tests only what a route cannot
-express.  ``match`` runs a matcher over the live nodes of its route, in the
-whole graph or among the nodes given.  The fixpoint builds each binding once
-per run (``run_to_fixpoint``): a router files each live node once, when it
-is added, under its route (``_Router``), and each rule matches only the new
-nodes filed under its own route (``_Bindings``).  The trace logs a fire only
-for what is new to its binding (``_log``).
+target's attitude type, and True for input nodes alone), and its matcher
+tests only what a route cannot express.  A router (``_Router``) is the one
+route filter: it files each live node once, when it is added, under its
+route.  ``match`` is the one place a matcher runs: on the outers it is
+handed, or on every outer a fresh router files from the whole graph.  The
+fixpoint builds each binding once per run (``run_to_fixpoint``): each rule
+hands ``match`` only the new nodes filed under its own route, or the new
+pairs of its join (``_Bindings``).  The trace logs a fire only for what is
+new to its binding (``_log``).
 """
 
 from __future__ import annotations
@@ -123,10 +125,12 @@ class Binding:
 
 class Rule(Record):
     """A rule's matcher, ``(g, outer) -> the bindings of one outer node``, and
-    the ``route`` (``_route``) of its outer nodes; the matcher is handed only
-    live nodes of that route.  A joining rule's ``join`` takes
-    ``(live nodes of the route, *live nodes of each partner route)`` to its
-    outer pairs, which the matcher is handed instead."""
+    the ``route`` of its outer nodes, under which ``_Router`` files them: a
+    node's ``_route``, plus True for a rule that binds input nodes alone.
+    The matcher is handed only nodes filed there, by ``match``.  A joining
+    rule's ``join`` takes ``(nodes filed under the route, *nodes filed under
+    each partner route)`` to its outer pairs, which the matcher is handed
+    instead; it returns exactly one binding per pair."""
 
     __slots__ = ()
     _fields = ("name", "matcher", "route", "join", "partners")
@@ -140,21 +144,17 @@ def _mul(p1: str, p2: str) -> str:
 
 
 def _live_of_type(g: Graph, node_type: str):
-    """The live nodes of one type, in id order: not retired and not over a
-    retired target."""
+    """The live nodes of one type, in id order: those with a route."""
     for node in g.nodes:
-        if node.node_type != node_type or node.retired:
-            continue
-        target = node.target
-        if target is not None and target.retired:
-            continue
-        yield node
+        if node.node_type == node_type and _route(node) is not None:
+            yield node
 
 
 def _route(node: Node) -> tuple | None:
     """A node's route: (node type, attitude type, target's node type, target's
     attitude type), the last two None for a node with no target; None for a
-    retired node or one over a retired target, which no rule matches."""
+    retired node or one over a retired target, which is not live: no rule
+    matches it, and no assumption basis or rule5 partner is read from it."""
     if node.retired:
         return None
     target = node.target
@@ -306,8 +306,6 @@ def _match_rule10(g: Graph, event: Node):
 
 def _match_rule5source(g: Graph, outer: Node):
     holder = outer.target
-    if not outer.from_input:
-        return []
     bindings = []
     for inner in _live_of_type(g, PRIVATE_STATE):
         if not inner.from_input or inner is outer:
@@ -322,8 +320,6 @@ def _match_rule5source(g: Graph, outer: Node):
 
 def _match_rule5agent(g: Graph, outer: Node):
     agent = outer.target
-    if not outer.from_input:
-        return []
     bindings = []
     for event in _live_of_type(g, GFBF):
         if event.agent is not agent:
@@ -353,23 +349,24 @@ RULES: dict[str, Rule] = {
     "rule7": Rule("rule7", _match_rule7, (PRIVATE_STATE, INTENDS, GFBF, None)),
     "rule9": Rule("rule9", _match_rule9, (PRIVATE_STATE, SENTIMENT, GFBF, None)),
     "rule10": Rule("rule10", _match_rule10, (GFBF, None, None, None)),
+    # rule5 binds input lines alone: its route ends in True (``_Router``).
     "rule5source": Rule("rule5source", _match_rule5source,
-                        (PRIVATE_STATE, SENTIMENT, ANIM, None)),
+                        (PRIVATE_STATE, SENTIMENT, ANIM, None, True)),
     "rule5agent": Rule("rule5agent", _match_rule5agent,
-                       (PRIVATE_STATE, SENTIMENT, ANIM, None)),
+                       (PRIVATE_STATE, SENTIMENT, ANIM, None, True)),
 }
 
 
-def match(rule: Rule, g: Graph, nodes=None) -> list[Binding]:
-    """Every binding of a rule, outer node by outer node, from the live nodes
-    of its route among the given nodes (by default every one in the graph); a
-    joining rule pairs them with the live nodes of its partner routes there."""
-    if nodes is None:
-        nodes = g.nodes
-    outers = [node for node in nodes if _route(node) == rule.route]
-    if rule.join is not None:
-        outers = rule.join(outers, *[[node for node in nodes if _route(node) == route]
-                                     for route in rule.partners])
+def match(rule: Rule, g: Graph, outers=None) -> list[Binding]:
+    """The bindings of the given outers, outer by outer: nodes filed under
+    the rule's route, or a joining rule's pairs, taken as they are.  With
+    none given, every outer in the graph: a fresh ``_Router`` files the whole
+    graph, and a joining rule joins its routes there."""
+    if outers is None:
+        filed = _Router(g).update()
+        outers = filed.get(rule.route, ())
+        if rule.join is not None:
+            outers = rule.join(outers, *[filed.get(route, ()) for route in rule.partners])
     return [b for outer in outers for b in rule.matcher(g, outer)]
 
 
@@ -534,9 +531,11 @@ def _input_stamp(memberships: dict, writer_level: set[Node], ps: list[Node]) -> 
 
 
 class _Router:
-    """One fixpoint run's live nodes, each filed once, in id order, under its
-    route (``_route``); a node with no route is not filed.  Inside the
-    fixpoint no node is retired, so a node filed live stays live."""
+    """A graph's live nodes, each filed once, in id order, under its route
+    (``_route``), and an input node (``from_input``) under its route plus
+    True too; a node with no route is not filed.  Inside the fixpoint no node
+    is retired and ``from_input`` does not move (only ``build_input_graph``
+    and composition set it), so a filed node stays where it was filed."""
 
     __slots__ = ("g", "filed", "seen")
 
@@ -554,54 +553,54 @@ class _Router:
                 route = _route(node)
                 if route is None:
                     continue
-                group = filed.get(route)
-                if group is None:
-                    filed[route] = [node]
-                else:
-                    group.append(node)
+                for key in (route, route + (True,)) if node.from_input else (route,):
+                    group = filed.get(key)
+                    if group is None:
+                        filed[key] = [node]
+                    else:
+                        group.append(node)
             self.seen = len(nodes)
         return self.filed
 
 
 class _Bindings:
-    """One rule's bindings over one fixpoint run, each built once.
+    """One rule's bindings over one fixpoint run, each built once, by
+    ``match``.
 
     Inside the fixpoint no node is retired, ``from_input`` and the layout do
     not move, and no gfbf is created, so the bindings of an outer node depend
-    on that node alone.  ``current`` matches (``match``) only the nodes filed
+    on that node alone.  ``current`` hands ``match`` only the nodes filed
     under ``rule.route`` (``_Router``) since its last call and appends their
     bindings.  A route's nodes are filed in id order, as the graph lists
     them, so the bindings stay in the order ``match`` gives on the whole
     graph.  A joining rule (rule8) pairs the nodes filed under its route with
     those filed under its partner routes, growing lists, so it is joined
-    again on every call that follows an addition to any of them, each pair
-    reusing the bindings built for it.  With nothing new filed for the rule,
-    either kind returns its last list.
+    again on every call that follows an addition to any of them; ``match``
+    is handed only the pairs not met before, and ``by_pair`` keeps each
+    pair's one binding, so a pair is met again as the same binding.  With
+    nothing new filed for the rule, either kind returns its last list.
     """
 
     def __init__(self, rule: Rule):
         self.rule = rule
         self.bindings: list[Binding] = []
         self.matched = 0  # filed nodes matched so far; a joining rule's list sizes
-        self.by_pair: dict[tuple, list[Binding]] = {}
+        self.by_pair: dict[tuple, Binding] = {}
 
     def current(self, router: _Router) -> list[Binding]:
         rule = self.rule
         filed = router.update()
         nodes = filed.get(rule.route, ())
         if rule.join is not None:
-            sentiments = [filed.get(route, ()) for route in rule.partners]
-            sizes = (len(nodes), *[len(group) for group in sentiments])
-            if sizes == self.matched:
-                return self.bindings
-            bindings = []
-            for pair in rule.join(nodes, *sentiments):
-                built = self.by_pair.get(pair)
-                if built is None:
-                    built = self.by_pair[pair] = rule.matcher(router.g, pair)
-                bindings += built
-            self.bindings = bindings
-            self.matched = sizes
+            partners = [filed.get(route, ()) for route in rule.partners]
+            sizes = (len(nodes), *[len(group) for group in partners])
+            if sizes != self.matched:
+                pairs = rule.join(nodes, *partners)
+                by_pair = self.by_pair
+                new = [pair for pair in pairs if pair not in by_pair]
+                by_pair.update(zip(new, match(rule, router.g, new)))
+                self.bindings = [by_pair[pair] for pair in pairs]
+                self.matched = sizes
         elif len(nodes) != self.matched:
             self.bindings += match(rule, router.g, nodes[self.matched:])
             self.matched = len(nodes)

@@ -121,16 +121,26 @@ MUTANTS = [
            "            self.bindings += match(rule, router.g, nodes[self.matched:][::-1])\n",
            "the nodes a pass added are matched last first"),
     Mutant("rule8-matched-by-cursor", "rules.py",
-           "            bindings = []\n"
-           "            for pair in rule.join(nodes, *sentiments):\n",
-           "            bindings = self.bindings\n"
-           "            for pair in rule.join(nodes[self.matched and self.matched[0]:],"
-           " *sentiments):\n",
+           "                pairs = rule.join(nodes, *partners)\n"
+           "                by_pair = self.by_pair\n"
+           "                new = [pair for pair in pairs if pair not in by_pair]\n"
+           "                by_pair.update(zip(new, match(rule, router.g, new)))\n"
+           "                self.bindings = [by_pair[pair] for pair in pairs]\n",
+           "                pairs = rule.join(nodes[self.matched and self.matched[0]:],"
+           " *partners)\n"
+           "                by_pair = self.by_pair\n"
+           "                new = [pair for pair in pairs if pair not in by_pair]\n"
+           "                by_pair.update(zip(new, match(rule, router.g, new)))\n"
+           "                self.bindings += [by_pair[pair] for pair in pairs]\n",
            "rule8 pairs only new beliefs with the sentiments, like an unjoined rule"),
     Mutant("rule8-rematched-on-new-beliefs-only", "rules.py",
-           "            sizes = (len(nodes), *[len(group) for group in sentiments])\n",
+           "            sizes = (len(nodes), *[len(group) for group in partners])\n",
            "            sizes = (len(nodes),)\n",
            "rule8 is matched again only when believesTrue nodes are added"),
+    Mutant("rule8-rebuilds-every-pair", "rules.py",
+           "                new = [pair for pair in pairs if pair not in by_pair]\n",
+           "                new = pairs\n",
+           "rule8 builds every pair's binding again on each join, losing the stamps"),
     # -- routing (Rule.route, _route, _Router) ---------------------------------
     Mutant("rule-routed-by-wrong-target", "rules.py",
            '    "rule2": Rule("rule2", _match_rule2, (PRIVATE_STATE, SENTIMENT, IDEA_OF, None)),\n',
@@ -143,6 +153,17 @@ MUTANTS = [
            "                  partners=((PRIVATE_STATE, SENTIMENT, ANIM, None),)),\n",
            "rule8's join gets no sentiment toward a :thing, so a gfbf whose object is one"
            " pairs with nothing"),
+    Mutant("input-routes-not-filed", "rules.py",
+           "                for key in (route, route + (True,)) if node.from_input"
+           " else (route,):\n",
+           "                for key in (route,):\n",
+           "the router files no input node under its input route, so rule5 is handed"
+           " nothing"),
+    Mutant("live-of-type-ignores-retired-target", "rules.py",
+           "        if node.node_type == node_type and _route(node) is not None:\n",
+           "        if node.node_type == node_type and not node.retired:\n",
+           "_live_of_type yields a node over a retired target: an assumption basis or a"
+           " rule5 partner can be read from it"),
     Mutant("rule7-routed-over-sentiments", "rules.py",
            '    "rule7": Rule("rule7", _match_rule7, (PRIVATE_STATE, INTENDS, GFBF, None)),\n',
            '    "rule7": Rule("rule7", _match_rule7, (PRIVATE_STATE, SENTIMENT, GFBF, None)),\n',
@@ -274,7 +295,7 @@ MUTANTS = [
            "",
            "evidence on the terminal stays live beside its carried counterpart"),
     Mutant("counterpart-not-rooted", "composition.py",
-           "            if holder in g.roots:\n                g.add_root(counterpart)\n",
+           "            if holder in g.writer_level:\n                g.add_root(counterpart)\n",
            "",
            "the counterpart of a root is not made a root"),
     Mutant("nested-holders-not-reached", "composition.py",

@@ -1,19 +1,23 @@
 """The engine has no runtime dependencies beyond the standard library, and
 importing it loads neither dataclasses, inspect nor the json package; in an
-interpreter without ``site``, it loads neither typing, re nor enum, and the
-CLI loads no pathlib."""
+interpreter without ``site``, it loads neither typing, re nor enum, the CLI
+loads no pathlib, and the CLI's output equals that of ``python -m opine``."""
 
 import ast
 import json.encoder
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from opine import render
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SOURCES = sorted((SRC / "opine").glob("*.py"))
+CORPUS = ROOT / "tests" / "corpus"
 
 # Prints the modules that importing argv[2] (default: opine) loads.
 _IMPORT_CHILD = """\
@@ -61,6 +65,40 @@ corpus = sys.argv[3]
 sys.exit(main(["--input", corpus + "/moveon.ann", "--lexicon", corpus + "/base.lex",
                "--trace", "--by-spaces", "--json", sys.argv[4]]))
 """
+
+# Runs the CLI's main on argv[2:], the engine imported from argv[1]; run with
+# -I -S, nothing is imported before the engine, so a module the engine uses
+# without importing it fails.
+_BARE_CLI = ("import sys; sys.path.insert(0, sys.argv[1]); from opine.cli import main;"
+             " sys.exit(main(sys.argv[2:]))")
+
+# Corpus files whose bare CLI output must equal python -m opine's, and the
+# flags: the trace and spaces views; the JSON export and the extended
+# config's closure; a reversing influencer chain with evidence, composed
+# before inference; and a gfbf line's lexical second role, the corpus's only
+# one.  A --json flag comes last; the test puts the export path after it.
+_BARE_RUNS = {
+    "moveon": ("moveon", "--trace", "--by-spaces"),
+    "moveon-extended-json": ("moveon", "--extended-belief-spaces", "--json"),
+    "virus": ("virus", "--trace", "--by-spaces"),
+    "deprive": ("deprive", "--trace", "--by-spaces"),
+}
+
+# Input errors the bare CLI must report at their file:line with exit 1: an
+# ill-typed line (substantial on a sentiment), at the p line; an entity named
+# with two (key:lexEntry), at the second naming line; and moveon.ann with its
+# gfbf line made goodFor against the lexicon's badFor record.  None means the
+# text is moveon.ann's so edited, read with the lexicon.
+_BARE_ERRORS = {
+    "ill-typed": ('"Ill-typed."\nE1 gfbf <a, badFor (x), b>\n'
+                  "S1 subjectivity <writer, negative sentiment (w), E1>\n"
+                  "P1 p(S1,substantial)\n", 4, "MalformedLine"),
+    "two-keys": ('"Two keys."\nE1 gfbf <they, badFor (ended), war (war:lexEntry)>\n'
+                 "S1 subjectivity <writer, negative sentiment (w), E1>\n"
+                 "E2 gfbf <we, goodFor (x), war (attack:lexEntry)>\n"
+                 "S2 subjectivity <writer, positive sentiment (w), E2>\n", 4, "MalformedLine"),
+    "lexicon-mismatch": (None, 2, "LexiconMismatch"),
+}
 
 
 def imported_modules(path: Path, *, fallbacks: bool = True) -> set[str]:
@@ -187,3 +225,43 @@ def test_cli_without_the_collections_and_functools_accelerators_is_byte_identica
     normal = run("normal")
     assert b"-- trace --" in normal[0] and b"-- by spaces --" in normal[0]
     assert run("fallback") == normal
+
+
+def bare_cli(*args, **kwargs):
+    return subprocess.run([sys.executable, "-I", "-S", "-c", _BARE_CLI, str(SRC), *args],
+                          capture_output=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("run", sorted(_BARE_RUNS))
+def test_cli_in_a_bare_interpreter_matches_python_m_opine(tmp_path, run):
+    name, *flags = _BARE_RUNS[run]
+    args = ["--input", str(CORPUS / f"{name}.ann"), "--lexicon", str(CORPUS / "base.lex"),
+            *flags]
+    exports = [tmp_path / "bare.json", tmp_path / "site.json"]
+    if "--json" in flags:
+        bare_args, site_args = args + [str(exports[0])], args + [str(exports[1])]
+    else:
+        bare_args = site_args = args
+    bare = bare_cli(*bare_args, check=True).stdout
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    site = subprocess.run([sys.executable, "-m", "opine", *site_args], env=env,
+                          capture_output=True, timeout=60, check=True).stdout
+    assert bare == site
+    if "--json" in flags:
+        assert exports[0].read_bytes() == exports[1].read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(_BARE_ERRORS))
+def test_cli_in_a_bare_interpreter_reports_input_errors(tmp_path, case):
+    text, lineno, code = _BARE_ERRORS[case]
+    args = []
+    if text is None:
+        lines = (CORPUS / "moveon.ann").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].replace("badFor", "goodFor", 1)
+        text, args = "".join(lines), ["--lexicon", str(CORPUS / "base.lex")]
+    path = tmp_path / f"{case}.ann"
+    path.write_text(text, encoding="utf-8")
+    proc = bare_cli("--input", str(path), *args, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert any(line.startswith(f"{path}:{lineno}: {code}: ")
+               for line in proc.stderr.splitlines()), proc.stderr

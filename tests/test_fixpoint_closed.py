@@ -22,6 +22,7 @@ from opine import Config, InputError, parse_document, process_document
 from opine.rules import RULES, _expected_space_closure, fire, match, space_index
 
 from test_properties import deep_document, random_document, rule_orders
+from test_rules import BELIEVES_SHOULD_DOCUMENT
 
 DOCUMENTS = 200  # the first documents of each fixed-seed suite
 
@@ -100,7 +101,8 @@ def texts(corpus_files):
     random_rng, deep_rng = random.Random(20240214), random.Random(2)
     return ([path.read_text(encoding="utf-8") for path in corpus_files]
             + [random_document(random_rng) for _ in range(DOCUMENTS)]
-            + [deep_document(deep_rng) for _ in range(DOCUMENTS)] + [OWN_SPACES_DOCUMENT])
+            + [deep_document(deep_rng) for _ in range(DOCUMENTS)]
+            + [OWN_SPACES_DOCUMENT, BELIEVES_SHOULD_DOCUMENT])
 
 
 ORDERS = rule_orders(3)

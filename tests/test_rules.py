@@ -142,6 +142,26 @@ def test_rule10_conclusion_is_writer_root(run_sentence):
     assert "(ps writer sentiment negative wars)" in keys
 
 
+# The writer's sentiment toward a believesShould: the one input in the suite
+# on which rule3.3 creates nodes.
+BELIEVES_SHOULD_DOCUMENT = """"The senate should pass the bill."
+E1 gfbf <senate, goodFor (pass), bill>
+B1 privateState <Mary, positive believesShould (should), E1>
+S1 subjectivity <writer, positive sentiment (hopes), B1>
+"""
+
+
+def test_rule33_concludes_writer_believes_should(lexicon):
+    from opine import parse_document, process_document
+    from opine.render import writer_fact_keys
+
+    (result,) = process_document(parse_document(BELIEVES_SHOULD_DOCUMENT), lexicon)
+    keys = writer_fact_keys(result.graph)
+    assert "(ps writer believesShould positive (gfbf senate goodFor bill))" in keys
+    assert "(agree writer Mary positive (px should (gfbf senate goodFor bill)))" in keys
+    assert [e.rule for e in result.trace if e.created] == ["rule3.3", "rule4"]
+
+
 # Two input attitudes of one holder (rule5source), and two input events of one
 # agent (rule5agent), under the writer's sentiment toward that holder or
 # agent: each document's lines, the two lines whose order is swapped, and the
@@ -195,6 +215,25 @@ def test_rule5_answer_does_not_depend_on_line_order(lexicon, rule):
         assert set(RULE5_DOCUMENTS[rule][2]) <= keys_of(g), text
         answers.append(writer_fact_keys(g))
     assert answers[0] == answers[1]
+
+
+def test_rule5source_skips_an_attitude_over_a_composed_chain(lexicon):
+    # Composition retires the influencer chain and gives the Mayor's input
+    # attitude toward it a counterpart toward the composed event; the first
+    # is over a retired node, so rule5source reads the counterpart alone.
+    from opine import parse_document, process_document
+
+    text = ('"The Mayor hopes the staff fails to stop the virus."\n'
+            "E1 gfbf <the staff, badFor (stop), the virus:thing>\n"
+            "I1 influencer <the staff, reverse (fails), E1>\n"
+            "S1 subjectivity <Mayor, positive sentiment (hopes), I1>\n"
+            "B1 privateState <writer, positive believesTrue (w), S1>\n"
+            "S2 subjectivity <writer, negative sentiment (w), Mayor>\n")
+    g = process_document(parse_document(text), lexicon)[0].graph
+    derived = [n.structural_key() for n in g.nodes if not n.from_input]
+    assert ("(ps writer sentiment negative (ps Mayor sentiment positive"
+            " (gfbf the staff goodFor the virus)))") in derived
+    assert not [key for key in derived if "(infl " in key]
 
 
 def test_rule5agent_assumption_equals_conclusion(run_sentence):

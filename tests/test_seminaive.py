@@ -4,7 +4,8 @@
 whose inputs have not changed since its last fire settled it.  It is
 compared with what it replaces: ``rules.match`` on the same graph, and a copy
 of the loop that fires every binding on every pass, with a closure that
-repeats its pass until it places nothing.
+repeats its pass until it places nothing.  Every binding it fires must come
+from a ``rules.match`` call, the one place a matcher runs.
 """
 
 import random
@@ -310,3 +311,35 @@ def test_fixpoint_walks_the_bindings_match_returns(lexicon, corpus_files, monkey
         outputs(text, lexicon, cfg)
     assert counts["met_again"] > 1000, counts
     assert yielded == {*rules.RULES, "rule8 thing"}, yielded
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["default", "extended"])
+def test_every_binding_fired_was_returned_by_match(lexicon, corpus_files, monkeypatch, extended):
+    """rules.match is the one place a matcher runs: every binding the
+    fixpoint fires, rule8's pairs included, is one a rules.match call
+    returned."""
+    cfg = Config(extended_belief_spaces=extended)
+    match, fire = rules.match, rules.fire
+    returned = {}  # id -> binding; holding each binding keeps its id unique
+    fired, strays = set(), set()
+
+    def watched_match(*args, **kwargs):
+        bindings = match(*args, **kwargs)
+        returned.update((id(b), b) for b in bindings)
+        return bindings
+
+    def watched_fire(rule, binding, *args, **kwargs):
+        fired.add(rule.name)
+        if returned.get(id(binding)) is not binding:
+            strays.add(rule.name)
+        return fire(rule, binding, *args, **kwargs)
+
+    monkeypatch.setattr(rules, "match", watched_match)
+    monkeypatch.setattr(rules, "fire", watched_fire)
+    rng = random.Random(20240214)
+    texts = [path.read_text(encoding="utf-8") for path in corpus_files]
+    texts += [ROUTE_DOCUMENT] + [random_document(rng) for _ in range(DOCUMENTS)]
+    for text in texts:
+        outputs(text, lexicon, cfg)
+    assert not strays, strays
+    assert fired == set(rules.RULES), fired
